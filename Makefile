@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race lint lint-baseline bench bench-check bench-scale bench-scale-check bench-queue bench-queue-check trace-demo ablation-h cover e2e e2e-cluster ci
+.PHONY: build vet test race lint lint-baseline bench bench-check bench-scale bench-scale-check bench-queue bench-queue-check bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
 
 # COVER_FLOOR is the minimum total statement coverage; measured at 79.7%
 # when the floor was introduced, with a small margin for platform noise.
@@ -54,6 +54,14 @@ bench-queue:
 # on shared CI where raw fsync rates would be too noisy to compare.
 bench-queue-check:
 	$(GO) run ./cmd/bench -queue -queue-out BENCH_queue.json -queue-check BENCH_queue.json -queue-min-ratio 10
+
+# bench-smoke is the seconds-long self-test of the benchmark spine
+# (BENCHMARK.json + benchmark/): the four listed workloads at smoke size,
+# each with its output checks — failed == 0, store and merge byte
+# comparisons, fig4-sim merge SHA ≡ cluster-fig4 merge SHA. It gates
+# correctness of the harness and of what it drives, not speed.
+bench-smoke:
+	$(GO) run ./benchmark -size smoke -seconds 0.3
 
 # trace-demo writes the sample observability artifact: Chrome trace_event
 # JSON + canonical CSV span timelines for a BASE and an OPP run.

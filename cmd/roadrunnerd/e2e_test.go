@@ -108,6 +108,10 @@ func fetchRunBytes(t *testing.T, ts *httptest.Server, key string) []byte {
 // zero simulation ticks, and serves byte-identical results.
 func TestEndToEndColdThenWarm(t *testing.T) {
 	_, ts := newTestServer(t)
+	worldBuilds := func() float64 {
+		return metricValue(t, ts, "roadrunner_world_cache_hits_total") + metricValue(t, ts, "roadrunner_world_cache_misses_total")
+	}
+	worldsBefore := worldBuilds()
 
 	// Cold pass: everything executes.
 	cold := postCampaign(t, ts, e2eManifest)
@@ -124,6 +128,10 @@ func TestEndToEndColdThenWarm(t *testing.T) {
 	simEventsCold := metricValue(t, ts, "roadrunnerd_sim_events_total")
 	if simEventsCold <= 0 {
 		t.Fatalf("cold pass executed no simulation events")
+	}
+	// Every execution either built its world or attached to the retained one.
+	if got := worldBuilds() - worldsBefore; got != 2 {
+		t.Fatalf("world cache hits+misses rose by %v over 2 executions", got)
 	}
 
 	// Served bytes must equal a fresh in-process execution of each spec.

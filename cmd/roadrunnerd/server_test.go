@@ -115,6 +115,10 @@ func TestServerMetricsExposition(t *testing.T) {
 		"roadrunnerd_runs_cached_total 0",
 		"roadrunnerd_store_corruptions_total 0",
 		"# TYPE roadrunnerd_simsec_per_wallsec gauge",
+		"# TYPE roadrunner_world_cache_hits_total counter",
+		"# TYPE roadrunner_world_cache_misses_total counter",
+		"# TYPE roadrunner_world_cache_skipped_oversize_total counter",
+		"# TYPE roadrunner_world_cache_retained_bytes gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

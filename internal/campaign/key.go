@@ -66,19 +66,18 @@ func (r RunSpec) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// GroupKey returns the run's config-affinity group: the hash of its
-// canonical encoding with the seed zeroed. Runs that differ only by seed
-// share a group, which is exactly the set whose warm per-config state
-// (snapshot caches, model scratch, page cache for the same fleet shape)
-// a node reuses — the signal the cluster's config-affinity routing policy
-// keys on. Group membership never affects result bytes; it is purely a
-// placement hint.
+// GroupKey returns the run's world group: the hash of the configuration
+// fields that determine its world (core.WorldKeyJSON — road network, fleet,
+// data and the seed; not the strategy, the fault plan or the channels).
+// The runs of a group are the strategy × scenario cells of one
+// (environment, seed), and a process that executes them back to back
+// builds their world once, which is the locality the cluster's
+// config-affinity routing policy keys on. Group membership never affects
+// result bytes; it is purely a placement hint.
 func (r RunSpec) GroupKey() (string, error) {
-	grouped := r
-	grouped.Config.Seed = 0
-	b, err := grouped.CanonicalBytes()
+	b, err := core.WorldKeyJSON(r.Config)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("campaign: group key: %w", err)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8]), nil

@@ -74,7 +74,7 @@ type runningCampaign struct {
 	// byRef maps each queue ref to the campaign run indices it resolves
 	// (duplicate specs inside one manifest share a ref).
 	byRef map[string][]int
-	// groups caches each ref's config-group fingerprint for routing.
+	// groups caches each ref's world-group fingerprint for routing.
 	groups map[string]string
 	// remaining counts refs not yet terminal; 0 means the campaign is done.
 	remaining int

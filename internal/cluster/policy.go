@@ -6,7 +6,7 @@ import "fmt"
 type PendingRun struct {
 	Ref string
 	Key string
-	// Group is the run's seed-independent config fingerprint
+	// Group is the fingerprint of the run's world — environment and seed
 	// (RunSpec.GroupKey) — the affinity signal.
 	Group string
 }
@@ -22,7 +22,7 @@ type NodeStats struct {
 	Granted  int
 	Executed int
 	Cached   int
-	// Groups lists, sorted, the config groups the node has already run —
+	// Groups lists, sorted, the world groups the node has already run —
 	// what config-affinity routes on.
 	Groups []string
 }
@@ -114,11 +114,12 @@ func (LeastLoaded) Pick(pending []PendingRun, nodes []NodeStats, node string) in
 	return 0
 }
 
-// ConfigAffinity routes runs that share a config group (same strategy
-// and config, different seed) to the node that already ran that group —
-// the node most likely to benefit from warm state. Runs whose group no
-// node owns yet fall through in queue order, so the policy never stalls
-// a node that has capacity.
+// ConfigAffinity routes runs that share a world group (same environment
+// and seed; any strategy or fault plan) to the node that already ran that
+// group — the process whose core world slot may still hold the world the
+// run would otherwise regenerate. Runs whose group no node owns yet fall
+// through in queue order, so the policy never stalls a node that has
+// capacity.
 type ConfigAffinity struct{}
 
 // Name implements Policy.

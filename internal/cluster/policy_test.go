@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"roadrunner/internal/campaign"
 )
 
 // Routing policies must be pure functions of (queue state, node stats):
@@ -160,6 +162,56 @@ func TestConfigAffinityRoutesGroupsToTheirOwners(t *testing.T) {
 	owned := append(copyNodes(nodes), NodeStats{Name: "w3", Alive: true, Capacity: 2})
 	if got := (ConfigAffinity{}).Pick(pending, owned, "w3"); got != 0 {
 		t.Fatalf("affinity must not stall a capacious node: pick %d", got)
+	}
+}
+
+// TestConfigAffinityKeepsASeedsRunsTogether expands a Figure-4-shaped
+// manifest (strategy-major, so a seed's runs are not adjacent in the queue)
+// and checks what the real group keys make the policy do: a node that ran
+// one cell of a seed is handed that seed's other strategy × scenario cells
+// — the runs that share its world — before anything else.
+func TestConfigAffinityKeepsASeedsRunsTogether(t *testing.T) {
+	m := campaign.Manifest{
+		Name: "affinity", Env: campaign.EnvTiny, Rounds: 1,
+		Strategies: []campaign.StrategySpec{{Kind: "fedavg"}, {Kind: "opp"}},
+		Seeds:      []uint64{1, 2},
+		Scenarios:  []string{campaign.ScenarioFaultFree, "blackout"},
+	}
+	specs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedOf := make(map[string]uint64)
+	groupOf := make(map[uint64]string)
+	var pending []PendingRun
+	for _, s := range specs {
+		g, err := s.GroupKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := groupOf[s.Config.Seed]; ok && prev != g {
+			t.Fatalf("seed %d spans groups %s and %s", s.Config.Seed, prev, g)
+		}
+		groupOf[s.Config.Seed] = g
+		seedOf[s.Name] = s.Config.Seed
+		pending = append(pending, PendingRun{Ref: s.Name, Key: s.Name, Group: g})
+	}
+	if groupOf[1] == groupOf[2] {
+		t.Fatal("two seeds share a world group")
+	}
+	nodes := []NodeStats{
+		{Name: "w1", Alive: true, Capacity: 1, Groups: []string{groupOf[2]}},
+		{Name: "w2", Alive: true, Capacity: 1, Groups: []string{groupOf[1]}},
+	}
+	want := map[string]uint64{"w1": 2, "w2": 1}
+	for len(pending) > 0 {
+		for _, n := range nodes {
+			i := (ConfigAffinity{}).Pick(pending, nodes, n.Name)
+			if got := seedOf[pending[i].Ref]; got != want[n.Name] {
+				t.Fatalf("%s was handed %s (seed %d) while its own seed %d had runs pending", n.Name, pending[i].Ref, got, want[n.Name])
+			}
+			pending = append(pending[:i], pending[i+1:]...)
+		}
 	}
 }
 

@@ -3,12 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"roadrunner/internal/channel"
 	"roadrunner/internal/comm"
-	"roadrunner/internal/dataset"
 	"roadrunner/internal/faults"
 	"roadrunner/internal/hw"
 	"roadrunner/internal/metrics"
@@ -153,15 +151,30 @@ func New(cfg Config, strat strategy.Strategy) (*Experiment, error) {
 			trace.Attr{Key: "strategy", Value: strat.Name()})
 	}
 
-	traces, graph, err := e.loadMobility(root)
+	// The fork order below is part of the determinism contract: every fork
+	// consumes one root draw, so the world's five streams are taken at their
+	// fixed positions even when the world itself comes out of the slot.
+	var ws worldStreams
+	if cfg.TraceFile == "" {
+		ws.roadnet = root.Fork("roadnet")
+		ws.mobility = root.Fork("mobility")
+	}
+	var rsuRNG *sim.RNG
+	if cfg.RSUCount > 0 {
+		rsuRNG = root.Fork("rsu")
+	}
+	commRNG := root.Fork("comm")
+	ws.proto = root.Fork("data-proto")
+	ws.draw = root.Fork("data-draw")
+	ws.partition = root.Fork("partition")
+
+	w, err := worldFor(cfg, ws)
 	if err != nil {
 		return nil, err
 	}
-	e.replayer, err = mobility.NewReplayer(traces)
-	if err != nil {
-		return nil, err
-	}
-	e.horizon = traces.Horizon
+	e.replayer = w.replayer
+	e.testSet = w.testSet
+	e.horizon = w.replayer.Horizon()
 	if cfg.Horizon > 0 {
 		h := sim.Time(0).Add(cfg.Horizon)
 		if h < e.horizon {
@@ -169,13 +182,10 @@ func New(cfg Config, strat strategy.Strategy) (*Experiment, error) {
 		}
 	}
 
-	if err := e.createAgents(graph, root); err != nil {
+	if err := e.createAgents(w, rsuRNG); err != nil {
 		return nil, err
 	}
-	if err := e.createNetwork(root); err != nil {
-		return nil, err
-	}
-	if err := e.prepareData(root); err != nil {
+	if err := e.createNetwork(commRNG); err != nil {
 		return nil, err
 	}
 	if err := e.prepareModels(root); err != nil {
@@ -231,7 +241,7 @@ func New(cfg Config, strat strategy.Strategy) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.initTickState(graph); err != nil {
+	if err := e.initTickState(w.graph); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -288,30 +298,6 @@ func (e *Experiment) initTickState(graph *roadnet.Graph) error {
 	return nil
 }
 
-func (e *Experiment) loadMobility(root *sim.RNG) (*mobility.TraceSet, *roadnet.Graph, error) {
-	if e.cfg.TraceFile != "" {
-		f, err := os.Open(e.cfg.TraceFile)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: open trace file: %w", err)
-		}
-		defer func() { _ = f.Close() }()
-		traces, err := mobility.ReadCSV(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: read trace file: %w", err)
-		}
-		return traces, nil, nil
-	}
-	graph, err := roadnet.Generate(e.cfg.Grid, root.Fork("roadnet"))
-	if err != nil {
-		return nil, nil, err
-	}
-	traces, err := mobility.Generate(e.cfg.Fleet, graph, root.Fork("mobility"))
-	if err != nil {
-		return nil, nil, err
-	}
-	return traces, graph, nil
-}
-
 // agentRef locates an agent in the experiment's per-kind slices: the
 // vehicle trace index, or the RSU slot.
 type agentRef struct {
@@ -319,7 +305,9 @@ type agentRef struct {
 	idx     int
 }
 
-func (e *Experiment) createAgents(graph *roadnet.Graph, root *sim.RNG) error {
+// createAgents registers the server, one vehicle per trace (attached to its
+// slice of the world's data) and the RSUs; rsuRNG is nil without RSUs.
+func (e *Experiment) createAgents(w *world, rsuRNG *sim.RNG) error {
 	e.agentIdx = make(map[sim.AgentID]agentRef)
 	e.server = e.registry.Add(sim.KindCloudServer).ID
 	srvUnit, err := hw.NewUnit(e.cfg.ServerHW)
@@ -334,6 +322,7 @@ func (e *Experiment) createAgents(graph *roadnet.Graph, root *sim.RNG) error {
 		a := e.registry.Add(sim.KindVehicle)
 		e.vehicles[i] = a.ID
 		e.agentIdx[a.ID] = agentRef{vehicle: true, idx: i}
+		e.data[a.ID] = w.parts[i]
 		unit, err := hw.NewUnit(e.cfg.OBU)
 		if err != nil {
 			return err
@@ -341,19 +330,16 @@ func (e *Experiment) createAgents(graph *roadnet.Graph, root *sim.RNG) error {
 		e.units[a.ID] = unit
 	}
 
-	if e.cfg.RSUCount > 0 {
-		rng := root.Fork("rsu")
-		for i := 0; i < e.cfg.RSUCount; i++ {
-			a := e.registry.Add(sim.KindRSU)
-			e.rsus = append(e.rsus, a.ID)
-			e.agentIdx[a.ID] = agentRef{idx: i}
-			unit, err := hw.NewUnit(e.cfg.RSUHW)
-			if err != nil {
-				return err
-			}
-			e.units[a.ID] = unit
-			e.rsuPos = append(e.rsuPos, e.rsuPosition(graph, rng, i))
+	for i := 0; i < e.cfg.RSUCount; i++ {
+		a := e.registry.Add(sim.KindRSU)
+		e.rsus = append(e.rsus, a.ID)
+		e.agentIdx[a.ID] = agentRef{idx: i}
+		unit, err := hw.NewUnit(e.cfg.RSUHW)
+		if err != nil {
+			return err
 		}
+		e.units[a.ID] = unit
+		e.rsuPos = append(e.rsuPos, e.rsuPosition(w.graph, rsuRNG, i))
 	}
 	return nil
 }
@@ -372,11 +358,11 @@ func (e *Experiment) rsuPosition(graph *roadnet.Graph, rng *sim.RNG, i int) road
 	return pos
 }
 
-func (e *Experiment) createNetwork(root *sim.RNG) error {
+func (e *Experiment) createNetwork(commRNG *sim.RNG) error {
 	position := func(id sim.AgentID) (roadnet.Point, bool) {
 		return e.positionOf(id)
 	}
-	network, err := comm.NewNetwork(e.engine, e.registry, e.cfg.Comm, position, root.Fork("comm"))
+	network, err := comm.NewNetwork(e.engine, e.registry, e.cfg.Comm, position, commRNG)
 	if err != nil {
 		return err
 	}
@@ -402,31 +388,6 @@ func (e *Experiment) positionOf(id sim.AgentID) (roadnet.Point, bool) {
 		return roadnet.Point{}, false
 	}
 	return pos, true
-}
-
-func (e *Experiment) prepareData(root *sim.RNG) error {
-	gen, err := dataset.NewGenerator(e.cfg.Data, root.Fork("data-proto"))
-	if err != nil {
-		return err
-	}
-	drawRNG := root.Fork("data-draw")
-	poolSize := len(e.vehicles) * e.cfg.Partition.PerAgent
-	pool, err := gen.Balanced(poolSize, drawRNG)
-	if err != nil {
-		return err
-	}
-	parts, err := dataset.Partition(pool, len(e.vehicles), e.cfg.Partition, root.Fork("partition"))
-	if err != nil {
-		return err
-	}
-	for i, v := range e.vehicles {
-		e.data[v] = parts[i]
-	}
-	e.testSet, err = gen.Balanced(e.cfg.TestSamples, drawRNG)
-	if err != nil {
-		return err
-	}
-	return nil
 }
 
 func (e *Experiment) prepareModels(root *sim.RNG) error {

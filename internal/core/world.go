@@ -1,0 +1,238 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"sync"
+	"sync/atomic"
+
+	"roadrunner/internal/dataset"
+	"roadrunner/internal/ml"
+	"roadrunner/internal/mobility"
+	"roadrunner/internal/roadnet"
+	"roadrunner/internal/sim"
+)
+
+// world is the immutable half of an experiment: the road network, the
+// vehicle traces, every vehicle's local data and the server's test set.
+// It is a pure function of its worldKey, and nothing reads it through a
+// mutating path after buildWorld returns — Graph and Replayer are only
+// queried, ml.Network.Train shuffles an index slice, strategies that ship
+// LocalData ship the slices as they are — so the runs that evaluate
+// different strategies and fault plans on one (environment, seed) can all
+// attach to the same instance.
+type world struct {
+	graph    *roadnet.Graph // nil for trace-file worlds
+	replayer *mobility.Replayer
+	parts    [][]ml.Example // parts[i] is the local data of the vehicle replaying trace i
+	testSet  []ml.Example
+	bytes    int64 // estimated heap footprint, see sizeOf
+}
+
+// worldKey holds, by value, every configuration field a world depends on.
+// RSUs is part of it because the conditional "rsu" fork sits between the
+// mobility and the data forks: placing any RSU shifts the root stream the
+// three data forks are drawn from. TraceFile worlds are never retained
+// (see worldFor); the path is in the key so that WorldKeyJSON tells them
+// apart.
+type worldKey struct {
+	Seed        uint64                  `json:"seed"`
+	TraceFile   string                  `json:"trace_file,omitempty"`
+	Grid        roadnet.GridConfig      `json:"grid"`
+	Fleet       mobility.GenConfig      `json:"fleet"`
+	RSUs        bool                    `json:"rsus,omitempty"`
+	Data        dataset.Config          `json:"data"`
+	Partition   dataset.PartitionConfig `json:"partition"`
+	TestSamples int                     `json:"test_samples"`
+}
+
+func worldKeyOf(cfg Config) worldKey {
+	return worldKey{
+		Seed:        cfg.Seed,
+		TraceFile:   cfg.TraceFile,
+		Grid:        cfg.Grid,
+		Fleet:       cfg.Fleet,
+		RSUs:        cfg.RSUCount > 0,
+		Data:        cfg.Data,
+		Partition:   cfg.Partition,
+		TestSamples: cfg.TestSamples,
+	}
+}
+
+// WorldKeyJSON encodes the fields of cfg that determine its world — seed
+// included; strategy, fault plan, channels, model and hardware excluded.
+// Runs with equal encodings attach to the same world when they execute
+// back to back in one process, which is what campaign.RunSpec.GroupKey
+// hashes it for.
+func WorldKeyJSON(cfg Config) ([]byte, error) {
+	b, err := json.Marshal(worldKeyOf(cfg))
+	if err != nil {
+		return nil, fmt.Errorf("core: world key: %w", err)
+	}
+	return b, nil
+}
+
+// worldStreams are the root-RNG forks a world is generated from. New forks
+// them at their fixed positions in the root sequence whether or not the
+// world is then built: a fork consumes one root draw, and the streams
+// forked after them ("comm", "init-weights", "faults", "channel") must not
+// depend on whether the slot held the world.
+type worldStreams struct {
+	roadnet, mobility      *sim.RNG // nil with Config.TraceFile
+	proto, draw, partition *sim.RNG
+}
+
+// worldRetainBytes is the largest world the slot keeps. The default
+// environment's world is ~31 MB and is retained; a 1 000-vehicle world is
+// ~245 MB and is built, used and left to the collector with its run —
+// retaining it would raise peak RSS by its size for the one process in
+// which the next run happens to share its seed.
+const worldRetainBytes = 64 << 20
+
+// worldSlot is the process-wide cache: the most recently built world, and
+// nothing else. One entry is all the reuse pattern needs — a campaign
+// expands strategies × fault scenarios per seed, so the runs that share a
+// world arrive back to back — and all that the memory bound allows.
+var worldSlot struct {
+	mu  sync.Mutex
+	key worldKey
+	w   *world
+}
+
+var worldCounters struct{ hits, misses, oversize atomic.Uint64 }
+
+// WorldCacheStat is a snapshot of the world slot's counters.
+type WorldCacheStat struct {
+	// Hits counts runs that attached to the retained world; Misses runs
+	// that built theirs (trace-file runs, which bypass the slot, included).
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// SkippedOversize counts built worlds that were too large to retain.
+	SkippedOversize uint64 `json:"skipped_oversize"`
+	// RetainedBytes is the estimated size of the world held right now.
+	RetainedBytes int64 `json:"retained_bytes"`
+}
+
+// WorldCacheStats reports how often core.New reused a world. It is host
+// telemetry: it never enters canonical bytes or run metadata.
+func WorldCacheStats() WorldCacheStat {
+	st := WorldCacheStat{
+		Hits:            worldCounters.hits.Load(),
+		Misses:          worldCounters.misses.Load(),
+		SkippedOversize: worldCounters.oversize.Load(),
+	}
+	worldSlot.mu.Lock()
+	if worldSlot.w != nil {
+		st.RetainedBytes = worldSlot.w.bytes
+	}
+	worldSlot.mu.Unlock()
+	return st
+}
+
+// worldFor returns the world of cfg: the retained one when its key
+// matches, a freshly built one otherwise. The slot is emptied before a
+// miss starts generating, so the cache never keeps two worlds reachable,
+// and the lock is not held while generating, so concurrent misses build in
+// parallel as they did before the slot existed (the last to finish stays).
+func worldFor(cfg Config, ws worldStreams) (*world, error) {
+	if cfg.TraceFile != "" {
+		// A path does not pin the file's contents.
+		worldCounters.misses.Add(1)
+		return buildWorld(cfg, ws)
+	}
+	key := worldKeyOf(cfg)
+	worldSlot.mu.Lock()
+	if w := worldSlot.w; w != nil && worldSlot.key == key {
+		worldSlot.mu.Unlock()
+		worldCounters.hits.Add(1)
+		return w, nil
+	}
+	worldSlot.w = nil
+	worldSlot.mu.Unlock()
+
+	worldCounters.misses.Add(1)
+	w, err := buildWorld(cfg, ws)
+	if err != nil {
+		return nil, err
+	}
+	if w.bytes > worldRetainBytes {
+		worldCounters.oversize.Add(1)
+		return w, nil
+	}
+	worldSlot.mu.Lock()
+	worldSlot.key, worldSlot.w = key, w
+	worldSlot.mu.Unlock()
+	return w, nil
+}
+
+// buildWorld generates (or, with Config.TraceFile, loads) the spatial
+// dynamics and the data of cfg from their dedicated streams.
+func buildWorld(cfg Config, ws worldStreams) (*world, error) {
+	w := &world{}
+	var traces *mobility.TraceSet
+	var err error
+	if cfg.TraceFile != "" {
+		if traces, err = readTraceFile(cfg.TraceFile); err != nil {
+			return nil, err
+		}
+	} else {
+		if w.graph, err = roadnet.Generate(cfg.Grid, ws.roadnet); err != nil {
+			return nil, err
+		}
+		if traces, err = mobility.Generate(cfg.Fleet, w.graph, ws.mobility); err != nil {
+			return nil, err
+		}
+	}
+	if w.replayer, err = mobility.NewReplayer(traces); err != nil {
+		return nil, err
+	}
+
+	gen, err := dataset.NewGenerator(cfg.Data, ws.proto)
+	if err != nil {
+		return nil, err
+	}
+	vehicles := w.replayer.NumVehicles()
+	pool, err := gen.Balanced(vehicles*cfg.Partition.PerAgent, ws.draw)
+	if err != nil {
+		return nil, err
+	}
+	if w.parts, err = dataset.Partition(pool, vehicles, cfg.Partition, ws.partition); err != nil {
+		return nil, err
+	}
+	// The test set continues the draw stream the pool came from.
+	if w.testSet, err = gen.Balanced(cfg.TestSamples, ws.draw); err != nil {
+		return nil, err
+	}
+	w.bytes = w.sizeOf(cfg.Data.Dim())
+	return w, nil
+}
+
+func readTraceFile(path string) (*mobility.TraceSet, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: open trace file: %w", err)
+	}
+	defer func() { _ = f.Close() }()
+	traces, err := mobility.ReadCSV(f)
+	if err != nil {
+		return nil, fmt.Errorf("core: read trace file: %w", err)
+	}
+	return traces, nil
+}
+
+// sizeOf estimates the world's heap footprint: float32 features plus the
+// example header per example, and the trace samples. The road network is
+// a few hundred nodes and is not counted.
+func (w *world) sizeOf(dim int) int64 {
+	examples := int64(len(w.testSet))
+	for _, p := range w.parts {
+		examples += int64(len(p))
+	}
+	var samples int64
+	for _, tr := range w.replayer.TraceSet().Traces {
+		samples += int64(len(tr.Samples))
+	}
+	const exampleHeader, traceSample = 32, 32 // ml.Example and mobility.Sample on 64-bit hosts
+	return examples*(int64(dim)*4+exampleHeader) + samples*traceSample
+}

@@ -159,14 +159,21 @@ func (g *Generator) Sample(class int, rng *sim.RNG) (ml.Example, error) {
 		dy = rng.Intn(2*cfg.MaxShift+1) - cfg.MaxShift
 	}
 	brightness := float32(rng.Range(0.8, 1.2))
+	// The cyclic shift is resolved once per sample (start column) and once
+	// per row (source row), leaving an increment-and-wrap in the pixel loop;
+	// noise is still drawn pixel by pixel in output order.
+	sx0 := mod(dx, cfg.W)
 	for ch := 0; ch < cfg.C; ch++ {
 		base := ch * cfg.H * cfg.W
 		for y := 0; y < cfg.H; y++ {
-			sy := mod(y+dy, cfg.H)
-			for xx := 0; xx < cfg.W; xx++ {
-				sx := mod(xx+dx, cfg.W)
-				v := proto[base+sy*cfg.W+sx]*brightness + float32(rng.NormFloat64()*cfg.NoiseStd)
-				x[base+y*cfg.W+xx] = v
+			src := proto[base+mod(y+dy, cfg.H)*cfg.W:][:cfg.W]
+			dst := x[base+y*cfg.W:][:cfg.W]
+			sx := sx0
+			for xx := range dst {
+				dst[xx] = src[sx]*brightness + float32(rng.NormFloat64()*cfg.NoiseStd)
+				if sx++; sx == cfg.W {
+					sx = 0
+				}
 			}
 		}
 	}

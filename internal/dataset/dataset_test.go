@@ -78,6 +78,45 @@ func TestSampleShapeAndLabel(t *testing.T) {
 	}
 }
 
+// TestSampleMatchesPerPixelShift pins Sample to its definition — pixel
+// (y, x) is the prototype at ((y+dy) mod H, (x+dx) mod W), scaled, plus one
+// noise draw per pixel in output order — over every shift a non-square,
+// multi-channel shape can draw, so the hoisted wrap-around cannot drift.
+func TestSampleMatchesPerPixelShift(t *testing.T) {
+	cfg := Config{Classes: 3, H: 5, W: 7, C: 2, NoiseStd: 0.7, MaxShift: 4, Components: 2}
+	g, err := NewGenerator(cfg, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ref := sim.NewRNG(9), sim.NewRNG(9)
+	shifts := map[[2]int]bool{}
+	for n := 0; n < 400; n++ {
+		class := n % cfg.Classes
+		ex, err := g.Sample(class, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dx := ref.Intn(2*cfg.MaxShift+1) - cfg.MaxShift
+		dy := ref.Intn(2*cfg.MaxShift+1) - cfg.MaxShift
+		shifts[[2]int{dx, dy}] = true
+		brightness := float32(ref.Range(0.8, 1.2))
+		for ch := 0; ch < cfg.C; ch++ {
+			for y := 0; y < cfg.H; y++ {
+				for x := 0; x < cfg.W; x++ {
+					src := ch*cfg.H*cfg.W + mod(y+dy, cfg.H)*cfg.W + mod(x+dx, cfg.W)
+					want := g.protos[class][src]*brightness + float32(ref.NormFloat64()*cfg.NoiseStd)
+					if v := ex.X[ch*cfg.H*cfg.W+y*cfg.W+x]; v != want {
+						t.Fatalf("sample %d shift (%d,%d) pixel (%d,%d,%d) = %v, want %v", n, dx, dy, ch, y, x, v, want)
+					}
+				}
+			}
+		}
+	}
+	if want := (2*cfg.MaxShift + 1) * (2*cfg.MaxShift + 1); len(shifts) != want {
+		t.Fatalf("covered %d of %d shifts", len(shifts), want)
+	}
+}
+
 func TestSamplesVaryWithinClass(t *testing.T) {
 	g, err := NewGenerator(smallConfig(), sim.NewRNG(1))
 	if err != nil {
@@ -415,6 +454,20 @@ func TestDirichletSumsToOne(t *testing.T) {
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("dirichlet sums to %v", sum)
+		}
+	}
+}
+
+func BenchmarkSample(b *testing.B) {
+	g, err := NewGenerator(DefaultConfig(), sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Sample(i%10, rng); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
