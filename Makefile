@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race lint lint-baseline bench bench-check bench-scale bench-scale-check bench-queue bench-queue-check bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
+.PHONY: build vet fmt-check test race lint lint-baseline bench bench-check bench-scale bench-scale-check bench-queue bench-queue-check bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
 
 # COVER_FLOOR is the minimum total statement coverage; measured at 79.7%
 # when the floor was introduced, with a small margin for platform noise.
@@ -43,8 +43,8 @@ bench-scale-check:
 	$(GO) run ./cmd/bench -scale 50000 -scale-horizon 60 -scale-out /tmp/BENCH_scale_50k.json
 
 # bench-queue measures the cluster queue protocol and rewrites the
-# tracked BENCH_queue.json: batched lease verbs vs per-run verbs, and
-# snapshot+tail replay vs full-log replay.
+# tracked BENCH_queue.json: the lease verbs at the default batch size vs
+# at batch size one, and snapshot+tail replay vs full-log replay.
 bench-queue:
 	$(GO) run ./cmd/bench -queue -queue-out BENCH_queue.json
 
@@ -76,6 +76,12 @@ ablation-h:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file outside testdata/ (lint fixtures are
+# deliberately odd) is not gofmt-clean.
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l is not clean:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -115,4 +121,4 @@ e2e:
 e2e-cluster:
 	./scripts/e2e_cluster.sh
 
-ci: build vet test race lint cover e2e
+ci: build vet fmt-check test race lint cover e2e

@@ -15,7 +15,7 @@ import (
 // manifests: batched lease verbs (one journal append + fsync per batch
 // instead of per run) and snapshot compaction (restart replays a
 // bounded log tail instead of the whole history). Both are reported as
-// host-independent ratios — batched-vs-single throughput and
+// host-independent ratios — batched-vs-batch-of-one throughput and
 // full-vs-tail replayed entries — so the gate compares an optimization
 // factor, not a raw rate that varies with the CI host's disk.
 
@@ -24,9 +24,8 @@ import (
 type QueueArm struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	RunsPerSec  float64 `json:"runs_per_sec"`
-	// Fsyncs counts journal appends: the durability cost the batched
-	// verbs amortize. 4 per run for single verbs; 4 per batch for
-	// batched ones.
+	// Fsyncs counts journal appends: the durability cost batching
+	// amortizes. 4 per batch — so 4 per run in the batch-of-one arm.
 	Fsyncs int `json:"fsyncs"`
 }
 
@@ -81,9 +80,11 @@ func runQueue(runs, batch int, out, check string, minRatio float64) error {
 	items := queueWorkload(runs)
 	compactEvery := 2 * batch
 
-	single, err := benchQueueSingle(items)
+	// The baseline arm is the same verbs at batch size 1: one append and
+	// one fsync per verb per run, the cost batching amortizes.
+	single, err := benchQueueBatched(items, 1, -1, nil)
 	if err != nil {
-		return fmt.Errorf("single-verb arm: %w", err)
+		return fmt.Errorf("batch-of-one arm: %w", err)
 	}
 	batched, err := benchQueueBatched(items, batch, -1, nil)
 	if err != nil {
@@ -163,64 +164,20 @@ func queueWorkload(runs int) []campaign.QueueItem {
 	return items
 }
 
-// benchQueueSingle drives the full lifecycle through the per-run verbs:
-// every enqueue, claim, start, and complete journals and fsyncs its own
-// record — the protocol cost the batched verbs exist to amortize.
-func benchQueueSingle(items []campaign.QueueItem) (QueueArm, error) {
-	dir, err := os.MkdirTemp("", "benchqueue-single-")
+// benchQueueBatched drives the full lifecycle (enqueue, claim, start,
+// complete) in batches of batch runs, so every batch shares one
+// append+fsync per verb. With a non-nil keepDir the queue directory is
+// kept and handed back through it for the caller to reopen (the replay
+// arm) and remove.
+func benchQueueBatched(items []campaign.QueueItem, batch, compactEvery int, keepDir *string) (QueueArm, error) {
+	dir, err := os.MkdirTemp("", "benchqueue-")
 	if err != nil {
 		return QueueArm{}, err
 	}
-	defer func() { _ = os.RemoveAll(dir) }()
-	q, err := campaign.OpenQueueWithOptions(filepath.Join(dir, "queue.jsonl"), campaign.QueueOptions{CompactEvery: -1})
-	if err != nil {
-		return QueueArm{}, err
-	}
-	defer func() { _ = q.Close() }()
-	start := time.Now() //roadlint:allow wallclock harness timing of the benchmark itself
-	for _, it := range items {
-		if err := q.Enqueue(it.Ref, it.Key, it.Spec); err != nil {
-			return QueueArm{}, err
-		}
-	}
-	for _, it := range items {
-		lease, _, err := q.Claim(it.Ref, "bench-node", 1, 100)
-		if err != nil {
-			return QueueArm{}, err
-		}
-		if _, err := q.Start(lease.ID); err != nil {
-			return QueueArm{}, err
-		}
-		if _, err := q.Complete(lease.ID, campaign.RunDone); err != nil {
-			return QueueArm{}, err
-		}
-	}
-	wall := time.Since(start).Seconds() //roadlint:allow wallclock harness timing of the benchmark itself
-	arm := QueueArm{WallSeconds: wall, Fsyncs: 4 * len(items)}
-	if wall > 0 {
-		arm.RunsPerSec = float64(len(items)) / wall
-	}
-	return arm, nil
-}
-
-// benchQueueBatched drives the same lifecycle through the batched verbs
-// in batches of batch runs, so every batch shares one append+fsync per
-// verb. With a non-nil reuseDir the queue directory is kept and handed
-// back through it for the caller to reopen (the replay arm) and remove.
-func benchQueueBatched(items []campaign.QueueItem, batch, compactEvery int, reuseDir *string) (QueueArm, error) {
-	var dir string
-	if reuseDir != nil && *reuseDir != "" {
-		dir = *reuseDir
+	if keepDir != nil {
+		*keepDir = dir
 	} else {
-		var err error
-		if dir, err = os.MkdirTemp("", "benchqueue-batched-"); err != nil {
-			return QueueArm{}, err
-		}
-		if reuseDir != nil {
-			*reuseDir = dir
-		} else {
-			defer func() { _ = os.RemoveAll(dir) }()
-		}
+		defer func() { _ = os.RemoveAll(dir) }()
 	}
 	q, err := campaign.OpenQueueWithOptions(filepath.Join(dir, "queue.jsonl"), campaign.QueueOptions{CompactEvery: compactEvery})
 	if err != nil {

@@ -55,11 +55,12 @@ func driveWorker(t *testing.T, base, dir string) {
 			return
 		}
 		for _, asg := range asgs {
-			if err := client.Start(asg.Lease); err != nil {
+			if errs, err := client.StartBatch([]campaign.LeaseID{asg.Lease}); err != nil || errs[0] != nil {
 				continue
 			}
-			if err := client.Complete(asg.Lease, runner.Run(asg)); err != nil {
-				t.Fatal(err)
+			report := cluster.CompletionReport{Lease: asg.Lease, Outcome: runner.Run(asg)}
+			if errs, err := client.CompleteBatch([]cluster.CompletionReport{report}); err != nil || errs[0] != nil {
+				t.Fatal(err, errs)
 			}
 		}
 	}

@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"roadrunner/internal/campaign"
+	"roadrunner/internal/cluster"
 )
 
 // e2eManifest is the laptop-scale two-run campaign the smoke test submits.
@@ -329,7 +331,7 @@ func TestEndToEndResumeFlag(t *testing.T) {
 	}
 	sched2 := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store2})
 	srv2 := newServer(sched2)
-	n, err := srv2.resumeJournaled()
+	n, err := srv2.resumeJournaled(nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,5 +349,103 @@ func TestEndToEndResumeFlag(t *testing.T) {
 	}
 	if !strings.HasPrefix(st.ID, fmt.Sprintf("c%04d-", 1)) {
 		t.Fatalf("unexpected campaign id shape %q", st.ID)
+	}
+}
+
+// TestClusterResumeReRegistersWithCoordinator is the regression test for
+// -cluster -resume taking the wrong path: a campaign the coordinator
+// minted, interrupted with its runs still queued, used to be rebuilt on
+// the single-node scheduler — executed inside the coordinator process,
+// absent from /v1/cluster/campaigns, its queue refs left pending for
+// workers to execute again. It must re-register with the coordinator
+// and execute nowhere until a worker claims it; only foreign journals
+// go to the scheduler, and an unreadable one is reported, not swallowed.
+func TestClusterResumeReRegistersWithCoordinator(t *testing.T) {
+	dir := t.TempDir()
+	store, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := cluster.NewCoordinator(cluster.Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m campaign.Manifest
+	if err := json.Unmarshal([]byte(e2eManifest), &m); err != nil {
+		t.Fatal(err)
+	}
+	id, err := co.Submit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Close() // no worker ever joined: both runs are still queued
+
+	// A single-node journal and a corrupt one share the directory.
+	local := m
+	local.Seeds = []uint64{7}
+	foreign, err := campaign.NewCampaign("local-7", local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := store.OpenJournal(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := os.WriteFile(store.JournalPath("c0009-bad"), []byte("not json\n{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched2 := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store2})
+	srv2 := newServer(sched2)
+	co2, err := cluster.NewCoordinator(cluster.Options{Store: store2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co2.Close()
+	var out bytes.Buffer
+	n, err := srv2.resumeJournaled(co2, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2.drain()
+	if n != 2 {
+		t.Fatalf("resumed %d campaigns, want 2 (cluster + foreign): %s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "c0009-bad not resumed") || !strings.Contains(out.String(), "corrupt record") {
+		t.Fatalf("unreadable journal skipped without its reason: %q", out.String())
+	}
+
+	mux := srv2.routes(false)
+	co2.Routes(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	var st campaign.Status
+	if code := getJSON(t, ts.URL+"/v1/cluster/campaigns/"+id, &st); code != http.StatusOK || st.ID != id || st.Done || st.Total != 2 || st.Completed != 0 {
+		t.Fatalf("resumed cluster campaign: status %d, %+v", code, st)
+	}
+	if code := getJSON(t, ts.URL+"/v1/campaigns/"+id, &struct{}{}); code != http.StatusNotFound {
+		t.Fatalf("cluster campaign also registered on the single-node tree (status %d)", code)
+	}
+	if code := getJSON(t, ts.URL+"/v1/campaigns/local-7", &st); code != http.StatusOK || !st.Done || st.Completed != 2 {
+		t.Fatalf("foreign journal not resumed by the scheduler: status %d, %+v", code, st)
+	}
+	// The scheduler executed the foreign campaign's two runs and nothing
+	// of the cluster campaign, whose runs wait in the queue for a worker.
+	if got := sched2.Stats().Executed; got != 2 {
+		t.Fatalf("scheduler executed %d runs, want the foreign campaign's 2", got)
+	}
+	c, err := co2.Campaign(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range c.Keys() {
+		if store2.Has(key) {
+			t.Fatalf("cluster run %s was executed without a worker", key[:8])
+		}
 	}
 }

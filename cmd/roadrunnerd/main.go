@@ -104,22 +104,14 @@ func run(args []string, out io.Writer) error {
 		MaxAttempts: *attempts,
 	})
 	srv := newServer(sched)
-	if *resume {
-		n, err := srv.resumeJournaled()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "roadrunnerd: resumed %d journaled campaign(s)\n", n)
-	}
-
 	mux := srv.routes(*pprofEnabled)
-	var stopTicking func()
+	var co *cluster.Coordinator
 	if *clusterMode {
 		policy, err := cluster.PolicyByName(*policyName)
 		if err != nil {
 			return err
 		}
-		co, err := cluster.NewCoordinator(cluster.Options{
+		co, err = cluster.NewCoordinator(cluster.Options{
 			Store:          store,
 			Policy:         policy,
 			LeaseTTL:       campaign.Tick(*leaseTTL),
@@ -131,10 +123,20 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		co.Routes(mux)
-		stopTicking = startClusterClock(co, *tick)
 		defer co.Close()
 		fmt.Fprintf(out, "roadrunnerd: cluster coordinator enabled (policy %s, lease TTL %d ticks)\n",
 			policy.Name(), *leaseTTL)
+	}
+	if *resume {
+		n, err := srv.resumeJournaled(co, out)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "roadrunnerd: resumed %d journaled campaign(s)\n", n)
+	}
+	var stopTicking func()
+	if co != nil {
+		stopTicking = startClusterClock(co, *tick)
 	}
 
 	fmt.Fprintf(out, "roadrunnerd: listening on %s (store %s, %d max attempts)\n",

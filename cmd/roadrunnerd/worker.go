@@ -35,11 +35,11 @@ const (
 
 // runWorker joins the coordinator, heartbeats in the background, and
 // runs the claim loop until a termination signal: request assignments,
-// pass the Start execution gate (dropping stale claims unexecuted),
-// execute against the shared store, report the outcome. A 409 from
-// Start or Complete means the lease was stolen or expired — the worker
-// simply moves on; the re-issued claim's runner finds the result in the
-// store if this worker already published it.
+// pass the StartBatch execution gate (dropping stale claims unexecuted),
+// execute against the shared store, report the outcomes. A stale slot
+// from StartBatch or CompleteBatch means the lease was stolen or expired
+// — the worker simply moves on; the re-issued claim's runner finds the
+// result in the store if this worker already published it.
 func runWorker(cfg workerConfig) error {
 	client := cluster.NewClient(cfg.join, cfg.node)
 	var err error

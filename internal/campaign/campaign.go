@@ -369,7 +369,7 @@ func (s *Scheduler) RunCampaign(c *Campaign) ([]TaskResult, error) {
 	var j *Journal
 	if s.store != nil {
 		var err error
-		j, err = openJournal(s.store.journalPath(c.id), c)
+		j, err = s.store.OpenJournal(c)
 		if err != nil {
 			return nil, err
 		}

@@ -1,15 +1,15 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"roadrunner/internal/wal"
 )
 
 // The campaign journal is the resume protocol's source of truth: an
@@ -33,14 +33,11 @@ type journalRecord struct {
 	Run      *RunStatus `json:"run,omitempty"`
 }
 
-// journalPath locates a campaign's journal inside the store.
-func (s *Store) journalPath(id string) string {
-	return filepath.Join(s.root, "campaigns", id+".jsonl")
-}
-
 // JournalPath returns the campaign's journal location inside the store —
 // the file ResumeCampaign reads and cmd/roadrunnerd scans at startup.
-func (s *Store) JournalPath(id string) string { return s.journalPath(id) }
+func (s *Store) JournalPath(id string) string {
+	return filepath.Join(s.root, "campaigns", id+".jsonl")
+}
 
 // JournaledCampaignIDs lists every campaign with a journal in the store,
 // sorted, so a restarted service can resume interrupted work.
@@ -64,91 +61,57 @@ func (s *Store) JournaledCampaignIDs() ([]string, error) {
 // terminal run states through it, so cluster campaigns resume with the
 // same protocol as single-node ones.
 type Journal struct {
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	log *wal.Log
 }
 
 // OpenJournal opens the campaign's journal inside the store, repairing a
 // torn tail and writing the manifest header if needed.
 func (s *Store) OpenJournal(c *Campaign) (*Journal, error) {
-	return openJournal(s.journalPath(c.ID()), c)
+	return openJournal(s.JournalPath(c.ID()), c)
 }
 
-// repairJournal measures the journal's valid prefix: complete,
-// newline-terminated, parseable records starting with the manifest
-// header. Everything past it — a torn trailing write from a crash — must
-// be truncated before appending resumes, because a record appended after
-// a torn line concatenates onto it, and replay (which stops at the first
-// unparseable line) would then lose every record after the tear. That
-// failure mode is load-bearing for lease recovery: it would silently
-// un-journal completed runs on the second crash.
-func repairJournal(path string) (validSize int64, hasManifest bool, err error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, fmt.Errorf("campaign: repair journal: %w", err)
-	}
-	for off := 0; off < len(data); {
-		nl := bytesIndexNewline(data[off:])
-		if nl < 0 {
-			break // torn tail: no terminating newline
-		}
-		line := data[off : off+nl]
-		if len(line) > 0 {
-			var rec journalRecord
-			if json.Unmarshal(line, &rec) != nil {
-				break
-			}
-			if !hasManifest {
-				// The first record must be the manifest header; a journal
-				// whose header is unreadable has no usable records at all.
-				if rec.Type != "manifest" || rec.Manifest == nil {
-					break
-				}
-				hasManifest = true
-			}
-		}
-		off += nl + 1
-		validSize = int64(off)
-	}
-	return validSize, hasManifest, nil
+// journalReplay folds journal records into the submitted manifest and,
+// when runs is non-nil, the terminal run states (later records for the
+// same key supersede earlier ones). It is the journal's wal decoder: a
+// first record that is not the manifest header is rejected, so a journal
+// torn inside its very first write reads as empty.
+type journalReplay struct {
+	manifest *Manifest
+	runs     map[string]RunStatus
 }
 
-func bytesIndexNewline(b []byte) int {
-	for i, c := range b {
-		if c == '\n' {
-			return i
-		}
+func (r *journalReplay) decode(line []byte) error {
+	var rec journalRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return err
 	}
-	return -1
+	switch {
+	case r.manifest == nil:
+		if rec.Type != "manifest" || rec.Manifest == nil {
+			return fmt.Errorf("first record is %q, not the manifest header", rec.Type)
+		}
+		r.manifest = rec.Manifest
+	case rec.Type == "run" && rec.Run != nil && rec.Run.Key != "" && r.runs != nil:
+		r.runs[rec.Run.Key] = *rec.Run
+	}
+	return nil
 }
 
-// openJournal opens (or creates) the campaign's journal, truncating any
-// torn tail from a previous crash and (re)writing the manifest header
-// record when the valid prefix lacks one.
+// openJournal opens (or creates) the campaign's journal — internal/wal
+// drops a torn tail from a previous crash — and writes the manifest
+// header record when the journal holds none.
 func openJournal(path string, c *Campaign) (*Journal, error) {
-	validSize, hasManifest, err := repairJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	if !hasManifest {
-		validSize = 0
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	var replay journalReplay
+	l, err := wal.Open(path, replay.decode)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: open journal: %w", err)
 	}
-	if err := f.Truncate(validSize); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("campaign: open journal: %w", err)
-	}
-	j := &Journal{f: f}
-	if validSize == 0 {
+	j := &Journal{log: l}
+	if replay.manifest == nil {
 		m := c.Manifest()
 		if err := j.append(journalRecord{Type: "manifest", ID: c.ID(), Manifest: &m}); err != nil {
-			_ = f.Close()
+			j.Close()
 			return nil, err
 		}
 	}
@@ -162,10 +125,7 @@ func (j *Journal) append(rec journalRecord) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Append(data); err != nil {
 		return fmt.Errorf("campaign: journal: %w", err)
 	}
 	return nil
@@ -180,52 +140,22 @@ func (j *Journal) RecordRun(run RunStatus) {
 }
 
 // Close releases the journal's file handle.
-func (j *Journal) Close() { _ = j.f.Close() }
+func (j *Journal) Close() { _ = j.log.Close() }
 
 // ReadJournal parses a campaign journal, returning the submitted manifest
 // and the terminal run states that were recorded before the process
-// stopped (later records for the same key supersede earlier ones). A
-// partially written trailing line — the crash case — is ignored.
+// stopped. A partially written trailing record — the crash case — is
+// ignored; an unreadable record with records after it is corruption and
+// an error, the same rule the journal is opened under.
 func ReadJournal(path string) (Manifest, map[string]RunStatus, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	replay := journalReplay{runs: make(map[string]RunStatus)}
+	if err := wal.Read(path, replay.decode); err != nil {
 		return Manifest{}, nil, fmt.Errorf("campaign: read journal: %w", err)
 	}
-	defer func() { _ = f.Close() }()
-
-	var manifest *Manifest
-	runs := make(map[string]RunStatus)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn trailing write is expected after a crash; anything
-			// unparseable after that is unreachable anyway.
-			break
-		}
-		switch rec.Type {
-		case "manifest":
-			if rec.Manifest != nil && manifest == nil {
-				manifest = rec.Manifest
-			}
-		case "run":
-			if rec.Run != nil && rec.Run.Key != "" {
-				runs[rec.Run.Key] = *rec.Run
-			}
-		}
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return Manifest{}, nil, fmt.Errorf("campaign: read journal: %w", err)
-	}
-	if manifest == nil {
+	if replay.manifest == nil {
 		return Manifest{}, nil, fmt.Errorf("campaign: journal %s has no manifest record", path)
 	}
-	return *manifest, runs, nil
+	return *replay.manifest, replay.runs, nil
 }
 
 // ResumeCampaign rebuilds a campaign from its journal and runs it to
@@ -236,7 +166,7 @@ func (s *Scheduler) ResumeCampaign(id string) (*Campaign, []TaskResult, error) {
 	if s.store == nil {
 		return nil, nil, fmt.Errorf("campaign: resume needs a store-backed scheduler")
 	}
-	manifest, _, err := ReadJournal(s.store.journalPath(id))
+	manifest, _, err := ReadJournal(s.store.JournalPath(id))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -76,9 +76,11 @@ func TestReadJournalEdgeCases(t *testing.T) {
 			wantRuns: 1,
 		},
 		{
-			name:     "records after an unparseable middle line are unreachable",
-			content:  replayManifestLine + "\n" + "not json\n" + runLine(keyA, "done") + "\n",
-			wantRuns: 0,
+			// The queue's rule since PR 10, now the journal's too: resuming
+			// past the bad line would silently un-journal every later run.
+			name:    "records after an unparseable middle line are unreadable: corruption",
+			content: replayManifestLine + "\n" + "not json\n" + runLine(keyA, "done") + "\n",
+			wantErr: true,
 		},
 	}
 	for _, tc := range cases {
@@ -88,7 +90,7 @@ func TestReadJournalEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := store.journalPath("c0100-replay")
+			path := store.JournalPath("c0100-replay")
 			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +134,7 @@ func TestOpenJournalRepairsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := c.Keys()
-	path := store.journalPath(c.ID())
+	path := store.JournalPath(c.ID())
 
 	// Crash artifact: one complete run record, then a torn half-record.
 	torn := replayManifestLine + "\n" + runLine(keys[0], "done") + "\n" + `{"type":"run","run":{"name":"torn`
@@ -175,7 +177,7 @@ func TestOpenJournalRewritesTornManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := store.journalPath(c.ID())
+	path := store.JournalPath(c.ID())
 	if err := os.WriteFile(path, []byte(replayManifestLine[:25]), 0o644); err != nil {
 		t.Fatal(err)
 	}

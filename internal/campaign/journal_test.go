@@ -116,7 +116,7 @@ func TestReadJournalToleratesTornTrailingLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := store.journalPath("c0009-torn")
+	path := store.JournalPath("c0009-torn")
 	lines := `{"type":"manifest","id":"c0009-torn","manifest":{"name":"smoke","env":"tiny","rounds":2,"strategies":[{"kind":"fedavg"}],"seeds":[1]}}
 {"type":"run","run":{"name":"fedavg/s1/fault-free/default","key":"` + "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef" + `","state":"done"}}
 {"type":"run","run":{"name":"torn`

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"roadrunner/internal/wal"
 )
 
 // The cluster work queue is the durable tier a coordinator fans campaigns
@@ -23,9 +24,9 @@ import (
 // replay the queue log to check them):
 //
 //   - at most one live lease exists per run ref at any moment;
-//   - execution is gated on Start, which only a live lease passes — a
+//   - execution is gated on StartBatch, which only a live lease passes — a
 //     stolen or expired lease discovers that before running, not after;
-//   - Complete is accepted only from the lease that started the run, so a
+//   - a completion is accepted only from the lease that started the run, so a
 //     node whose lease expired mid-run cannot overwrite the re-issued
 //     attempt's outcome (its store Put is harmless: content addressing
 //     makes both writers' bytes identical);
@@ -33,17 +34,18 @@ import (
 //     work is re-issued before new work.
 //
 // At manifest scales of 10^5-10^6 runs, two amortizations keep the queue
-// off the critical path: batched verbs (queue_batch.go) journal one
-// fsync'd multi-ref record for a whole batch of claims/starts/completes,
-// and snapshot compaction (queue_snapshot.go) bounds how much log a
-// restarted coordinator replays.
+// off the critical path: the lease verbs are batched (queue_batch.go) and
+// journal one fsync'd multi-ref record for a whole batch of
+// claims/starts/completes, and snapshot compaction (queue_snapshot.go)
+// bounds how much log a restarted coordinator replays.
 
 // Tick is the queue's logical clock. The coordinator owns advancement;
 // nothing in the lease protocol reads the host clock.
 type Tick int64
 
 // LeaseID identifies one claim grant. IDs are never reused, which is what
-// lets Start and Complete detect stale claims after a steal or expiry.
+// lets StartBatch and CompleteBatch detect stale claims after a steal or
+// expiry.
 type LeaseID uint64
 
 // Queue errors distinguish protocol rejections from I/O failures.
@@ -80,13 +82,15 @@ type Lease struct {
 	runSpec RunSpec
 }
 
-// QueueRecord is one line of the queue log (or snapshot). Op is one of
-// the single-ref verbs — enqueue, claim, start, complete, expire, steal,
-// retry — a batched verb carrying per-ref entries — enqueue-batch,
-// claim-batch, start-batch, complete-batch, expire-batch — the log
-// generation marker gen, or a snapshot line (snap-begin, snap-ref,
-// snap-end). The log is both the queue's recovery source and the
-// evidence trail the chaos property tests replay.
+// QueueRecord is one line of the queue log (or snapshot). The queue
+// writes a batched verb carrying per-ref entries — enqueue-batch,
+// claim-batch, start-batch, complete-batch, expire-batch — a single-ref
+// steal or retry, the log generation marker gen, or a snapshot line
+// (snap-begin, snap-ref, snap-end). The single-ref enqueue, claim, start,
+// complete and expire records of earlier builds are read-only history:
+// replay still applies them, nothing writes them. The log is both the
+// queue's recovery source and the evidence trail the chaos property
+// tests replay.
 type QueueRecord struct {
 	Op    string       `json:"op"`
 	Ref   string       `json:"ref,omitempty"`
@@ -191,16 +195,17 @@ type ReplayStats struct {
 }
 
 // Queue is a durable, lease-based work queue. Every state change appends
-// an fsync'd JSONL record, mirroring the campaign journal's discipline:
-// a coordinator crash mid-campaign recovers the queue by replaying the
-// snapshot plus the log tail (live leases are invalidated on recovery —
-// they belonged to the dead coordinator's epoch). Lease extension on
-// heartbeat is deliberately NOT journaled: recovery re-issues outstanding
-// claims anyway, so extends are pure in-memory bookkeeping and the log
-// stays proportional to the number of runs, not heartbeats.
+// an fsync'd record to an internal/wal log, the campaign journal's
+// discipline: a coordinator crash mid-campaign recovers the queue by
+// replaying the snapshot plus the log tail (live leases are invalidated
+// on recovery — they belonged to the dead coordinator's epoch). Lease
+// extension on heartbeat is deliberately NOT journaled: recovery
+// re-issues outstanding claims anyway, so extends are pure in-memory
+// bookkeeping and the log stays proportional to the number of runs, not
+// heartbeats.
 type Queue struct {
 	mu       sync.Mutex
-	f        *os.File
+	log      *wal.Log // nil while a log rotation to gen is still owed
 	path     string
 	snapPath string
 
@@ -225,7 +230,6 @@ type Queue struct {
 	compactEvery    int
 	tailEntries     int
 	compactFailures int
-	pendingRotate   uint64 // non-zero: log rotation to this gen still owed
 	stats           ReplayStats
 }
 
@@ -282,183 +286,123 @@ func OpenQueueWithOptions(path string, opts QueueOptions) (*Queue, error) {
 	if err := q.load(); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: open queue: %w", err)
-	}
-	q.f = f
 	return q, nil
 }
 
-// load rebuilds queue state from the snapshot (if any) and the log tail.
+// load rebuilds queue state from the snapshot (if any) and one replay
+// pass over the log, which leaves the log open for appends. The log's
+// generation is its first record — the marker a rotation writes — and
+// decides, before any record is applied, how log and snapshot relate.
 func (q *Queue) load() error {
 	snap, err := ReadQueueSnapshot(q.snapPath)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("campaign: queue snapshot: %w", err)
 	}
-	logGen, err := logGeneration(q.path)
-	if err != nil {
-		return err
+	var (
+		seeded bool  // the log generation is known and the snapshot applied
+		stale  bool  // the snapshot supersedes the whole log
+		refuse error // log and snapshot cannot belong together
+	)
+	seed := func(logGen uint64) {
+		seeded = true
+		switch {
+		case snap == nil && logGen == 0:
+		case snap == nil:
+			// A rotated log without its snapshot means compacted history is
+			// gone; refusing to open is the only honest answer.
+			refuse = fmt.Errorf("campaign: queue log at generation %d but snapshot %s is missing", logGen, q.snapPath)
+		case logGen > snap.Gen:
+			refuse = fmt.Errorf("campaign: queue log generation %d is ahead of snapshot generation %d", logGen, snap.Gen)
+		default:
+			// logGen < snap.Gen is a crash between the snapshot rename and
+			// the log rotation: the snapshot already contains everything
+			// the stale log holds, so its records are skipped and the
+			// interrupted rotation is finished below.
+			q.applySnapshot(snap)
+			q.gen = snap.Gen
+			stale = logGen < snap.Gen
+		}
 	}
-	switch {
-	case snap == nil && logGen == 0:
-		if err := q.replayLog(); err != nil {
+	q.log, err = wal.Open(q.path, func(line []byte) error {
+		var rec QueueRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
 		}
-	case snap == nil:
-		// A rotated log without its snapshot means compacted history is
-		// gone; refusing to open is the only honest answer.
-		return fmt.Errorf("campaign: queue log at generation %d but snapshot %s is missing", logGen, q.snapPath)
-	case logGen == snap.Gen:
-		q.applySnapshot(snap)
-		q.gen = snap.Gen
-		if err := q.replayLog(); err != nil {
-			return err
+		if !seeded {
+			var logGen uint64
+			if rec.Op == "gen" {
+				logGen = rec.Gen
+			}
+			seed(logGen)
 		}
-	case logGen < snap.Gen:
-		// Crash between the snapshot rename and the log rotation: the
-		// snapshot already contains everything the stale log holds.
-		// Finish the interrupted compaction by rotating the log now.
-		q.applySnapshot(snap)
-		q.gen = snap.Gen
+		if refuse == nil && !stale {
+			n := q.applyReplayRecord(&rec)
+			q.stats.LogEntries += n
+			q.tailEntries += n
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("campaign: replay queue: %w", err)
+	}
+	if !seeded {
+		seed(0) // absent, empty or wholly torn log
+	}
+	if refuse != nil {
+		_ = q.log.Close()
+		return refuse
+	}
+	if stale {
 		if err := q.rotateLogLocked(snap.Gen); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("campaign: queue log generation %d is ahead of snapshot generation %d", logGen, snap.Gen)
 	}
 	q.rebuildPendingLocked()
-	return nil
-}
-
-// logGeneration reads the log's generation marker — the first record of
-// a rotated log. Absent files, empty logs, and logs whose first record
-// is a normal verb (or torn) are generation 0.
-func logGeneration(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("campaign: replay queue: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec QueueRecord
-		if json.Unmarshal(line, &rec) != nil || rec.Op != "gen" {
-			return 0, nil
-		}
-		return rec.Gen, nil
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return 0, fmt.Errorf("campaign: replay queue: %w", err)
-	}
-	// An oversized or unreadable first record is replayLog's to report.
-	return 0, nil
-}
-
-// replayLog rebuilds queue state from the log records. A torn trailing
-// record — the crash case — is ignored, like the campaign journal's; a
-// malformed record in the *middle* of the log is corruption, not a torn
-// write, and is an error: silently resuming past it would drop every
-// record after it and lose finished work.
-func (q *Queue) replayLog() error {
-	f, err := os.Open(q.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("campaign: replay queue: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	lineNo, tornLine := 0, 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if tornLine > 0 {
-			return fmt.Errorf("campaign: replay queue: corrupt record at line %d is followed by more records (line %d) — not a torn trailing write", tornLine, lineNo)
-		}
-		var rec QueueRecord
-		if json.Unmarshal(line, &rec) != nil {
-			tornLine = lineNo
-			continue
-		}
-		q.stats.LogEntries += q.applyReplayRecord(&rec)
-		q.tailEntries += recordEntries(&rec)
-	}
-	if err := sc.Err(); err != nil {
-		// bufio.ErrTooLong included: an oversized record truncates replay
-		// exactly like corruption would, so it must surface, not vanish.
-		return fmt.Errorf("campaign: replay queue: %w", err)
-	}
 	return nil
 }
 
 // recordEntries counts the per-ref entries a record carries — the unit
 // the compaction threshold is measured in.
 func recordEntries(rec *QueueRecord) int {
-	if len(rec.Batch) > 0 {
-		return len(rec.Batch)
-	}
 	if rec.Op == "gen" {
 		return 0
 	}
-	return 1
+	return max(len(rec.Batch), 1)
 }
 
 // applyReplayRecord folds one log record into recovery state and reports
-// how many per-ref entries it carried.
+// how many per-ref entries it carried. A single-ref record — the only
+// kind earlier builds wrote, and still the shape of steal and retry — is
+// read as a batch of one.
 func (q *Queue) applyReplayRecord(rec *QueueRecord) int {
-	switch rec.Op {
-	case "enqueue":
-		if rec.Spec != nil {
-			q.recordKnownLocked(QueueItem{Ref: rec.Ref, Key: rec.Key, Spec: *rec.Spec})
-		}
-	case "enqueue-batch":
-		for _, e := range rec.Batch {
+	op, batched := strings.CutSuffix(rec.Op, "-batch")
+	entries := rec.Batch
+	if !batched {
+		entries = []BatchEntry{{Ref: rec.Ref, Key: rec.Key, Lease: rec.Lease, State: rec.State, Spec: rec.Spec}}
+	}
+	for _, e := range entries {
+		switch op {
+		case "enqueue":
 			if e.Spec != nil {
 				q.recordKnownLocked(QueueItem{Ref: e.Ref, Key: e.Key, Spec: *e.Spec})
 			}
-		}
-	case "claim", "steal":
-		if rec.Lease >= q.next {
-			q.next = rec.Lease + 1
-		}
-	case "claim-batch":
-		for _, e := range rec.Batch {
+		case "claim", "steal":
 			if e.Lease >= q.next {
 				q.next = e.Lease + 1
 			}
-		}
-	case "complete":
-		if rec.Ref != "" {
-			q.done[rec.Ref] = rec.State
-		}
-	case "complete-batch":
-		for _, e := range rec.Batch {
+		case "complete":
 			if e.Ref != "" {
 				q.done[e.Ref] = e.State
 			}
-		}
-	case "retry":
-		if rec.Ref != "" {
-			delete(q.done, rec.Ref)
-			if rec.Spec != nil {
-				// Honor the retry-time key/spec and its move-to-back: the
-				// live queue re-queued this item at the tail with the spec
-				// the retry carried, and replayed state must match it.
-				q.refreshKnownLocked(QueueItem{Ref: rec.Ref, Key: rec.Key, Spec: *rec.Spec})
+		case "retry":
+			if e.Ref != "" {
+				delete(q.done, e.Ref)
+				if e.Spec != nil {
+					// Honor the retry-time key/spec and its move-to-back: the
+					// live queue re-queued this item at the tail with the spec
+					// the retry carried, and replayed state must match it.
+					q.refreshKnownLocked(QueueItem{Ref: e.Ref, Key: e.Key, Spec: *e.Spec})
+				}
 			}
 		}
 	}
@@ -502,38 +446,31 @@ func (q *Queue) rebuildPendingLocked() {
 	}
 }
 
-// appendLocked journals a record with fsync, so a granted claim or a
-// completion is durable before the caller acts on it.
-func (q *Queue) appendLocked(rec QueueRecord) error {
-	if err := q.ensureLogLocked(); err != nil {
-		return err
+// appendLocked journals a group of records under one fsync, so a granted
+// claim or a completion is durable before the caller acts on it.
+func (q *Queue) appendLocked(recs ...QueueRecord) error {
+	// A rotation still owed is retried first: once the snapshot at q.gen
+	// exists, appending to the log of an older generation would write
+	// records that recovery discards.
+	if q.log == nil {
+		if err := q.rotateLogLocked(q.gen); err != nil {
+			return fmt.Errorf("campaign: queue log rotation to generation %d still owed: %w", q.gen, err)
+		}
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
+	lines := make([][]byte, len(recs))
+	entries := 0
+	for i := range recs {
+		data, err := json.Marshal(recs[i])
+		if err != nil {
+			return fmt.Errorf("campaign: queue log: %w", err)
+		}
+		lines[i] = data
+		entries += recordEntries(&recs[i])
+	}
+	if err := q.log.Append(lines...); err != nil {
 		return fmt.Errorf("campaign: queue log: %w", err)
 	}
-	if _, err := q.f.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("campaign: queue log: %w", err)
-	}
-	if err := q.f.Sync(); err != nil {
-		return fmt.Errorf("campaign: queue log: %w", err)
-	}
-	q.tailEntries += recordEntries(&rec)
-	return nil
-}
-
-// ensureLogLocked retries an owed log rotation before any append: once a
-// snapshot at generation G exists, appending to a log of generation < G
-// would write records that recovery discards.
-func (q *Queue) ensureLogLocked() error {
-	if q.pendingRotate == 0 {
-		return nil
-	}
-	gen := q.pendingRotate
-	if err := q.rotateLogLocked(gen); err != nil {
-		return fmt.Errorf("campaign: queue log rotation to generation %d still owed: %w", gen, err)
-	}
-	q.tailEntries = 0
+	q.tailEntries += entries
 	return nil
 }
 
@@ -541,10 +478,10 @@ func (q *Queue) ensureLogLocked() error {
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.f == nil {
+	if q.log == nil {
 		return nil
 	}
-	return q.f.Close()
+	return q.log.Close()
 }
 
 // ReplayStats reports what the queue read at open time.
@@ -569,24 +506,6 @@ func (q *Queue) Outstanding() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.pending.n + len(q.leases)
-}
-
-// Enqueue adds a run to the queue. Refs are idempotent: re-enqueueing a
-// known ref (a resumed campaign re-fanning its manifest) is a no-op.
-func (q *Queue) Enqueue(ref, key string, spec RunSpec) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, known := q.itemOf[ref]; known {
-		return nil
-	}
-	if err := q.appendLocked(QueueRecord{Op: "enqueue", Ref: ref, Key: key, Spec: &spec}); err != nil {
-		return err
-	}
-	it := QueueItem{Ref: ref, Key: key, Spec: spec}
-	q.recordKnownLocked(it)
-	q.slots[ref] = q.pending.pushBack(it)
-	q.maybeCompactLocked()
-	return nil
 }
 
 // Pending returns a snapshot of the claimable items in queue order — the
@@ -631,31 +550,6 @@ func (q *Queue) LeaseByID(id LeaseID) (Lease, bool) {
 	return *l, true
 }
 
-// Claim grants a lease on a pending ref to node, expiring at now+ttl
-// unless extended by heartbeats. The ref must currently be pending (the
-// caller picked it from a Pending snapshot; a lost race reports
-// ErrNotPending and the caller re-picks).
-func (q *Queue) Claim(ref, node string, now, ttl Tick) (Lease, RunSpec, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	nd, ok := q.slots[ref]
-	if !ok {
-		return Lease{}, RunSpec{}, fmt.Errorf("%w: %s", ErrNotPending, ref)
-	}
-	item := nd.item
-	lease := &Lease{ID: q.next, Ref: item.Ref, Key: item.Key, Node: node, Granted: now, Expires: now + ttl, runSpec: item.Spec}
-	if err := q.appendLocked(QueueRecord{Op: "claim", Ref: item.Ref, Key: item.Key, Node: node, Lease: lease.ID, Tick: now}); err != nil {
-		return Lease{}, RunSpec{}, err
-	}
-	q.next++
-	q.pending.remove(nd)
-	delete(q.slots, item.Ref)
-	q.leases[item.Ref] = lease
-	q.byID[lease.ID] = lease
-	q.maybeCompactLocked()
-	return *lease, item.Spec, nil
-}
-
 // Extend refreshes every live lease held by node to expire at now+ttl —
 // the heartbeat path. Extends are in-memory only (see Queue's doc).
 func (q *Queue) Extend(node string, now, ttl Tick) {
@@ -666,69 +560,6 @@ func (q *Queue) Extend(node string, now, ttl Tick) {
 			l.Expires = now + ttl
 		}
 	}
-}
-
-// Start is the execution gate: it marks the lease's run as being executed
-// and fails with ErrStaleLease if the lease is no longer live (stolen,
-// expired, or superseded). A node must pass Start before running a
-// claimed spec — this is what keeps a stolen backlog entry from being
-// executed twice. The surviving lease is returned so callers can map it
-// back to campaign runs.
-func (q *Queue) Start(id LeaseID) (Lease, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	l, ok := q.byID[id]
-	if !ok {
-		return Lease{}, fmt.Errorf("%w: lease %d", ErrStaleLease, id)
-	}
-	if err := q.appendLocked(QueueRecord{Op: "start", Ref: l.Ref, Key: l.Key, Node: l.Node, Lease: id}); err != nil {
-		return Lease{}, err
-	}
-	l.Started = true
-	q.maybeCompactLocked()
-	return *l, nil
-}
-
-// Complete finishes the lease's run with a terminal state. Only the live
-// lease that passed Start can complete its ref; completions from expired
-// or stolen leases — or from a lease that never started its run — report
-// ErrStaleLease and leave the re-issued attempt in charge.
-func (q *Queue) Complete(id LeaseID, state RunState) (Lease, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	l, err := q.completableLocked(id, state)
-	if err != nil {
-		return Lease{}, err
-	}
-	if err := q.appendLocked(QueueRecord{Op: "complete", Ref: l.Ref, Key: l.Key, Node: l.Node, Lease: id, State: state}); err != nil {
-		return Lease{}, err
-	}
-	q.finishLeaseLocked(l, state)
-	q.maybeCompactLocked()
-	return *l, nil
-}
-
-// completableLocked validates a completion attempt against the lease
-// protocol without applying it.
-func (q *Queue) completableLocked(id LeaseID, state RunState) (*Lease, error) {
-	l, ok := q.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: lease %d", ErrStaleLease, id)
-	}
-	if !state.Terminal() {
-		return nil, fmt.Errorf("campaign: complete with non-terminal state %q", state)
-	}
-	if !l.Started {
-		return nil, fmt.Errorf("%w: lease %d never started its run", ErrStaleLease, id)
-	}
-	return l, nil
-}
-
-// finishLeaseLocked retires a validated, journaled completion.
-func (q *Queue) finishLeaseLocked(l *Lease, state RunState) {
-	delete(q.byID, l.ID)
-	delete(q.leases, l.Ref)
-	q.done[l.Ref] = state
 }
 
 // Retry clears a ref's terminal state and re-queues it — the resume path
@@ -778,13 +609,7 @@ func (q *Queue) ExpireLeases(now Tick) []Lease {
 		l := q.byID[id]
 		entries[i] = BatchEntry{Ref: l.Ref, Key: l.Key, Lease: id}
 	}
-	rec := QueueRecord{Op: "expire-batch", Tick: now, Batch: entries}
-	if len(ids) == 1 {
-		// Single expiries keep the classic record shape for log readers.
-		l := q.byID[ids[0]]
-		rec = QueueRecord{Op: "expire", Ref: l.Ref, Key: l.Key, Node: l.Node, Lease: ids[0], Tick: now}
-	}
-	if err := q.appendLocked(rec); err != nil {
+	if err := q.appendLocked(batchRecords("expire-batch", "", now, entries)...); err != nil {
 		return nil // keep the leases; a later sweep retries the journal write
 	}
 	expired := make([]Lease, 0, len(ids))
@@ -843,32 +668,16 @@ func (q *Queue) Depth() (pending, leased int) {
 // followed by further records is corruption and errors, also mirroring
 // replay.
 func ReadQueueLog(path string) ([]QueueRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: read queue log: %w", err)
-	}
-	defer func() { _ = f.Close() }()
 	var recs []QueueRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	lineNo, tornLine := 0, 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if tornLine > 0 {
-			return nil, fmt.Errorf("campaign: read queue log: corrupt record at line %d is followed by more records (line %d)", tornLine, lineNo)
-		}
+	err := wal.Read(path, func(line []byte) error {
 		var rec QueueRecord
-		if json.Unmarshal(line, &rec) != nil {
-			tornLine = lineNo
-			continue
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("campaign: read queue log: %w", err)
 	}
 	return recs, nil

@@ -1,21 +1,19 @@
 package campaign
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
-// Batched verbs amortize the queue's durability cost: a whole batch of
-// enqueues/claims/starts/completes shares one journal append and one
-// fsync, where the single-ref verbs pay one each. Results carry per-ref
-// error slots — a stale lease or already-claimed ref in a batch rejects
-// only its own slot, never its siblings. The only whole-batch failure is
-// the journal write itself, in which case nothing was applied.
+// The lease verbs are batched — they are the queue's only write path for
+// enqueues, claims, starts and completions, and a caller with one ref
+// passes a batch of one. A whole batch shares one journal append and one
+// fsync. Results carry per-ref error slots — a stale lease or
+// already-claimed ref in a batch rejects only its own slot, never its
+// siblings. The only whole-batch failure is the journal write itself, in
+// which case nothing was applied.
 
 // maxBatchRecordEntries chunks a batched journal append into records of
-// at most this many entries, keeping every log line far below the replay
-// scanner's 16 MB ceiling even with spec-carrying entries. All chunks of
-// one append share a single fsync.
+// at most this many entries, keeping every log line far below
+// internal/wal's 16 MiB record ceiling even with spec-carrying entries.
+// All chunks of one append share a single fsync.
 const maxBatchRecordEntries = 512
 
 // ClaimGrant is one ref's slot in a ClaimBatch result.
@@ -40,32 +38,19 @@ type Completion struct {
 	State RunState
 }
 
-// appendBatchLocked journals one batched verb: the entries are chunked
-// into records, written, and made durable with a single fsync.
-func (q *Queue) appendBatchLocked(op, node string, tick Tick, entries []BatchEntry) error {
-	if err := q.ensureLogLocked(); err != nil {
-		return err
-	}
+// batchRecords chunks one batched verb's entries into log records.
+func batchRecords(op, node string, tick Tick, entries []BatchEntry) []QueueRecord {
+	var recs []QueueRecord
 	for start := 0; start < len(entries); start += maxBatchRecordEntries {
 		end := min(start+maxBatchRecordEntries, len(entries))
-		data, err := json.Marshal(QueueRecord{Op: op, Node: node, Tick: tick, Batch: entries[start:end]})
-		if err != nil {
-			return fmt.Errorf("campaign: queue log: %w", err)
-		}
-		if _, err := q.f.Write(append(data, '\n')); err != nil {
-			return fmt.Errorf("campaign: queue log: %w", err)
-		}
+		recs = append(recs, QueueRecord{Op: op, Node: node, Tick: tick, Batch: entries[start:end]})
 	}
-	if err := q.f.Sync(); err != nil {
-		return fmt.Errorf("campaign: queue log: %w", err)
-	}
-	q.tailEntries += len(entries)
-	return nil
+	return recs
 }
 
-// EnqueueBatch adds a batch of runs under one fsync. Like Enqueue, known
-// refs (including duplicates within the batch) are skipped, so
-// re-submitting a manifest is idempotent.
+// EnqueueBatch adds a batch of runs under one fsync. Known refs
+// (including duplicates within the batch) are skipped, so re-submitting
+// a manifest (a resumed campaign re-fanning its runs) is idempotent.
 func (q *Queue) EnqueueBatch(items []QueueItem) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -87,7 +72,7 @@ func (q *Queue) EnqueueBatch(items []QueueItem) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	if err := q.appendBatchLocked("enqueue-batch", "", 0, entries); err != nil {
+	if err := q.appendLocked(batchRecords("enqueue-batch", "", 0, entries)...); err != nil {
 		return err
 	}
 	for _, it := range fresh {
@@ -98,16 +83,15 @@ func (q *Queue) EnqueueBatch(items []QueueItem) error {
 	return nil
 }
 
-// ClaimBatch grants leases on a batch of pending refs to node under one
-// journal append. Refs that are not pending — or repeated within the
-// batch — fail only their own slot with ErrNotPending. The returned
-// slice is positionally aligned with refs.
+// ClaimBatch grants leases on a batch of pending refs to node, expiring
+// at now+ttl unless extended by heartbeats, under one journal append.
+// Refs that are not pending — or repeated within the batch — fail only
+// their own slot with ErrNotPending. The returned slice is positionally
+// aligned with refs.
 func (q *Queue) ClaimBatch(refs []string, node string, now, ttl Tick) ([]ClaimGrant, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]ClaimGrant, len(refs))
-	granted := make([]*Lease, 0, len(refs))
-	grantIdx := make([]int, 0, len(refs))
 	entries := make([]BatchEntry, 0, len(refs))
 	seen := make(map[string]bool, len(refs))
 	id := q.next
@@ -120,41 +104,41 @@ func (q *Queue) ClaimBatch(refs []string, node string, now, ttl Tick) ([]ClaimGr
 		}
 		seen[ref] = true
 		item := nd.item
-		l := &Lease{ID: id, Ref: item.Ref, Key: item.Key, Node: node, Granted: now, Expires: now + ttl, runSpec: item.Spec}
+		out[i].Lease = Lease{ID: id, Ref: item.Ref, Key: item.Key, Node: node, Granted: now, Expires: now + ttl, runSpec: item.Spec}
+		out[i].Spec = item.Spec
+		entries = append(entries, BatchEntry{Ref: item.Ref, Key: item.Key, Lease: id})
 		id++
-		entries = append(entries, BatchEntry{Ref: item.Ref, Key: item.Key, Lease: l.ID})
-		granted = append(granted, l)
-		grantIdx = append(grantIdx, i)
 	}
-	if len(granted) == 0 {
+	if len(entries) == 0 {
 		return out, nil
 	}
-	if err := q.appendBatchLocked("claim-batch", node, now, entries); err != nil {
+	if err := q.appendLocked(batchRecords("claim-batch", node, now, entries)...); err != nil {
 		return nil, err
 	}
 	q.next = id
-	for k, l := range granted {
-		nd := q.slots[l.Ref]
-		q.pending.remove(nd)
+	for i := range out {
+		if out[i].Err != nil {
+			continue
+		}
+		l := out[i].Lease
+		q.pending.remove(q.slots[l.Ref])
 		delete(q.slots, l.Ref)
-		q.leases[l.Ref] = l
-		q.byID[l.ID] = l
-		out[grantIdx[k]].Lease = *l
-		out[grantIdx[k]].Spec = l.runSpec
+		q.leases[l.Ref] = &l
+		q.byID[l.ID] = &l
 	}
 	q.maybeCompactLocked()
 	return out, nil
 }
 
 // StartBatch passes a batch of leases through the execution gate under
-// one journal append. Stale leases fail only their own slot with
-// ErrStaleLease. The returned slice is positionally aligned with ids.
+// one journal append: a node must pass it before running a claimed spec,
+// which is what keeps a stolen backlog entry from being executed twice.
+// Stale leases (stolen, expired, or superseded) fail only their own slot
+// with ErrStaleLease. The returned slice is positionally aligned with ids.
 func (q *Queue) StartBatch(ids []LeaseID) ([]LeaseResult, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]LeaseResult, len(ids))
-	started := make([]*Lease, 0, len(ids))
-	startIdx := make([]int, 0, len(ids))
 	entries := make([]BatchEntry, 0, len(ids))
 	for i, id := range ids {
 		out[i].ID = id
@@ -164,62 +148,68 @@ func (q *Queue) StartBatch(ids []LeaseID) ([]LeaseResult, error) {
 			continue
 		}
 		entries = append(entries, BatchEntry{Ref: l.Ref, Key: l.Key, Lease: id})
-		started = append(started, l)
-		startIdx = append(startIdx, i)
 	}
-	if len(started) == 0 {
+	if len(entries) == 0 {
 		return out, nil
 	}
-	if err := q.appendBatchLocked("start-batch", "", 0, entries); err != nil {
+	if err := q.appendLocked(batchRecords("start-batch", "", 0, entries)...); err != nil {
 		return nil, err
 	}
-	for k, l := range started {
-		l.Started = true
-		out[startIdx[k]].Lease = *l
+	for i := range out {
+		if out[i].Err == nil {
+			l := q.byID[out[i].ID]
+			l.Started = true
+			out[i].Lease = *l
+		}
 	}
 	q.maybeCompactLocked()
 	return out, nil
 }
 
-// CompleteBatch finishes a batch of started leases under one journal
-// append. Stale, never-started, or within-batch-duplicated leases fail
-// only their own slot. The returned slice is positionally aligned with
-// completions.
+// CompleteBatch finishes a batch of started leases with their terminal
+// states under one journal append. Only the live lease that passed
+// StartBatch can complete its ref: stale, never-started, or
+// within-batch-duplicated leases fail only their own slot with
+// ErrStaleLease and leave the re-issued attempt in charge. The returned
+// slice is positionally aligned with completions.
 func (q *Queue) CompleteBatch(completions []Completion) ([]LeaseResult, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]LeaseResult, len(completions))
-	finished := make([]*Lease, 0, len(completions))
-	states := make([]RunState, 0, len(completions))
-	finIdx := make([]int, 0, len(completions))
 	entries := make([]BatchEntry, 0, len(completions))
 	seen := make(map[LeaseID]bool, len(completions))
 	for i, c := range completions {
 		out[i].ID = c.ID
-		if seen[c.ID] {
+		l, ok := q.byID[c.ID]
+		switch {
+		case !ok:
+			out[i].Err = fmt.Errorf("%w: lease %d", ErrStaleLease, c.ID)
+		case seen[c.ID]:
 			out[i].Err = fmt.Errorf("%w: lease %d completed earlier in batch", ErrStaleLease, c.ID)
-			continue
+		case !c.State.Terminal():
+			out[i].Err = fmt.Errorf("campaign: complete with non-terminal state %q", c.State)
+		case !l.Started:
+			out[i].Err = fmt.Errorf("%w: lease %d never started its run", ErrStaleLease, c.ID)
+		default:
+			seen[c.ID] = true
+			entries = append(entries, BatchEntry{Ref: l.Ref, Key: l.Key, Lease: c.ID, State: c.State})
 		}
-		l, err := q.completableLocked(c.ID, c.State)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		seen[c.ID] = true
-		entries = append(entries, BatchEntry{Ref: l.Ref, Key: l.Key, Lease: c.ID, State: c.State})
-		finished = append(finished, l)
-		states = append(states, c.State)
-		finIdx = append(finIdx, i)
 	}
-	if len(finished) == 0 {
+	if len(entries) == 0 {
 		return out, nil
 	}
-	if err := q.appendBatchLocked("complete-batch", "", 0, entries); err != nil {
+	if err := q.appendLocked(batchRecords("complete-batch", "", 0, entries)...); err != nil {
 		return nil, err
 	}
-	for k, l := range finished {
-		out[finIdx[k]].Lease = *l
-		q.finishLeaseLocked(l, states[k])
+	for i := range out {
+		if out[i].Err != nil {
+			continue
+		}
+		l := q.byID[out[i].ID]
+		out[i].Lease = *l
+		delete(q.byID, l.ID)
+		delete(q.leases, l.Ref)
+		q.done[l.Ref] = completions[i].State
 	}
 	q.maybeCompactLocked()
 	return out, nil

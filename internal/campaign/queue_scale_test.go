@@ -42,14 +42,14 @@ func seedQueueLog(t *testing.T) (string, []string) {
 	}
 	specs := queueSpecs(t)
 	refs := enqueueAll(t, q, specs)
-	lease, _, err := q.Claim(refs[0], "w1", 0, 5)
+	lease, _, err := claim1(q, refs[0], "w1", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Start(lease.ID); err != nil {
+	if _, err := start1(q, lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease.ID, RunDone); err != nil {
+	if _, err := complete1(q, lease.ID, RunDone); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Close(); err != nil {
@@ -131,17 +131,17 @@ func TestQueueReplayHonorsRetrySpec(t *testing.T) {
 	}
 	keyA, _ := specs[0].Key()
 	keyB, _ := specs[1].Key()
-	if err := q.Enqueue("c1/run", keyA, specs[0]); err != nil {
+	if err := enqueue1(q, "c1/run", keyA, specs[0]); err != nil {
 		t.Fatal(err)
 	}
-	lease, _, err := q.Claim("c1/run", "w1", 0, 5)
+	lease, _, err := claim1(q, "c1/run", "w1", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Start(lease.ID); err != nil {
+	if _, err := start1(q, lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease.ID, RunFailed); err != nil {
+	if _, err := complete1(q, lease.ID, RunFailed); err != nil {
 		t.Fatal(err)
 	}
 	// Retry re-queues the ref with a *different* key+spec (the resume
@@ -196,7 +196,7 @@ func TestQueueBatchLifecycle(t *testing.T) {
 	if err := q.EnqueueBatch(items); err != nil {
 		t.Fatal(err)
 	}
-	// Idempotent like Enqueue: a re-submitted manifest adds nothing.
+	// Idempotent: a re-submitted manifest adds nothing.
 	if err := q.EnqueueBatch(items); err != nil {
 		t.Fatal(err)
 	}
@@ -365,18 +365,18 @@ func driveQueue(t *testing.T, q *Queue, items []QueueItem) {
 	}
 	half := len(items) / 2
 	for i := 0; i < half; i++ {
-		lease, _, err := q.Claim(items[i].Ref, "w1", Tick(i), 5)
+		lease, _, err := claim1(q, items[i].Ref, "w1", Tick(i), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := q.Start(lease.ID); err != nil {
+		if _, err := start1(q, lease.ID); err != nil {
 			t.Fatal(err)
 		}
 		state := RunDone
 		if i == 0 {
 			state = RunFailed
 		}
-		if _, err := q.Complete(lease.ID, state); err != nil {
+		if _, err := complete1(q, lease.ID, state); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,7 +385,7 @@ func driveQueue(t *testing.T, q *Queue, items []QueueItem) {
 		t.Fatal(err)
 	}
 	// Leave one ref claimed-but-unfinished: recovery must re-queue it.
-	if _, _, err := q.Claim(items[half].Ref, "w2", 20, 5); err != nil {
+	if _, _, err := claim1(q, items[half].Ref, "w2", 20, 5); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -466,11 +466,11 @@ func TestQueueSnapshotTailReplayMatchesFullReplay(t *testing.T) {
 
 	// Lease IDs continue from the same point — never reused across
 	// compactions.
-	l1, _, err := refQ2.Claim(refPending[0].Ref, "w9", 100, 5)
+	l1, _, err := claim1(refQ2, refPending[0].Ref, "w9", 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, _, err := snapQ2.Claim(snapPending[0].Ref, "w9", 100, 5)
+	l2, _, err := claim1(snapQ2, snapPending[0].Ref, "w9", 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
+
+	"roadrunner/internal/wal"
 )
 
 // Snapshot compaction bounds restart-replay cost. A snapshot captures
@@ -17,10 +17,10 @@ import (
 //
 // Crash safety is a two-step generation protocol:
 //
-//  1. write queue.snap.jsonl.tmp carrying generation G+1, fsync, rename
-//     over queue.snap.jsonl — the snapshot publishes atomically;
-//  2. rotate the log: write a fresh log whose first record is
-//     {"op":"gen","gen":G+1} via the same tmp+fsync+rename dance.
+//  1. publish queue.snap.jsonl carrying generation G+1 with wal.Replace —
+//     the snapshot appears atomically;
+//  2. rotate the log: wal.Replace it with a fresh log whose first record
+//     is {"op":"gen","gen":G+1}, and reopen it for appends.
 //
 // On open, the snapshot generation is compared to the log's gen record:
 // equal means snapshot+tail; snapshot ahead means the crash hit between
@@ -44,66 +44,51 @@ type QueueSnapshot struct {
 }
 
 // ReadQueueSnapshot parses a queue snapshot file. Unlike the log, a
-// snapshot is published atomically, so *any* malformation — a bad line,
+// snapshot is published atomically, so *any* malformation — a bad record,
 // a missing snap-end trailer, a ref-count mismatch — is corruption and
-// errors. A missing file returns an error wrapping os.ErrNotExist.
+// errors: the torn-tail rule can only ever forgive the final record, and
+// a snapshot that loses its final record has no snap-end. A missing file
+// returns an error wrapping os.ErrNotExist.
 func ReadQueueSnapshot(path string) (*QueueSnapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	snap := &QueueSnapshot{Done: make(map[string]RunState)}
 	var begun, ended bool
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := wal.Read(path, func(line []byte) error {
 		if ended {
-			return nil, fmt.Errorf("snapshot has records after snap-end (line %d)", lineNo)
+			return fmt.Errorf("record after snap-end")
 		}
 		var rec QueueRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("snapshot line %d: %w", lineNo, err)
+			return err
+		}
+		// snap-begin comes first and exactly once.
+		if begun == (rec.Op == "snap-begin") {
+			return fmt.Errorf("%s is out of place (begun=%v)", rec.Op, begun)
 		}
 		switch rec.Op {
 		case "snap-begin":
-			if begun {
-				return nil, fmt.Errorf("snapshot line %d: duplicate snap-begin", lineNo)
-			}
 			begun = true
 			snap.Gen = rec.Gen
 			snap.Next = rec.Next
 		case "snap-ref":
-			if !begun {
-				return nil, fmt.Errorf("snapshot line %d: snap-ref before snap-begin", lineNo)
-			}
 			if rec.Spec == nil {
-				return nil, fmt.Errorf("snapshot line %d: snap-ref without spec", lineNo)
+				return fmt.Errorf("snap-ref without spec")
 			}
 			snap.Items = append(snap.Items, QueueItem{Ref: rec.Ref, Key: rec.Key, Spec: *rec.Spec})
 			if rec.State != "" {
 				snap.Done[rec.Ref] = rec.State
 			}
 		case "snap-end":
-			if !begun {
-				return nil, fmt.Errorf("snapshot line %d: snap-end before snap-begin", lineNo)
-			}
 			if rec.Count != len(snap.Items) {
-				return nil, fmt.Errorf("snapshot trailer counts %d refs, read %d", rec.Count, len(snap.Items))
+				return fmt.Errorf("snapshot trailer counts %d refs, read %d", rec.Count, len(snap.Items))
 			}
 			ended = true
 		default:
-			return nil, fmt.Errorf("snapshot line %d: unexpected op %q", lineNo, rec.Op)
+			return fmt.Errorf("unexpected op %q", rec.Op)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if !begun || !ended {
 		return nil, fmt.Errorf("snapshot is truncated (begin=%v end=%v)", begun, ended)
@@ -162,26 +147,21 @@ func (q *Queue) maybeCompactLocked() {
 }
 
 // compactLocked snapshots the current state at generation+1 and rotates
-// the log. If the rotation fails after the snapshot published, the
-// rotation stays owed (pendingRotate) and every subsequent append
-// retries it first — appending to the superseded log would write records
-// that recovery discards.
+// the log. If the rotation fails after the snapshot published, it stays
+// owed and every subsequent append retries it first (appendLocked).
 func (q *Queue) compactLocked() error {
 	gen := q.gen + 1
 	if err := q.writeSnapshotLocked(gen); err != nil {
 		return fmt.Errorf("campaign: queue snapshot: %w", err)
 	}
 	q.gen = gen
-	q.pendingRotate = gen
 	if err := q.rotateLogLocked(gen); err != nil {
 		return fmt.Errorf("campaign: queue log rotation: %w", err)
 	}
-	q.tailEntries = 0
 	return nil
 }
 
-// writeSnapshotLocked publishes a snapshot at gen via tmp+fsync+rename,
-// the store's atomic-publish idiom.
+// writeSnapshotLocked atomically publishes a snapshot at gen.
 func (q *Queue) writeSnapshotLocked(gen uint64) error {
 	live := 0
 	for _, ref := range q.knownOrder {
@@ -189,91 +169,51 @@ func (q *Queue) writeSnapshotLocked(gen uint64) error {
 			live++
 		}
 	}
-	tmp := q.snapPath + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	writeRec := func(rec QueueRecord) error {
-		data, err := json.Marshal(rec)
-		if err != nil {
+	return wal.Replace(q.snapPath, func(put func([]byte) error) error {
+		putRec := func(rec QueueRecord) error {
+			data, err := json.Marshal(rec)
+			if err != nil {
+				return err
+			}
+			return put(data)
+		}
+		if err := putRec(QueueRecord{Op: "snap-begin", Gen: gen, Next: q.next, Count: live}); err != nil {
 			return err
 		}
-		if _, err := w.Write(data); err != nil {
-			return err
+		for _, ref := range q.knownOrder {
+			if ref == "" {
+				continue
+			}
+			it := q.itemOf[ref]
+			if err := putRec(QueueRecord{Op: "snap-ref", Ref: it.Ref, Key: it.Key, State: q.done[ref], Spec: &it.Spec}); err != nil {
+				return err
+			}
 		}
-		return w.WriteByte('\n')
-	}
-	werr := writeRec(QueueRecord{Op: "snap-begin", Gen: gen, Next: q.next, Count: live})
-	for _, ref := range q.knownOrder {
-		if werr != nil {
-			break
-		}
-		if ref == "" {
-			continue
-		}
-		it := q.itemOf[ref]
-		spec := it.Spec
-		werr = writeRec(QueueRecord{Op: "snap-ref", Ref: it.Ref, Key: it.Key, State: q.done[ref], Spec: &spec})
-	}
-	if werr == nil {
-		werr = writeRec(QueueRecord{Op: "snap-end", Count: live})
-	}
-	if werr == nil {
-		werr = w.Flush()
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(tmp)
-		return werr
-	}
-	return os.Rename(tmp, q.snapPath)
+		return putRec(QueueRecord{Op: "snap-end", Count: live})
+	})
 }
 
 // rotateLogLocked replaces the log with a fresh one whose sole record is
-// the generation marker, via tmp+fsync+rename. The append handle is
-// re-opened onto the new log when one was open.
+// the generation marker and reopens it for appends. The handle is closed
+// first and stays nil — rotation owed — until the whole sequence
+// succeeds, so a retry after any failure runs the same steps again.
 func (q *Queue) rotateLogLocked(gen uint64) error {
+	if q.log != nil {
+		_ = q.log.Close()
+		q.log = nil
+	}
 	data, err := json.Marshal(QueueRecord{Op: "gen", Gen: gen})
 	if err != nil {
 		return err
 	}
-	tmp := q.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err := wal.Replace(q.path, func(put func([]byte) error) error { return put(data) }); err != nil {
+		return err
+	}
+	l, err := wal.Open(q.path, func([]byte) error { return nil })
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write(append(data, '\n'))
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(tmp)
-		return werr
-	}
-	if q.f != nil {
-		_ = q.f.Close()
-		q.f = nil
-		if err := os.Rename(tmp, q.path); err != nil {
-			return err
-		}
-		nf, err := os.OpenFile(q.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		q.f = nf
-	} else if err := os.Rename(tmp, q.path); err != nil {
-		return err
-	}
-	q.pendingRotate = 0
+	q.log = l
+	q.tailEntries = 0
 	return nil
 }

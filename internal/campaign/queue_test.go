@@ -16,6 +16,37 @@ func queueSpecs(t *testing.T) []RunSpec {
 	return specs
 }
 
+// One-ref conveniences over the batch verbs, for tests that walk the
+// lease protocol a ref at a time.
+
+func enqueue1(q *Queue, ref, key string, spec RunSpec) error {
+	return q.EnqueueBatch([]QueueItem{{Ref: ref, Key: key, Spec: spec}})
+}
+
+func claim1(q *Queue, ref, node string, now, ttl Tick) (Lease, RunSpec, error) {
+	grants, err := q.ClaimBatch([]string{ref}, node, now, ttl)
+	if err != nil {
+		return Lease{}, RunSpec{}, err
+	}
+	return grants[0].Lease, grants[0].Spec, grants[0].Err
+}
+
+func start1(q *Queue, id LeaseID) (Lease, error) {
+	res, err := q.StartBatch([]LeaseID{id})
+	if err != nil {
+		return Lease{}, err
+	}
+	return res[0].Lease, res[0].Err
+}
+
+func complete1(q *Queue, id LeaseID, state RunState) (Lease, error) {
+	res, err := q.CompleteBatch([]Completion{{ID: id, State: state}})
+	if err != nil {
+		return Lease{}, err
+	}
+	return res[0].Lease, res[0].Err
+}
+
 func enqueueAll(t *testing.T, q *Queue, specs []RunSpec) []string {
 	t.Helper()
 	refs := make([]string, len(specs))
@@ -25,7 +56,7 @@ func enqueueAll(t *testing.T, q *Queue, specs []RunSpec) []string {
 			t.Fatal(err)
 		}
 		refs[i] = "c1/" + key
-		if err := q.Enqueue(refs[i], key, spec); err != nil {
+		if err := enqueue1(q, refs[i], key, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,36 +76,36 @@ func TestQueueClaimStartCompleteLifecycle(t *testing.T) {
 		t.Fatalf("depth after enqueue: pending=%d leased=%d", p, l)
 	}
 	// Re-enqueueing a known ref is a no-op.
-	if err := q.Enqueue(refs[0], "x", specs[0]); err != nil {
+	if err := enqueue1(q, refs[0], "x", specs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if p, _ := q.Depth(); p != len(refs) {
 		t.Fatalf("duplicate enqueue changed depth to %d", p)
 	}
 
-	lease, spec, err := q.Claim(refs[0], "w1", 0, 5)
+	lease, spec, err := claim1(q, refs[0], "w1", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.Name != specs[0].Name || lease.Node != "w1" || lease.Expires != 5 {
 		t.Fatalf("claim: %+v spec %q", lease, spec.Name)
 	}
-	if _, _, err := q.Claim(refs[0], "w2", 0, 5); !errors.Is(err, ErrNotPending) {
+	if _, _, err := claim1(q, refs[0], "w2", 0, 5); !errors.Is(err, ErrNotPending) {
 		t.Fatalf("double claim err = %v, want ErrNotPending", err)
 	}
-	if _, err := q.Start(lease.ID); err != nil {
+	if _, err := start1(q, lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease.ID, RunDone); err != nil {
+	if _, err := complete1(q, lease.ID, RunDone); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease.ID, RunDone); !errors.Is(err, ErrStaleLease) {
+	if _, err := complete1(q, lease.ID, RunDone); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("duplicate complete err = %v, want ErrStaleLease", err)
 	}
 	if st, ok := q.Done(refs[0]); !ok || st != RunDone {
 		t.Fatalf("done state: %v %v", st, ok)
 	}
-	if _, err := q.Complete(lease.ID+100, RunDone); !errors.Is(err, ErrStaleLease) {
+	if _, err := complete1(q, lease.ID+100, RunDone); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("unknown lease complete err = %v", err)
 	}
 }
@@ -90,21 +121,21 @@ func TestQueueCompleteRequiresStart(t *testing.T) {
 	}
 	defer func() { _ = q.Close() }()
 	refs := enqueueAll(t, q, queueSpecs(t))
-	lease, _, err := q.Claim(refs[0], "w1", 0, 5)
+	lease, _, err := claim1(q, refs[0], "w1", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease.ID, RunDone); !errors.Is(err, ErrStaleLease) {
+	if _, err := complete1(q, lease.ID, RunDone); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("complete before start err = %v, want ErrStaleLease", err)
 	}
 	if st, ok := q.Done(refs[0]); ok {
 		t.Fatalf("unstarted complete recorded terminal state %v", st)
 	}
 	// The lease is still live and proceeds normally through the gate.
-	if _, err := q.Start(lease.ID); err != nil {
+	if _, err := start1(q, lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease.ID, RunDone); err != nil {
+	if _, err := complete1(q, lease.ID, RunDone); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,14 +155,14 @@ func TestQueueRetryClearsTerminalState(t *testing.T) {
 	if err := q.Retry(refs[0], "k", specs[0]); err == nil {
 		t.Fatal("retry of a pending ref succeeded")
 	}
-	lease, _, err := q.Claim(refs[0], "w1", 0, 5)
+	lease, _, err := claim1(q, refs[0], "w1", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Start(lease.ID); err != nil {
+	if _, err := start1(q, lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease.ID, RunFailed); err != nil {
+	if _, err := complete1(q, lease.ID, RunFailed); err != nil {
 		t.Fatal(err)
 	}
 	key := refs[0][len("c1/"):]
@@ -142,7 +173,7 @@ func TestQueueRetryClearsTerminalState(t *testing.T) {
 		t.Fatal("retry left the ref terminal")
 	}
 	// Re-enqueueing the retried ref stays a no-op (it is already pending).
-	if err := q.Enqueue(refs[0], key, specs[0]); err != nil {
+	if err := enqueue1(q, refs[0], key, specs[0]); err != nil {
 		t.Fatal(err)
 	}
 	pending := q.Pending()
@@ -166,17 +197,17 @@ func TestQueueRetryClearsTerminalState(t *testing.T) {
 	if _, ok := q2.Done(refs[0]); ok {
 		t.Fatal("replay resurrected the retried ref's terminal state")
 	}
-	lease2, spec, err := q2.Claim(refs[0], "w2", 0, 5)
+	lease2, spec, err := claim1(q2, refs[0], "w2", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.Strategy.Kind == "" {
 		t.Fatal("retried spec lost its strategy across replay")
 	}
-	if _, err := q2.Start(lease2.ID); err != nil {
+	if _, err := start1(q2, lease2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q2.Complete(lease2.ID, RunDone); err != nil {
+	if _, err := complete1(q2, lease2.ID, RunDone); err != nil {
 		t.Fatal(err)
 	}
 	if st, ok := q2.Done(refs[0]); !ok || st != RunDone {
@@ -193,7 +224,7 @@ func TestQueueLeaseExpiryRequeuesAtFront(t *testing.T) {
 	defer func() { _ = q.Close() }()
 	refs := enqueueAll(t, q, queueSpecs(t))
 
-	lease, _, err := q.Claim(refs[0], "w1", 0, 3)
+	lease, _, err := claim1(q, refs[0], "w1", 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +246,14 @@ func TestQueueLeaseExpiryRequeuesAtFront(t *testing.T) {
 		t.Fatalf("expired run not requeued at front: %+v", pending)
 	}
 	// The old lease is stale at both gates.
-	if _, err := q.Start(lease.ID); !errors.Is(err, ErrStaleLease) {
+	if _, err := start1(q, lease.ID); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("stale start err = %v", err)
 	}
-	if _, err := q.Complete(lease.ID, RunDone); !errors.Is(err, ErrStaleLease) {
+	if _, err := complete1(q, lease.ID, RunDone); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("stale complete err = %v", err)
 	}
 	// Re-claim under a fresh lease works.
-	lease2, _, err := q.Claim(refs[0], "w2", 5, 3)
+	lease2, _, err := claim1(q, refs[0], "w2", 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +271,7 @@ func TestQueueStealOnlyUnstartedForeignLeases(t *testing.T) {
 	defer func() { _ = q.Close() }()
 	refs := enqueueAll(t, q, queueSpecs(t))
 
-	lease, _, err := q.Claim(refs[0], "w1", 0, 10)
+	lease, _, err := claim1(q, refs[0], "w1", 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,18 +290,18 @@ func TestQueueStealOnlyUnstartedForeignLeases(t *testing.T) {
 		t.Fatalf("steal grant: %+v %q", stolen, spec.Name)
 	}
 	// The victim's lease is dead: it cannot start or complete the run.
-	if _, err := q.Start(lease.ID); !errors.Is(err, ErrStaleLease) {
+	if _, err := start1(q, lease.ID); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("victim start err = %v", err)
 	}
 	// The thief proceeds normally.
-	if _, err := q.Start(stolen.ID); err != nil {
+	if _, err := start1(q, stolen.ID); err != nil {
 		t.Fatal(err)
 	}
 	// A started lease is not stealable back.
 	if _, _, err := q.Steal(refs[0], "w3", 2, 10); !errors.Is(err, ErrNotStealable) {
 		t.Fatalf("steal of started lease err = %v", err)
 	}
-	if _, err := q.Complete(stolen.ID, RunDone); err != nil {
+	if _, err := complete1(q, stolen.ID, RunDone); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -282,21 +313,21 @@ func TestQueueRecoveryRequeuesUnfinishedClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := enqueueAll(t, q, queueSpecs(t))
-	lease, _, err := q.Claim(refs[0], "w1", 0, 10)
+	lease, _, err := claim1(q, refs[0], "w1", 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Start(lease.ID); err != nil {
+	if _, err := start1(q, lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease.ID, RunDone); err != nil {
+	if _, err := complete1(q, lease.ID, RunDone); err != nil {
 		t.Fatal(err)
 	}
 	// Claim the second run but never complete it: the coordinator "dies".
 	if len(refs) < 2 {
 		t.Fatal("need at least 2 runs")
 	}
-	if _, _, err := q.Claim(refs[1], "w1", 1, 10); err != nil {
+	if _, _, err := claim1(q, refs[1], "w1", 1, 10); err != nil {
 		t.Fatal(err)
 	}
 	_ = q.Close()
@@ -315,7 +346,7 @@ func TestQueueRecoveryRequeuesUnfinishedClaims(t *testing.T) {
 	if len(pending) != 1 || pending[0].Ref != refs[1] {
 		t.Fatalf("orphaned claim not requeued: %+v", pending)
 	}
-	lease2, _, err := q2.Claim(refs[1], "w2", 0, 10)
+	lease2, _, err := claim1(q2, refs[1], "w2", 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,19 +367,19 @@ func TestQueueLogIsAnEvidenceTrail(t *testing.T) {
 	}
 	defer func() { _ = q.Close() }()
 	refs := enqueueAll(t, q, queueSpecs(t))
-	lease, _, err := q.Claim(refs[0], "w1", 0, 2)
+	lease, _, err := claim1(q, refs[0], "w1", 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.ExpireLeases(3)
-	lease2, _, err := q.Claim(refs[0], "w2", 3, 10)
+	lease2, _, err := claim1(q, refs[0], "w2", 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Start(lease2.ID); err != nil {
+	if _, err := start1(q, lease2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Complete(lease2.ID, RunDone); err != nil {
+	if _, err := complete1(q, lease2.ID, RunDone); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadQueueLog(path)
@@ -357,11 +388,13 @@ func TestQueueLogIsAnEvidenceTrail(t *testing.T) {
 	}
 	var ops []string
 	for _, r := range recs {
-		if r.Ref == refs[0] {
-			ops = append(ops, r.Op)
+		for _, e := range r.Batch {
+			if e.Ref == refs[0] {
+				ops = append(ops, r.Op)
+			}
 		}
 	}
-	want := []string{"enqueue", "claim", "expire", "claim", "start", "complete"}
+	want := []string{"enqueue-batch", "claim-batch", "expire-batch", "claim-batch", "start-batch", "complete-batch"}
 	if len(ops) != len(want) {
 		t.Fatalf("ops for ref: %v, want %v", ops, want)
 	}

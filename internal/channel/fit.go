@@ -173,7 +173,7 @@ func Fit(samples []Sample, fc FitConfig) (*Table, error) {
 		g, ok := groups[k]
 		if !ok {
 			g = &agg{bin: Bin{
-				Kind: s.Kind,
+				Kind:   s.Kind,
 				DistLo: distLo, DistHi: distHi,
 				SizeLo: sizeLo, SizeHi: sizeHi,
 				LoadLo: loadLo, LoadHi: loadHi,

@@ -139,10 +139,12 @@ type Config struct {
 	// harness defaults 4 and 2.
 	LeaseTTL   campaign.Tick
 	StealAfter campaign.Tick
-	// BatchVerbs routes execution through the batched protocol verbs:
-	// each node gates its whole backlog through one StartRuns call and
-	// reports every outcome through one CompleteRuns call per round,
-	// instead of one Start/Complete round-trip per run.
+	// BatchVerbs selects the harness's pacing, not a protocol — every
+	// node speaks StartRuns/CompleteRuns either way. Off, a node executes
+	// one run per round (a batch of one), which is what leaves claims
+	// sitting unstarted for the steal and expiry scenarios; on, it gates
+	// its whole backlog through one StartRuns call and reports every
+	// outcome through one CompleteRuns call per round.
 	BatchVerbs bool
 	// CompactEvery and MaxOutstanding forward to cluster.Options: the
 	// queue's snapshot-compaction threshold and the admission cap.
@@ -401,12 +403,12 @@ func (h *Harness) Run() error {
 }
 
 // executeOne pops the node's oldest backlog item and runs it through the
-// real execution gate: Start (stale claims are dropped unexecuted), the
-// runner, then the completion report.
+// real execution gate as a batch of one: StartRuns (stale claims are
+// dropped unexecuted), the runner, then the completion report.
 func (h *Harness) executeOne(n *workerNode, round int) {
 	asg := n.backlog[0]
 	n.backlog = n.backlog[1:]
-	if err := h.co.StartRun(n.name, asg.Lease); err != nil {
+	if err := h.co.StartRuns(n.name, []campaign.LeaseID{asg.Lease})[0]; err != nil {
 		h.log = append(h.log, fmt.Sprintf("act r%02d drop-stale %s %s", round, n.name, shortKey(asg.Key)))
 		return
 	}
@@ -423,7 +425,7 @@ func (h *Harness) executeOne(n *workerNode, round int) {
 		h.execCount[asg.Key]++
 	}
 	h.completes = append(h.completes, completion{node: n.name, lease: asg.Lease, key: asg.Key, out: out})
-	if err := h.co.CompleteRun(n.name, asg.Lease, out); err != nil {
+	if err := h.co.CompleteRuns(n.name, []cluster.CompletionReport{{Lease: asg.Lease, Outcome: out}})[0]; err != nil {
 		h.stale++
 		h.log = append(h.log, fmt.Sprintf("act r%02d complete-stale %s %s", round, n.name, shortKey(asg.Key)))
 	}
@@ -551,7 +553,7 @@ func (h *Harness) applyDue(round int) {
 		case DuplicateComplete:
 			if len(h.completes) > 0 {
 				last := h.completes[len(h.completes)-1]
-				if err := h.co.CompleteRun(last.node, last.lease, last.out); err != nil {
+				if err := h.co.CompleteRuns(last.node, []cluster.CompletionReport{{Lease: last.lease, Outcome: last.out}})[0]; err != nil {
 					h.stale++
 					h.log = append(h.log, fmt.Sprintf("act r%02d duplicate-rejected %s", round, shortKey(last.key)))
 				}

@@ -521,6 +521,14 @@ func campaignSeq(id string) (int, bool) {
 	return n, true
 }
 
+// Minted reports whether id has the shape Submit mints, which is how a
+// restarted service tells the journals the coordinator resumes from the
+// rest of the journal directory.
+func Minted(id string) bool {
+	_, ok := campaignSeq(id)
+	return ok
+}
+
 // RequestWork grants up to max assignments to node, routing through the
 // policy and falling back to work-stealing when the queue is empty but
 // another node sits on stale unstarted claims.
@@ -632,11 +640,6 @@ func (co *Coordinator) stealLocked(thief *node) (Assignment, Event, bool) {
 	return Assignment{}, Event{}, false
 }
 
-// StartRun is the single-lease execution gate; see StartRuns.
-func (co *Coordinator) StartRun(name string, id campaign.LeaseID) error {
-	return co.StartRuns(name, []campaign.LeaseID{id})[0]
-}
-
 // StartRuns is the execution gate: a node must pass each claimed lease
 // through it before running the spec. The whole batch shares one journal
 // append; each lease gets its own error slot, and ErrStaleLease in a
@@ -690,11 +693,6 @@ func (co *Coordinator) StartRuns(name string, ids []campaign.LeaseID) []error {
 type CompletionReport struct {
 	Lease   campaign.LeaseID
 	Outcome Outcome
-}
-
-// CompleteRun records a single lease's outcome; see CompleteRuns.
-func (co *Coordinator) CompleteRun(name string, id campaign.LeaseID, out Outcome) error {
-	return co.CompleteRuns(name, []CompletionReport{{Lease: id, Outcome: out}})[0]
 }
 
 // CompleteRuns records a node's outcomes for started leases it holds,

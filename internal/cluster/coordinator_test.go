@@ -36,6 +36,15 @@ func newTestCoordinator(t *testing.T, dir string) *Coordinator {
 
 // drive runs the full worker protocol — claim, start, execute, complete
 // — for one node until it receives no work.
+// startRun and completeRun speak the batch verbs with a batch of one.
+func startRun(co *Coordinator, node string, id campaign.LeaseID) error {
+	return co.StartRuns(node, []campaign.LeaseID{id})[0]
+}
+
+func completeRun(co *Coordinator, node string, id campaign.LeaseID, out Outcome) error {
+	return co.CompleteRuns(node, []CompletionReport{{Lease: id, Outcome: out}})[0]
+}
+
 func drive(t *testing.T, co *Coordinator, runner *Runner, node string) int {
 	t.Helper()
 	ran := 0
@@ -48,10 +57,10 @@ func drive(t *testing.T, co *Coordinator, runner *Runner, node string) int {
 			return ran
 		}
 		for _, asg := range asgs {
-			if err := co.StartRun(node, asg.Lease); err != nil {
+			if err := startRun(co, node, asg.Lease); err != nil {
 				continue
 			}
-			if err := co.CompleteRun(node, asg.Lease, runner.Run(asg)); err != nil {
+			if err := completeRun(co, node, asg.Lease, runner.Run(asg)); err != nil {
 				t.Fatal(err)
 			}
 			ran++
@@ -156,10 +165,10 @@ func TestCoordinatorResumeAfterRestart(t *testing.T) {
 	if err != nil || len(asgs) != 1 {
 		t.Fatalf("claim: %v %v", asgs, err)
 	}
-	if err := co.StartRun("w1", asgs[0].Lease); err != nil {
+	if err := startRun(co, "w1", asgs[0].Lease); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.CompleteRun("w1", asgs[0].Lease, runner.Run(asgs[0])); err != nil {
+	if err := completeRun(co, "w1", asgs[0].Lease, runner.Run(asgs[0])); err != nil {
 		t.Fatal(err)
 	}
 	co.Close()
@@ -236,14 +245,14 @@ func TestCoordinatorResumeRetriesUnstoredTerminalRuns(t *testing.T) {
 		if err != nil || len(asgs) != 1 {
 			t.Fatalf("claim %d: %v %v", i, asgs, err)
 		}
-		if err := co.StartRun("w1", asgs[0].Lease); err != nil {
+		if err := startRun(co, "w1", asgs[0].Lease); err != nil {
 			t.Fatal(err)
 		}
 		out := Outcome{State: campaign.RunDone, Attempts: 1}
 		if i == 0 {
 			out = runner.Run(asgs[0])
 		}
-		if err := co.CompleteRun("w1", asgs[0].Lease, out); err != nil {
+		if err := completeRun(co, "w1", asgs[0].Lease, out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,17 +341,17 @@ func TestCoordinatorRejectsForeignLeaseReports(t *testing.T) {
 	if err != nil || len(asgs) != 1 {
 		t.Fatalf("claim: %v %v", asgs, err)
 	}
-	if err := co.StartRun("w2", asgs[0].Lease); !errors.Is(err, campaign.ErrStaleLease) {
+	if err := startRun(co, "w2", asgs[0].Lease); !errors.Is(err, campaign.ErrStaleLease) {
 		t.Fatalf("foreign start err = %v, want ErrStaleLease", err)
 	}
 	// Completing before the start gate is rejected even by the holder.
-	if err := co.CompleteRun("w1", asgs[0].Lease, Outcome{State: campaign.RunDone}); !errors.Is(err, campaign.ErrStaleLease) {
+	if err := completeRun(co, "w1", asgs[0].Lease, Outcome{State: campaign.RunDone}); !errors.Is(err, campaign.ErrStaleLease) {
 		t.Fatalf("unstarted complete err = %v, want ErrStaleLease", err)
 	}
-	if err := co.StartRun("w1", asgs[0].Lease); err != nil {
+	if err := startRun(co, "w1", asgs[0].Lease); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.CompleteRun("w2", asgs[0].Lease, Outcome{State: campaign.RunDone}); !errors.Is(err, campaign.ErrStaleLease) {
+	if err := completeRun(co, "w2", asgs[0].Lease, Outcome{State: campaign.RunDone}); !errors.Is(err, campaign.ErrStaleLease) {
 		t.Fatalf("foreign complete err = %v, want ErrStaleLease", err)
 	}
 	for _, n := range co.Nodes() {
@@ -395,7 +404,7 @@ func TestCoordinatorStealFreesVictimSlotExactlyOnce(t *testing.T) {
 			victimLease = asg.Lease
 		}
 	}
-	if err := co.StartRun("w1", victimLease); !errors.Is(err, campaign.ErrStaleLease) {
+	if err := startRun(co, "w1", victimLease); !errors.Is(err, campaign.ErrStaleLease) {
 		t.Fatalf("victim start err = %v, want ErrStaleLease", err)
 	}
 	for _, n := range co.Nodes() {
@@ -423,11 +432,11 @@ func TestCoordinatorDemotesUnstoredCompletion(t *testing.T) {
 	if err != nil || len(asgs) != 1 {
 		t.Fatalf("claim: %v %v", asgs, err)
 	}
-	if err := co.StartRun("w1", asgs[0].Lease); err != nil {
+	if err := startRun(co, "w1", asgs[0].Lease); err != nil {
 		t.Fatal(err)
 	}
 	// Report done without any store publish.
-	if err := co.CompleteRun("w1", asgs[0].Lease, Outcome{State: campaign.RunDone, Attempts: 1}); err != nil {
+	if err := completeRun(co, "w1", asgs[0].Lease, Outcome{State: campaign.RunDone, Attempts: 1}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := co.Campaign(id)

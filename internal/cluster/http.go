@@ -25,17 +25,15 @@ const maxBodyBytes = 1 << 20
 //	POST /v1/cluster/register            worker join
 //	POST /v1/cluster/heartbeat           worker liveness
 //	POST /v1/cluster/claims              worker work request (batched: one call grants many)
-//	POST /v1/cluster/starts              execution gate (409 on stale lease)
-//	POST /v1/cluster/complete            outcome report (409 on stale lease)
+//	POST /v1/cluster/starts              execution gate for a batch of leases
+//	POST /v1/cluster/complete            outcome report for a batch of leases
 //
-// starts and complete accept either the single-lease envelope
-// ({"node","lease"} / {"node","lease","outcome"}) or the batched one
-// ({"node","leases":[...]} / {"node","completes":[{"lease","outcome"},...]}).
-// Batched requests always answer 200 with a per-slot results array —
+// starts takes {"node","leases":[...]} and complete takes
+// {"node","completes":[{"lease","outcome"},...]}; a node with one lease
+// sends a batch of one. Both answer 200 with a per-slot results array —
 // a stale lease flags only its own slot ("stale":true), never the
-// siblings — while the single-lease envelope keeps the 409 contract.
-// Submissions rejected by admission backpressure answer 429 with a
-// Retry-After hint.
+// siblings. Submissions rejected by admission backpressure answer 429
+// with a Retry-After hint.
 func (co *Coordinator) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/cluster/campaigns", co.handleSubmit)
 	mux.HandleFunc("GET /v1/cluster/campaigns", co.handleList)
@@ -242,25 +240,21 @@ func (co *Coordinator) handleClaims(w http.ResponseWriter, r *http.Request) {
 	clusterJSON(w, http.StatusOK, map[string]any{"assignments": asgs})
 }
 
-// completionWire is one lease's outcome inside a batched complete.
+// completionWire is one lease's outcome inside a complete request.
 type completionWire struct {
 	Lease   campaign.LeaseID `json:"lease"`
 	Outcome *Outcome         `json:"outcome"`
 }
 
-// leaseRequest is the worker-facing envelope for starts and completes.
-// The single-lease fields and the batched arrays are mutually exclusive;
-// a non-nil array selects the batched form.
+// leaseRequest is the worker-facing envelope for starts (Leases) and
+// completes (Completes).
 type leaseRequest struct {
 	Node      string             `json:"node"`
-	Lease     campaign.LeaseID   `json:"lease,omitempty"`
-	Outcome   *Outcome           `json:"outcome,omitempty"`
 	Leases    []campaign.LeaseID `json:"leases,omitempty"`
 	Completes []completionWire   `json:"completes,omitempty"`
 }
 
-// leaseSlot is one lease's result inside a batched starts/complete
-// reply. Stale marks campaign.ErrStaleLease rejections so clients can
+// leaseSlot is one lease's result inside a starts/complete reply. Stale marks campaign.ErrStaleLease rejections so clients can
 // drop the assignment without string-matching.
 type leaseSlot struct {
 	Lease campaign.LeaseID `json:"lease"`
@@ -282,60 +276,32 @@ func leaseSlots(ids []campaign.LeaseID, errs []error) []leaseSlot {
 
 func (co *Coordinator) handleStarts(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := decodeBody(w, r, &req); err != nil || req.Node == "" {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("start needs a node name and lease"))
+	if err := decodeBody(w, r, &req); err != nil || req.Node == "" || req.Leases == nil {
+		clusterError(w, http.StatusBadRequest, fmt.Errorf("start needs a node name and leases"))
 		return
 	}
-	if req.Leases != nil {
-		errs := co.StartRuns(req.Node, req.Leases)
-		clusterJSON(w, http.StatusOK, map[string]any{"results": leaseSlots(req.Leases, errs)})
-		return
-	}
-	if err := co.StartRun(req.Node, req.Lease); err != nil {
-		if errors.Is(err, campaign.ErrStaleLease) {
-			clusterError(w, http.StatusConflict, err)
-			return
-		}
-		clusterError(w, http.StatusBadRequest, err)
-		return
-	}
-	clusterJSON(w, http.StatusOK, map[string]string{"status": "started"})
+	errs := co.StartRuns(req.Node, req.Leases)
+	clusterJSON(w, http.StatusOK, map[string]any{"results": leaseSlots(req.Leases, errs)})
 }
 
 func (co *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := decodeBody(w, r, &req); err != nil || req.Node == "" {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("complete needs a node name, lease, and outcome"))
+	if err := decodeBody(w, r, &req); err != nil || req.Node == "" || req.Completes == nil {
+		clusterError(w, http.StatusBadRequest, fmt.Errorf("complete needs a node name and completes"))
 		return
 	}
-	if req.Completes != nil {
-		reports := make([]CompletionReport, len(req.Completes))
-		ids := make([]campaign.LeaseID, len(req.Completes))
-		for i, c := range req.Completes {
-			if c.Outcome == nil {
-				clusterError(w, http.StatusBadRequest, fmt.Errorf("complete slot %d has no outcome", i))
-				return
-			}
-			reports[i] = CompletionReport{Lease: c.Lease, Outcome: *c.Outcome}
-			ids[i] = c.Lease
-		}
-		errs := co.CompleteRuns(req.Node, reports)
-		clusterJSON(w, http.StatusOK, map[string]any{"results": leaseSlots(ids, errs)})
-		return
-	}
-	if req.Outcome == nil {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("complete needs a node name, lease, and outcome"))
-		return
-	}
-	if err := co.CompleteRun(req.Node, req.Lease, *req.Outcome); err != nil {
-		if errors.Is(err, campaign.ErrStaleLease) {
-			clusterError(w, http.StatusConflict, err)
+	reports := make([]CompletionReport, len(req.Completes))
+	ids := make([]campaign.LeaseID, len(req.Completes))
+	for i, c := range req.Completes {
+		if c.Outcome == nil {
+			clusterError(w, http.StatusBadRequest, fmt.Errorf("complete slot %d has no outcome", i))
 			return
 		}
-		clusterError(w, http.StatusBadRequest, err)
-		return
+		reports[i] = CompletionReport{Lease: c.Lease, Outcome: *c.Outcome}
+		ids[i] = c.Lease
 	}
-	clusterJSON(w, http.StatusOK, map[string]string{"status": "completed"})
+	errs := co.CompleteRuns(req.Node, reports)
+	clusterJSON(w, http.StatusOK, map[string]any{"results": leaseSlots(ids, errs)})
 }
 
 // Client is the worker side of the coordinator API.
@@ -351,8 +317,7 @@ func NewClient(base, node string) *Client {
 	return &Client{base: base, node: node, hc: &http.Client{}}
 }
 
-// post sends a JSON body and decodes a JSON reply. A 409 maps to
-// campaign.ErrStaleLease so the claim loop can drop dead assignments.
+// post sends a JSON body and decodes a JSON reply.
 func (c *Client) post(path string, body, reply any) error {
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -363,9 +328,6 @@ func (c *Client) post(path string, body, reply any) error {
 		return err
 	}
 	defer func() { _, _ = io.Copy(io.Discard, resp.Body); _ = resp.Body.Close() }()
-	if resp.StatusCode == http.StatusConflict {
-		return campaign.ErrStaleLease
-	}
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("cluster: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
@@ -397,26 +359,21 @@ func (c *Client) Claims(max int) ([]Assignment, error) {
 	return reply.Assignments, nil
 }
 
-// Start passes the execution gate for a lease. campaign.ErrStaleLease
-// means the assignment was stolen or expired; drop it without executing.
-func (c *Client) Start(lease campaign.LeaseID) error {
-	return c.post("/v1/cluster/starts", leaseRequest{Node: c.node, Lease: lease}, nil)
-}
-
-// Complete reports an assignment's outcome.
-func (c *Client) Complete(lease campaign.LeaseID, out Outcome) error {
-	return c.post("/v1/cluster/complete", leaseRequest{Node: c.node, Lease: lease, Outcome: &out}, nil)
-}
-
-// slotErrors converts a batched reply's per-slot results back into
-// errors aligned with the request, mapping stale slots to
-// campaign.ErrStaleLease.
-func slotErrors(slots []leaseSlot, want int) ([]error, error) {
-	if len(slots) != want {
-		return nil, fmt.Errorf("cluster: batched reply carries %d slots, want %d", len(slots), want)
+// postLeases sends a starts or complete request and converts the reply's
+// per-slot results back into errors aligned with the request's want
+// slots, mapping stale slots to campaign.ErrStaleLease.
+func (c *Client) postLeases(path string, req leaseRequest, want int) ([]error, error) {
+	var reply struct {
+		Results []leaseSlot `json:"results"`
 	}
-	errs := make([]error, len(slots))
-	for i, s := range slots {
+	if err := c.post(path, req, &reply); err != nil {
+		return nil, err
+	}
+	if len(reply.Results) != want {
+		return nil, fmt.Errorf("cluster: batched reply carries %d slots, want %d", len(reply.Results), want)
+	}
+	errs := make([]error, want)
+	for i, s := range reply.Results {
 		switch {
 		case s.Stale:
 			errs[i] = fmt.Errorf("%w: %s", campaign.ErrStaleLease, s.Error)
@@ -435,18 +392,13 @@ func (c *Client) StartBatch(leases []campaign.LeaseID) ([]error, error) {
 	if len(leases) == 0 {
 		return nil, nil
 	}
-	var reply struct {
-		Results []leaseSlot `json:"results"`
-	}
-	if err := c.post("/v1/cluster/starts", leaseRequest{Node: c.node, Leases: leases}, &reply); err != nil {
-		return nil, err
-	}
-	return slotErrors(reply.Results, len(leases))
+	return c.postLeases("/v1/cluster/starts", leaseRequest{Node: c.node, Leases: leases}, len(leases))
 }
 
 // CompleteBatch reports a whole batch of outcomes in one round-trip.
-// The returned slice aligns with reports; per-slot semantics match
-// Complete.
+// The returned slice aligns with reports: a slot carries
+// campaign.ErrStaleLease when its lease expired mid-run, never started,
+// or belongs to another node.
 func (c *Client) CompleteBatch(reports []CompletionReport) ([]error, error) {
 	if len(reports) == 0 {
 		return nil, nil
@@ -455,11 +407,5 @@ func (c *Client) CompleteBatch(reports []CompletionReport) ([]error, error) {
 	for i := range reports {
 		completes[i] = completionWire{Lease: reports[i].Lease, Outcome: &reports[i].Outcome}
 	}
-	var reply struct {
-		Results []leaseSlot `json:"results"`
-	}
-	if err := c.post("/v1/cluster/complete", leaseRequest{Node: c.node, Completes: completes}, &reply); err != nil {
-		return nil, err
-	}
-	return slotErrors(reply.Results, len(reports))
+	return c.postLeases("/v1/cluster/complete", leaseRequest{Node: c.node, Completes: completes}, len(reports))
 }

@@ -25,6 +25,24 @@ func newTestServer(t *testing.T, co *Coordinator) *httptest.Server {
 // API over real HTTP — register, heartbeat, claim, start, execute,
 // complete — and checks the campaign finishes with the merged result
 // served byte-identically to the coordinator's in-process view.
+// clientStart and clientComplete send a batch of one over HTTP and
+// return its slot's error.
+func clientStart(c *Client, lease campaign.LeaseID) error {
+	errs, err := c.StartBatch([]campaign.LeaseID{lease})
+	if err != nil {
+		return err
+	}
+	return errs[0]
+}
+
+func clientComplete(c *Client, lease campaign.LeaseID, out Outcome) error {
+	errs, err := c.CompleteBatch([]CompletionReport{{Lease: lease, Outcome: out}})
+	if err != nil {
+		return err
+	}
+	return errs[0]
+}
+
 func TestHTTPWorkerProtocol(t *testing.T) {
 	dir := t.TempDir()
 	co := newTestCoordinator(t, dir)
@@ -71,10 +89,10 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 			break
 		}
 		for _, asg := range asgs {
-			if err := client.Start(asg.Lease); err != nil {
+			if err := clientStart(client, asg.Lease); err != nil {
 				t.Fatal(err)
 			}
-			if err := client.Complete(asg.Lease, runner.Run(asg)); err != nil {
+			if err := clientComplete(client, asg.Lease, runner.Run(asg)); err != nil {
 				t.Fatal(err)
 			}
 			ran++
@@ -121,9 +139,10 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 	}
 }
 
-// TestHTTPStaleLeaseMapsToConflict: a start against a revoked lease must
-// surface as campaign.ErrStaleLease on the client side via HTTP 409.
-func TestHTTPStaleLeaseMapsToConflict(t *testing.T) {
+// TestHTTPStaleLeaseFlagsItsSlot: a start or complete against a revoked
+// lease must surface as campaign.ErrStaleLease on the client side through
+// the reply's per-slot stale flag.
+func TestHTTPStaleLeaseFlagsItsSlot(t *testing.T) {
 	dir := t.TempDir()
 	co := newTestCoordinator(t, dir)
 	ts := newTestServer(t, co)
@@ -142,10 +161,10 @@ func TestHTTPStaleLeaseMapsToConflict(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		co.Advance()
 	}
-	if err := client.Start(asgs[0].Lease); !errors.Is(err, campaign.ErrStaleLease) {
+	if err := clientStart(client, asgs[0].Lease); !errors.Is(err, campaign.ErrStaleLease) {
 		t.Fatalf("start on expired lease err = %v, want ErrStaleLease", err)
 	}
-	if err := client.Complete(asgs[0].Lease, Outcome{State: campaign.RunDone}); !errors.Is(err, campaign.ErrStaleLease) {
+	if err := clientComplete(client, asgs[0].Lease, Outcome{State: campaign.RunDone}); !errors.Is(err, campaign.ErrStaleLease) {
 		t.Fatalf("complete on expired lease err = %v, want ErrStaleLease", err)
 	}
 }
@@ -196,6 +215,9 @@ func TestHTTPValidation(t *testing.T) {
 		{"heartbeat unknown node", "/v1/cluster/heartbeat", `{"node":"ghost"}`, http.StatusNotFound},
 		{"claims unknown node", "/v1/cluster/claims", `{"node":"ghost"}`, http.StatusNotFound},
 		{"complete without outcome", "/v1/cluster/complete", `{"node":"w1","lease":1}`, http.StatusBadRequest},
+		{"complete slot without outcome", "/v1/cluster/complete", `{"node":"w1","completes":[{"lease":1}]}`, http.StatusBadRequest},
+		{"single-lease start envelope", "/v1/cluster/starts", `{"node":"w1","lease":1}`, http.StatusBadRequest},
+		{"start without leases", "/v1/cluster/starts", `{"node":"w1"}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -11,14 +11,18 @@
 # compaction publishes a snapshot and rotates the log onto a generation
 # marker mid-campaign, and that a manifest larger than the admission cap
 # is rejected with backpressure while a fitting one is still admitted
-# afterwards. A second coordinator with the (quiescent) default
-# compaction threshold then replays the same manifest so the un-rotated
-# queue log can prove the batched protocol end to end: enqueue-batch /
-# claim-batch / start-batch / complete-batch records on disk, merged
-# result again byte-identical to the single-node reference. (Under the
-# aggressive threshold those records are compacted away within the same
-# locked call that crosses the threshold, so only a quiescent log can
-# assert them deterministically.)
+# afterwards.
+#
+# A second coordinator then goes through crash recovery itself: it is
+# SIGKILLed mid-campaign, a half-written record is appended to its queue
+# log (the artifact of dying inside an append), and it is restarted with
+# -cluster -resume — twice. The first restart must re-register the
+# campaign with the coordinator (served under /v1/cluster/campaigns/{id},
+# not executed by the single-node scheduler) and finish it with zero
+# failures; the second must open the log the first one appended to, and
+# the merged result must again be byte-identical to the reference. No
+# queue log of the run may hold a single-ref enqueue/claim/start/
+# complete/expire record: the batch verbs are the only write path.
 #
 # Wall-clock sleeps here are host-side polling at the service edge; the
 # lease protocol itself runs on the coordinator's logical tick clock and
@@ -27,10 +31,10 @@ set -euo pipefail
 
 REF_ADDR="${ROADRUNNERD_REF_ADDR:-127.0.0.1:8399}"
 CO_ADDR="${ROADRUNNERD_CLUSTER_ADDR:-127.0.0.1:8400}"
-BATCH_ADDR="${ROADRUNNERD_BATCH_ADDR:-127.0.0.1:8401}"
+REC_ADDR="${ROADRUNNERD_RECOVERY_ADDR:-127.0.0.1:8401}"
 REF_BASE="http://$REF_ADDR"
 CO_BASE="http://$CO_ADDR"
-BATCH_BASE="http://$BATCH_ADDR"
+REC_BASE="http://$REC_ADDR"
 WORK="$(mktemp -d)"
 PIDS=()
 trap 'for p in "${PIDS[@]:-}"; do kill "$p" 2>/dev/null || true; done; rm -rf "$WORK"' EXIT
@@ -180,43 +184,81 @@ done
 grep -q '"done": *true' "$WORK/small.json" || { cat "$WORK/small.json" >&2; fail "post-backpressure campaign never finished"; }
 grep -q '"failed": *0' "$WORK/small.json" || { cat "$WORK/small.json" >&2; fail "post-backpressure campaign reported failures"; }
 
-# --- Batched protocol evidence (quiescent log). ----------------------------
-# A fresh coordinator at the default compaction threshold never rotates
-# a campaign this small, so its queue log retains every record: the
-# batched verbs the coordinator and worker actually spoke. Under the
-# aggressive threshold above this cannot be asserted — a record whose
-# append crosses the threshold is compacted away within the same call.
-"$WORK/roadrunnerd" -addr "$BATCH_ADDR" -cluster -policy config-affinity \
-    -tick 100ms -lease-ttl 10 -steal-after 2 -workers 1 \
-    -store "$WORK/batchstore" >"$WORK/batchco.log" 2>&1 &
-BATCH_PID=$!; PIDS+=("$BATCH_PID")
-wait_healthy "$BATCH_BASE" "$BATCH_PID" "$WORK/batchco.log"
+# --- Coordinator crash recovery. --------------------------------------------
+# A fresh coordinator with one capacity-1 worker, so most of the eight
+# runs are still queued when the coordinator dies.
+REC_LOG="$WORK/recstore/cluster/queue.jsonl"
+start_recovery_coordinator() { # start_recovery_coordinator LOGFILE [extra flags] -> sets REC_PID
+    local log="$1"; shift
+    "$WORK/roadrunnerd" -addr "$REC_ADDR" -cluster -policy config-affinity \
+        -tick 100ms -lease-ttl 10 -steal-after 2 -workers 1 "$@" \
+        -store "$WORK/recstore" >"$log" 2>&1 &
+    REC_PID=$!; PIDS+=("$REC_PID")
+    wait_healthy "$REC_BASE" "$REC_PID" "$log"
+}
+start_recovery_worker() { # start_recovery_worker NAME -> pid
+    "$WORK/roadrunnerd" -join "$REC_BASE" -node "$1" -capacity 1 \
+        -store "$WORK/recstore" >"$WORK/$1.log" 2>&1 &
+    PIDS+=("$!")
+    echo "$!"
+}
 
-"$WORK/roadrunnerd" -join "$BATCH_BASE" -node b1 -capacity 4 \
-    -store "$WORK/batchstore" >"$WORK/b1.log" 2>&1 &
-PIDS+=("$!")
+start_recovery_coordinator "$WORK/rec1.log"
+R1_PID="$(start_recovery_worker r1)"
+RID="$("$WORK/roadctl" -addr "$REC_BASE" submit -f <(printf '%s' "$MANIFEST") | extract_id)"
+[ -n "$RID" ] || fail "recovery submission returned no campaign id"
+for _ in $(seq 1 200); do
+    grep -q "worker r1: done" "$WORK/r1.log" && break
+    sleep 0.05
+done
+grep -q "worker r1: done" "$WORK/r1.log" || { cat "$WORK/r1.log" >&2; fail "worker r1 never completed a run"; }
 
-BID="$("$WORK/roadctl" -addr "$BATCH_BASE" submit -f <(printf '%s' "$MANIFEST") | extract_id)"
-[ -n "$BID" ] || fail "batch-evidence submission returned no campaign id"
+# The coordinator dies mid-campaign, inside an append: its log ends in
+# half a record with no newline. (Workers do not outlive their
+# coordinator's epoch: a restarted coordinator knows no nodes.)
+kill -9 "$REC_PID" "$R1_PID"; wait "$REC_PID" "$R1_PID" 2>/dev/null || true
+printf '{"op":"claim-batch","node":"r1","ba' >>"$REC_LOG"
+
+# First restart: the journaled campaign must come back on the cluster
+# tree, unfinished, with nothing executing it until a worker joins.
+start_recovery_coordinator "$WORK/rec2.log" -resume
+grep -q "resumed 1 journaled campaign" "$WORK/rec2.log" \
+    || { cat "$WORK/rec2.log" >&2; fail "restarted coordinator did not resume the journaled campaign"; }
+curl -fsS "$REC_BASE/v1/cluster/campaigns/$RID" >"$WORK/rec.json" \
+    || { cat "$WORK/rec2.log" >&2; fail "resumed campaign $RID is not served under /v1/cluster/campaigns"; }
+grep -q '"done": *false' "$WORK/rec.json" \
+    || { cat "$WORK/rec.json" >&2; fail "coordinator was not killed mid-campaign (or the resumed campaign ran without a worker)"; }
+CODE="$(curl -s -o /dev/null -w '%{http_code}' "$REC_BASE/v1/campaigns/$RID")"
+[ "$CODE" = "404" ] || fail "resumed cluster campaign was also handed to the single-node scheduler (HTTP $CODE)"
+
+R2_PID="$(start_recovery_worker r2)"
 for _ in $(seq 1 300); do
-    "$WORK/roadctl" -addr "$BATCH_BASE" status "$BID" >"$WORK/batch.json" 2>/dev/null || true
-    grep -q '"done": *true' "$WORK/batch.json" && break
+    "$WORK/roadctl" -addr "$REC_BASE" status "$RID" >"$WORK/rec.json" 2>/dev/null || true
+    grep -q '"done": *true' "$WORK/rec.json" && break
     sleep 0.2
 done
-grep -q '"done": *true' "$WORK/batch.json" || { cat "$WORK/batch.json" "$WORK/batchco.log" >&2; fail "batch-evidence campaign never finished"; }
-grep -q '"failed": *0' "$WORK/batch.json" || { cat "$WORK/batch.json" >&2; fail "batch-evidence campaign reported failures"; }
+grep -q '"done": *true' "$WORK/rec.json" || { cat "$WORK/rec.json" "$WORK/rec2.log" >&2; fail "resumed campaign never finished"; }
+grep -q '"failed": *0' "$WORK/rec.json" || { cat "$WORK/rec.json" >&2; fail "resumed campaign reported failures"; }
 
-BATCH_LOG="$WORK/batchstore/cluster/queue.jsonl"
-for op in enqueue-batch claim-batch start-batch complete-batch; do
-    grep -q "\"op\":\"$op\"" "$BATCH_LOG" \
-        || { cat "$BATCH_LOG" >&2; fail "queue log never recorded a $op record"; }
+# Second restart: the log now holds records appended after the tear. A
+# coordinator that appended onto the half-line instead of truncating it
+# survives its first restart and refuses this one.
+kill -9 "$REC_PID" "$R2_PID"; wait "$REC_PID" "$R2_PID" 2>/dev/null || true
+start_recovery_coordinator "$WORK/rec3.log" -resume
+"$WORK/roadctl" -addr "$REC_BASE" status "$RID" >"$WORK/rec.json" \
+    || { cat "$WORK/rec3.log" >&2; fail "campaign $RID lost across the second coordinator restart"; }
+grep -q '"done": *true' "$WORK/rec.json" || { cat "$WORK/rec.json" >&2; fail "finished campaign not done after the second restart"; }
+grep -q '"failed": *0' "$WORK/rec.json" || { cat "$WORK/rec.json" >&2; fail "finished campaign reports failures after the second restart"; }
+"$WORK/roadctl" -addr "$REC_BASE" result -o "$WORK/rec.bytes" "$RID"
+cmp -s "$WORK/reference.bytes" "$WORK/rec.bytes" \
+    || fail "merged result after two coordinator crashes differs from single-node reference"
+
+# The batch verbs are the only write path: no log of this run holds a
+# single-ref lease record.
+for log in "$QUEUE_LOG" "$REC_LOG"; do
+    if grep -E '"op":"(enqueue|claim|start|complete|expire)"' "$log" >&2; then
+        fail "$log holds a single-ref lease record"
+    fi
 done
-[ -e "$WORK/batchstore/cluster/queue.snap.jsonl" ] \
-    && fail "default-threshold coordinator compacted a 32-entry log"
 
-# Byte-identity holds through the purely batched, never-compacted path too.
-"$WORK/roadctl" -addr "$BATCH_BASE" result -o "$WORK/batch.bytes" "$BID"
-cmp -s "$WORK/reference.bytes" "$WORK/batch.bytes" \
-    || fail "batched-protocol merged result differs from single-node reference"
-
-echo "e2e-cluster: OK — campaign $ID survived a SIGKILLed worker; merged results byte-identical to single-node reference ($(wc -c <"$WORK/cluster.bytes") bytes) through both the compacting and the quiescent batched-protocol paths; snapshot compaction and admission backpressure verified"
+echo "e2e-cluster: OK — campaign $ID survived a SIGKILLed worker and campaign $RID two SIGKILLed coordinators (one mid-append); merged results byte-identical to single-node reference ($(wc -c <"$WORK/cluster.bytes") bytes); snapshot compaction, admission backpressure and -cluster -resume verified"
