@@ -1,9 +1,10 @@
-# Local targets mirror .github/workflows/ci.yml step for step, so a green
-# `make ci` means a green CI run.
+# Every step of .github/workflows/ci.yml that runs Go is `make <target>`
+# and nothing else, so a green `make ci` plus the bench/e2e targets the
+# workflow names is a green CI run by construction.
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race lint lint-baseline bench bench-check bench-scale bench-scale-check bench-queue bench-queue-check bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
+.PHONY: build vet fmt-check test determinism race race-cluster lint lint-baseline golden bench bench-check bench-scale bench-scale-check bench-queue bench-queue-check bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
 
 # COVER_FLOOR is the minimum total statement coverage; measured at 79.7%
 # when the floor was introduced, with a small margin for platform noise.
@@ -39,8 +40,8 @@ bench-scale:
 # 50k point is exercised separately (short horizon, ungated) so city-scale
 # code paths still run on every CI pass.
 bench-scale-check:
-	$(GO) run ./cmd/bench -scale 500 -scale-out /tmp/BENCH_scale_smoke.json -scale-check BENCH_scale.json -tol 8
-	$(GO) run ./cmd/bench -scale 50000 -scale-horizon 60 -scale-out /tmp/BENCH_scale_50k.json
+	$(GO) run ./cmd/bench -scale 500 -scale-out BENCH_scale_smoke.json -scale-check BENCH_scale.json -tol 8
+	$(GO) run ./cmd/bench -scale 50000 -scale-horizon 60 -scale-out BENCH_scale_50k_smoke.json
 
 # bench-queue measures the cluster queue protocol and rewrites the
 # tracked BENCH_queue.json: the lease verbs at the default batch size vs
@@ -86,13 +87,30 @@ fmt-check:
 test:
 	$(GO) test ./...
 
+# determinism re-runs the reproducibility tests on their own, so a
+# regression fails CI under an unambiguous step name.
+determinism:
+	$(GO) test ./internal/repro/ -run 'ByteIdentical|Invariant|MatchesSerial' -count=1
+
 race:
 	$(GO) test -race ./...
 
+# race-cluster is the durable/distributed half under the race detector:
+# queue, coordinator, the Worker loop, the chaos harness and the daemon.
+race-cluster:
+	$(GO) test -race -count=1 ./internal/cluster/... ./internal/campaign/ ./cmd/roadrunnerd/
+
 # lint runs the whole determinism suite against the tracked baseline; the
 # intended steady state is an empty lint.baseline, so any finding is new.
+# CI sets LINT_FLAGS="-format sarif -out roadlint.sarif".
+LINT_FLAGS ?=
 lint:
-	$(GO) run ./cmd/roadlint -baseline lint.baseline ./...
+	$(GO) run ./cmd/roadlint $(LINT_FLAGS) -baseline lint.baseline ./...
+
+# golden checks the published CSV layouts (Figure 4, ablations G and H)
+# against their golden files; -update must have been committed.
+golden:
+	$(GO) test ./cmd/figures/ -run 'Golden' -count=1
 
 # lint-baseline re-captures current findings as accepted debt. Use it only
 # mid-cleanup: the baseline is a ratchet, not a dumping ground.
@@ -110,15 +128,16 @@ cover:
 
 # e2e smoke-tests the campaign service over real HTTP: cold campaign
 # executes, identical resubmission is 100% cache hits with byte-identical
-# served results. Ends with the cluster scenario (e2e-cluster) unless
-# E2E_SKIP_CLUSTER=1.
+# served results, then roadctl drives the same default-mode daemon. Ends
+# with the cluster scenario (e2e-cluster) unless E2E_SKIP_CLUSTER=1.
 e2e:
 	./scripts/e2e_smoke.sh
 
 # e2e-cluster starts a coordinator plus three worker processes, SIGKILLs
-# one worker holding claims mid-campaign, and asserts the cluster
-# recovers with a merged result byte-identical to a single-node run.
+# one worker holding claims mid-campaign, then a coordinator twice under
+# a worker that re-joins, and asserts merged results byte-identical to a
+# default-mode daemon's.
 e2e-cluster:
 	./scripts/e2e_cluster.sh
 
-ci: build vet fmt-check test race lint cover e2e
+ci: build vet fmt-check test determinism race lint golden cover e2e

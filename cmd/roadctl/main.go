@@ -1,7 +1,8 @@
-// Command roadctl is the cluster control CLI: it talks to a roadrunnerd
-// coordinator's /v1/cluster/ API to submit campaign manifests, inspect
-// campaign and fleet status, follow the merged progress stream, and
-// fetch merged canonical results.
+// Command roadctl is the operator CLI for any roadrunnerd that is not a
+// joined worker — with or without -cluster, every daemon is a coordinator
+// and serves the same API: submit campaign manifests, inspect campaign and
+// fleet status, follow the merged progress stream, and fetch merged
+// canonical results. It speaks the /v1/cluster/ prefix.
 //
 // Usage:
 //
@@ -34,7 +35,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("roadctl", flag.ContinueOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8383", "coordinator base URL")
+	addr := fs.String("addr", "http://127.0.0.1:8383", "roadrunnerd base URL")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

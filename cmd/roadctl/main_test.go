@@ -45,7 +45,7 @@ func driveWorker(t *testing.T, base, dir string) {
 	if err := client.Register(2); err != nil {
 		t.Fatal(err)
 	}
-	runner := cluster.NewRunner(store, 2, func(int) {})
+	runner := cluster.NewRunner(store, 1, 2, func(int) {})
 	for {
 		asgs, err := client.Claims(2)
 		if err != nil {

@@ -3,11 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -27,7 +27,7 @@ const e2eManifest = `{
   "seeds": [1]
 }`
 
-func postCampaign(t *testing.T, ts *httptest.Server, manifest string) campaign.Status {
+func postCampaign(t *testing.T, ts *daemon, manifest string) campaign.Status {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(manifest))
 	if err != nil {
@@ -46,7 +46,7 @@ func postCampaign(t *testing.T, ts *httptest.Server, manifest string) campaign.S
 }
 
 // pollDone polls the status endpoint until the campaign reports done.
-func pollDone(t *testing.T, ts *httptest.Server, id string) campaign.Status {
+func pollDone(t *testing.T, ts *daemon, id string) campaign.Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -65,7 +65,7 @@ func pollDone(t *testing.T, ts *httptest.Server, id string) campaign.Status {
 }
 
 // metricValue extracts one gauge/counter from Prometheus exposition text.
-func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
+func metricValue(t *testing.T, ts *daemon, name string) float64 {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -87,7 +87,7 @@ func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
 	return 0
 }
 
-func fetchRunBytes(t *testing.T, ts *httptest.Server, key string) []byte {
+func fetchRunBytes(t *testing.T, ts *daemon, key string) []byte {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/runs/" + key)
 	if err != nil {
@@ -109,7 +109,7 @@ func fetchRunBytes(t *testing.T, ts *httptest.Server, key string) []byte {
 // identical manifest and assert the warm pass is 100% cache hits, executes
 // zero simulation ticks, and serves byte-identical results.
 func TestEndToEndColdThenWarm(t *testing.T) {
-	_, ts := newTestServer(t)
+	ts := newTestServer(t)
 	worldBuilds := func() float64 {
 		return metricValue(t, ts, "roadrunner_world_cache_hits_total") + metricValue(t, ts, "roadrunner_world_cache_misses_total")
 	}
@@ -205,7 +205,7 @@ func TestEndToEndColdThenWarm(t *testing.T) {
 // formats, and accounted per campaign on /metrics. Generating a trace must
 // not disturb the stored canonical result.
 func TestEndToEndTraceEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
+	ts := newTestServer(t)
 	st := postCampaign(t, ts, e2eManifest)
 	done := pollDone(t, ts, st.ID)
 	key := done.Runs[0].Key
@@ -277,7 +277,7 @@ func TestEndToEndTraceEndpoint(t *testing.T) {
 // campaign snapshot (late subscription to a finished campaign is the
 // deterministic case).
 func TestEndToEndEventStream(t *testing.T) {
-	_, ts := newTestServer(t)
+	ts := newTestServer(t)
 	st := postCampaign(t, ts, e2eManifest)
 	pollDone(t, ts, st.ID)
 
@@ -311,55 +311,37 @@ func TestEndToEndEventStream(t *testing.T) {
 }
 
 // TestEndToEndResumeFlag exercises the daemon's -resume path: a campaign
-// journaled by one server instance is picked up and finished by the next.
+// journaled by one process is picked up and finished by the next.
 func TestEndToEndResumeFlag(t *testing.T) {
 	dir := t.TempDir()
-	store, err := campaign.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(campaign.NewScheduler(campaign.Options{Workers: 1, Store: store}))
-	ts := httptest.NewServer(srv.routes(false))
-	st := postCampaign(t, ts, e2eManifest)
-	pollDone(t, ts, st.ID)
-	ts.Close()
+	first := startDaemon(t, "-store", dir, "-workers", "1")
+	st := postCampaign(t, first, e2eManifest)
+	pollDone(t, first, st.ID)
+	first.stop()
 
-	// "Restart": fresh store handle, fresh server, resume from journals.
-	store2, err := campaign.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	second := startDaemon(t, "-store", dir, "-workers", "1", "-resume")
+	if !strings.Contains(second.out.String(), "resumed 1 journaled campaign(s)") {
+		t.Fatalf("restart log: %q", second.out.String())
 	}
-	sched2 := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store2})
-	srv2 := newServer(sched2)
-	n, err := srv2.resumeJournaled(nil, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("resumed %d campaigns, want 1", n)
-	}
-	ts2 := httptest.NewServer(srv2.routes(false))
-	defer ts2.Close()
-	final := pollDone(t, ts2, st.ID)
+	final := pollDone(t, second, st.ID)
 	if final.Cached != 2 || final.Failed != 0 {
 		t.Fatalf("resumed campaign outcome: %+v (want all cache hits)", final)
 	}
-	if got := sched2.Stats().Executed; got != 0 {
-		t.Fatalf("resume of a finished campaign executed %d fresh runs", got)
+	if got := metricValue(t, second, "roadrunnerd_runs_executed_total"); got != 0 {
+		t.Fatalf("resume of a finished campaign executed %v fresh runs", got)
 	}
 	if !strings.HasPrefix(st.ID, fmt.Sprintf("c%04d-", 1)) {
 		t.Fatalf("unexpected campaign id shape %q", st.ID)
 	}
 }
 
-// TestClusterResumeReRegistersWithCoordinator is the regression test for
-// -cluster -resume taking the wrong path: a campaign the coordinator
-// minted, interrupted with its runs still queued, used to be rebuilt on
-// the single-node scheduler — executed inside the coordinator process,
-// absent from /v1/cluster/campaigns, its queue refs left pending for
-// workers to execute again. It must re-register with the coordinator
-// and execute nowhere until a worker claims it; only foreign journals
-// go to the scheduler, and an unreadable one is reported, not swallowed.
+// TestClusterResumeReRegistersWithCoordinator: -resume hands every
+// readable journal to the coordinator — there is no second path to
+// route to, so nothing is guessed from the shape of an id. A campaign
+// the coordinator minted, interrupted with its runs still queued, and a
+// journal with a foreign id ("local-7") both come back under both
+// prefixes and execute nowhere until a node claims them; an unreadable
+// journal is reported, not swallowed.
 func TestClusterResumeReRegistersWithCoordinator(t *testing.T) {
 	dir := t.TempDir()
 	store, err := campaign.OpenStore(dir)
@@ -380,7 +362,7 @@ func TestClusterResumeReRegistersWithCoordinator(t *testing.T) {
 	}
 	co.Close() // no worker ever joined: both runs are still queued
 
-	// A single-node journal and a corrupt one share the directory.
+	// A journal nobody minted and a corrupt one share the directory.
 	local := m
 	local.Seeds = []uint64{7}
 	foreign, err := campaign.NewCampaign("local-7", local)
@@ -396,56 +378,159 @@ func TestClusterResumeReRegistersWithCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := campaign.OpenStore(dir)
+	d := startDaemon(t, "-cluster", "-resume", "-store", dir)
+	log := d.out.String()
+	if !strings.Contains(log, "resumed 2 journaled campaign(s)") {
+		t.Fatalf("want the minted and the foreign journal resumed: %q", log)
+	}
+	if !strings.Contains(log, "c0009-bad not resumed") || !strings.Contains(log, "corrupt record") {
+		t.Fatalf("unreadable journal skipped without its reason: %q", log)
+	}
+	for _, cid := range []string{id, "local-7"} {
+		for _, prefix := range []string{"/v1/campaigns/", "/v1/cluster/campaigns/"} {
+			var st campaign.Status
+			if code := getJSON(t, d.URL+prefix+cid, &st); code != http.StatusOK || st.ID != cid || st.Done || st.Total != 2 || st.Queued != 2 {
+				t.Fatalf("resumed campaign under %s%s: status %d, %+v", prefix, cid, code, st)
+			}
+		}
+	}
+	// Nothing executed: both campaigns wait in the queue for a node.
+	for _, key := range append(foreign.Keys(), campaignKeys(t, m)...) {
+		if store.Has(key) {
+			t.Fatalf("run %s was executed without a node", key[:8])
+		}
+	}
+	spawn(t, "-join", d.URL, "-node", "w1", "-store", dir)
+	for _, cid := range []string{id, "local-7"} {
+		if st := pollDone(t, d, cid); st.Completed != 2 || st.Failed != 0 {
+			t.Fatalf("resumed campaign %s after a worker joined: %+v", cid, st)
+		}
+	}
+}
+
+func campaignKeys(t *testing.T, m campaign.Manifest) []string {
+	t.Helper()
+	c, err := campaign.NewCampaign("keys", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched2 := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store2})
-	srv2 := newServer(sched2)
-	co2, err := cluster.NewCoordinator(cluster.Options{Store: store2})
+	return c.Keys()
+}
+
+// libraryReference is the independent ground truth: the manifest's runs
+// on the library pool — no queue, no leases, no daemon — merged.
+func libraryReference(t *testing.T, m campaign.Manifest) []byte {
+	t.Helper()
+	store, err := campaign.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co2.Close()
-	var out bytes.Buffer
-	n, err := srv2.resumeJournaled(co2, &out)
+	specs, err := m.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2.drain()
-	if n != 2 {
-		t.Fatalf("resumed %d campaigns, want 2 (cluster + foreign): %s", n, out.String())
+	tasks := make([]campaign.Task, len(specs))
+	for i, spec := range specs {
+		if tasks[i], err = campaign.TaskForSpec(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !strings.Contains(out.String(), "c0009-bad not resumed") || !strings.Contains(out.String(), "corrupt record") {
-		t.Fatalf("unreadable journal skipped without its reason: %q", out.String())
+	for _, tr := range campaign.NewScheduler(campaign.Options{Workers: 2, Store: store}).Execute(tasks) {
+		if tr.Err != nil {
+			t.Fatal(tr.Err)
+		}
+	}
+	data, err := campaign.MergedCanonicalBytes(specs, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func mergedResult(t *testing.T, d *daemon, id string) []byte {
+	t.Helper()
+	code, body := fetch(t, d.URL+"/v1/campaigns/"+id+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result of %s: status %d: %s", id, code, body)
+	}
+	return []byte(body)
+}
+
+// TestOneManifestThreeWaysOneArtifact runs the same manifest on the
+// library pool, on a default-mode daemon (in-process node only) and on a
+// -cluster daemon with two joined workers: one merged artifact.
+func TestOneManifestThreeWaysOneArtifact(t *testing.T) {
+	const manifest = `{"name":"three-ways","env":"tiny","rounds":2,"strategies":[{"kind":"fedavg"},{"kind":"opp"}],"seeds":[1,2,3]}`
+	var m campaign.Manifest
+	if err := json.Unmarshal([]byte(manifest), &m); err != nil {
+		t.Fatal(err)
+	}
+	want := sha256.Sum256(libraryReference(t, m))
+
+	single := newTestServer(t)
+	st := pollDone(t, single, postCampaign(t, single, manifest).ID)
+	if st.Completed != 6 || sha256.Sum256(mergedResult(t, single, st.ID)) != want {
+		t.Fatalf("default-mode daemon: %+v, merged artifact differs from the library reference", st)
 	}
 
-	mux := srv2.routes(false)
-	co2.Routes(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	var st campaign.Status
-	if code := getJSON(t, ts.URL+"/v1/cluster/campaigns/"+id, &st); code != http.StatusOK || st.ID != id || st.Done || st.Total != 2 || st.Completed != 0 {
-		t.Fatalf("resumed cluster campaign: status %d, %+v", code, st)
+	dir := t.TempDir()
+	co := startDaemon(t, "-cluster", "-store", dir)
+	spawn(t, "-join", co.URL, "-node", "w1", "-capacity", "2", "-store", dir)
+	spawn(t, "-join", co.URL, "-node", "w2", "-capacity", "2", "-store", dir)
+	st = pollDone(t, co, postCampaign(t, co, manifest).ID)
+	if st.Completed != 6 || sha256.Sum256(mergedResult(t, co, st.ID)) != want {
+		t.Fatalf("-cluster daemon + 2 workers: %+v, merged artifact differs from the library reference", st)
 	}
-	if code := getJSON(t, ts.URL+"/v1/campaigns/"+id, &struct{}{}); code != http.StatusNotFound {
-		t.Fatalf("cluster campaign also registered on the single-node tree (status %d)", code)
+	for _, n := range fleet(t, co) {
+		if n.Name == localNode {
+			t.Fatalf("-cluster daemon ran an in-process node: %+v", n)
+		}
 	}
-	if code := getJSON(t, ts.URL+"/v1/campaigns/local-7", &st); code != http.StatusOK || !st.Done || st.Completed != 2 {
-		t.Fatalf("foreign journal not resumed by the scheduler: status %d, %+v", code, st)
+}
+
+// TestShutdownStopsAfterTheBatchInFlight: ending the daemon mid-campaign
+// returns once the in-process node has reported the batch it was running
+// — it does not wait for the campaign — and a restart with -resume
+// finishes the campaign to the same bytes as an uninterrupted run.
+func TestShutdownStopsAfterTheBatchInFlight(t *testing.T) {
+	seeds := make([]string, 32)
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(i + 1)
 	}
-	// The scheduler executed the foreign campaign's two runs and nothing
-	// of the cluster campaign, whose runs wait in the queue for a worker.
-	if got := sched2.Stats().Executed; got != 2 {
-		t.Fatalf("scheduler executed %d runs, want the foreign campaign's 2", got)
+	manifest := `{"name":"shutdown","env":"tiny","rounds":2,"strategies":[{"kind":"fedavg"},{"kind":"opp"}],"seeds":[` + strings.Join(seeds, ",") + `]}`
+	var m campaign.Manifest
+	if err := json.Unmarshal([]byte(manifest), &m); err != nil {
+		t.Fatal(err)
 	}
-	c, err := co2.Campaign(id)
+	dir := t.TempDir()
+	first := startDaemon(t, "-store", dir, "-workers", "1")
+	id := postCampaign(t, first, manifest).ID
+	waitFor(t, func() bool {
+		var st campaign.Status
+		getJSON(t, first.URL+"/v1/campaigns/"+id, &st)
+		return st.Completed > 0
+	})
+	first.stop()
+	store, err := campaign.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range c.Keys() {
-		if store2.Has(key) {
-			t.Fatalf("cluster run %s was executed without a worker", key[:8])
+	stored := 0
+	for _, key := range campaignKeys(t, m) {
+		if store.Has(key) {
+			stored++
 		}
+	}
+	if stored == 0 || stored == 64 {
+		t.Fatalf("%d of 64 runs stored after shutdown: it must interrupt the campaign, not drain it", stored)
+	}
+
+	second := startDaemon(t, "-store", dir, "-workers", "1", "-resume")
+	st := pollDone(t, second, id)
+	if st.Failed != 0 || st.Cached < stored || st.Cached+st.Completed != 64 {
+		t.Fatalf("resumed campaign: %+v (%d runs were stored before the restart)", st, stored)
+	}
+	if !bytes.Equal(mergedResult(t, second, id), libraryReference(t, m)) {
+		t.Fatal("merged artifact after shutdown + resume differs from the library reference")
 	}
 }

@@ -1,31 +1,78 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"roadrunner/internal/campaign"
+	"roadrunner/internal/cluster"
 )
 
-func newTestServer(t *testing.T) (*server, *httptest.Server) {
+// daemon is one run() of roadrunnerd — the real flag set, the real
+// listener — stopped the way main stops it: by ending its context.
+type daemon struct {
+	URL      string // set for coordinator-mode processes
+	out      *syncBuffer
+	returned chan struct{} // closed when run returned
+	err      error         // what it returned
+	stop     func()        // ends run and waits for it; idempotent
+}
+
+var listeningOn = regexp.MustCompile(`listening on (\S+)`)
+
+// spawn starts run(args) on its own goroutine.
+func spawn(t *testing.T, args ...string) *daemon {
 	t.Helper()
-	store, err := campaign.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	d := &daemon{out: &syncBuffer{}, returned: make(chan struct{})}
+	go func() {
+		defer close(d.returned)
+		d.err = run(ctx, args, d.out)
+	}()
+	var once sync.Once
+	d.stop = func() {
+		once.Do(func() {
+			cancel()
+			if <-d.returned; d.err != nil {
+				t.Errorf("run(%v) returned %v", args, d.err)
+			}
+		})
 	}
-	sched := campaign.NewScheduler(campaign.Options{
-		Workers: 2,
-		Store:   store,
-		Backoff: func(int) {},
+	t.Cleanup(d.stop)
+	return d
+}
+
+// startDaemon spawns a coordinator-mode process on a free port and waits
+// for its listener.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := spawn(t, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	waitFor(t, func() bool {
+		select {
+		case <-d.returned:
+			t.Fatalf("run exited before listening: %v\n%s", d.err, d.out.String())
+		default:
+		}
+		m := listeningOn.FindStringSubmatch(d.out.String())
+		if m != nil {
+			d.URL = "http://" + m[1]
+		}
+		return m != nil
 	})
-	srv := newServer(sched)
-	ts := httptest.NewServer(srv.routes(false))
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return d
+}
+
+// newTestServer starts a default-mode daemon — coordinator plus the
+// in-process node — on a fresh store.
+func newTestServer(t *testing.T) *daemon {
+	t.Helper()
+	return startDaemon(t, "-store", t.TempDir(), "-workers", "2")
 }
 
 func getJSON(t *testing.T, url string, out any) int {
@@ -44,7 +91,7 @@ func getJSON(t *testing.T, url string, out any) int {
 }
 
 func TestServerHealthz(t *testing.T) {
-	_, ts := newTestServer(t)
+	ts := newTestServer(t)
 	var body map[string]string
 	if code := getJSON(t, ts.URL+"/healthz", &body); code != http.StatusOK {
 		t.Fatalf("healthz status %d", code)
@@ -55,7 +102,7 @@ func TestServerHealthz(t *testing.T) {
 }
 
 func TestServerRejectsBadSubmissions(t *testing.T) {
-	_, ts := newTestServer(t)
+	ts := newTestServer(t)
 	cases := map[string]string{
 		"malformed json":   `{"name": `,
 		"unknown field":    `{"name":"x","strategies":[{"kind":"fedavg"}],"seeds":[1],"bogus":true}`,
@@ -84,7 +131,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 }
 
 func TestServerUnknownResourcesAre404(t *testing.T) {
-	_, ts := newTestServer(t)
+	ts := newTestServer(t)
 	if code := getJSON(t, ts.URL+"/v1/campaigns/c9999-missing", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown campaign status %d", code)
 	}
@@ -98,7 +145,7 @@ func TestServerUnknownResourcesAre404(t *testing.T) {
 }
 
 func TestServerMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t)
+	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -127,23 +174,114 @@ func TestServerMetricsExposition(t *testing.T) {
 }
 
 func TestServerCampaignIDsAreUniquePerSubmission(t *testing.T) {
-	srv, _ := newTestServer(t)
-	m := campaign.Manifest{
-		Name:       "dup",
-		Env:        campaign.EnvTiny,
-		Rounds:     1,
-		Strategies: []campaign.StrategySpec{{Kind: "fedavg"}},
-		Seeds:      []uint64{1},
+	ts := newTestServer(t)
+	const m = `{"name":"dup","env":"tiny","rounds":1,"strategies":[{"kind":"fedavg"}],"seeds":[1]}`
+	if a, b := postCampaign(t, ts, m), postCampaign(t, ts, m); a.ID == b.ID {
+		t.Fatalf("identical manifests share campaign id %q", a.ID)
 	}
-	a, err := srv.register(m)
+}
+
+// fetch returns a GET's status code and body.
+func fetch(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := srv.register(m)
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ID() == b.ID() {
-		t.Fatalf("identical manifests share campaign id %q", a.ID())
+	return resp.StatusCode, string(body)
+}
+
+// TestBothPrefixesServeOneCampaignAPI: /v1/campaigns and
+// /v1/cluster/campaigns are the same five handlers over the same
+// registry — a campaign submitted under either prefix reads back with
+// equal status codes and equal bodies under both.
+func TestBothPrefixesServeOneCampaignAPI(t *testing.T) {
+	ts := newTestServer(t)
+	prefixes := []string{"/v1/campaigns", "/v1/cluster/campaigns"}
+	var ids []string
+	for _, prefix := range prefixes {
+		resp, err := http.Post(ts.URL+prefix, "application/json", strings.NewReader(e2eManifest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st campaign.Status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		_ = resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted || st.Total != 2 {
+			t.Fatalf("submit under %s: status %d, %+v, %v", prefix, resp.StatusCode, st, err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		pollDone(t, ts, id)
+	}
+	paths := []string{"", "/" + ids[0], "/" + ids[1], "/" + ids[0] + "/result", "/" + ids[1] + "/events", "/c9999-missing", "/c9999-missing/result", "/c9999-missing/events"}
+	for _, path := range paths {
+		codeA, bodyA := fetch(t, ts.URL+prefixes[0]+path)
+		codeB, bodyB := fetch(t, ts.URL+prefixes[1]+path)
+		if codeA != codeB || bodyA != bodyB {
+			t.Fatalf("GET %s differs by prefix: %d vs %d\n%s\n--- vs ---\n%s", path, codeA, codeB, bodyA, bodyB)
+		}
+		if wantMissing := strings.Contains(path, "missing"); wantMissing != (codeA == http.StatusNotFound) {
+			t.Fatalf("GET %s: status %d", path, codeA)
+		}
+	}
+	var listing struct {
+		Campaigns []campaign.Status `json:"campaigns"`
+	}
+	if getJSON(t, ts.URL+prefixes[0], &listing); len(listing.Campaigns) != 2 {
+		t.Fatalf("listing holds %d campaigns, want both submissions", len(listing.Campaigns))
+	}
+}
+
+// fleet reads the daemon's /v1/cluster/nodes.
+func fleet(t *testing.T, d *daemon) []cluster.NodeStatus {
+	t.Helper()
+	var reply struct {
+		Nodes []cluster.NodeStatus `json:"nodes"`
+	}
+	if code := getJSON(t, d.URL+"/v1/cluster/nodes", &reply); code != http.StatusOK {
+		t.Fatalf("nodes status %d", code)
+	}
+	return reply.Nodes
+}
+
+// TestClusterFlagStartsNoLocalNode pins what -cluster means: the
+// coordinator alone. The benchmark's restart and cluster-fig4 workloads
+// exec `roadrunnerd -cluster` and must keep measuring a process in which
+// nothing executes.
+func TestClusterFlagStartsNoLocalNode(t *testing.T) {
+	d := startDaemon(t, "-cluster", "-store", t.TempDir())
+	st := postCampaign(t, d, e2eManifest)
+	if nodes := fleet(t, d); len(nodes) != 0 {
+		t.Fatalf("-cluster daemon registered nodes: %+v", nodes)
+	}
+	var now campaign.Status
+	getJSON(t, d.URL+"/v1/campaigns/"+st.ID, &now)
+	if now.Done || now.Queued != 2 {
+		t.Fatalf("-cluster daemon touched the campaign without a worker: %+v", now)
+	}
+}
+
+// TestDefaultDaemonAlsoAcceptsJoinedWorkers: the worker verbs are always
+// mounted, so a default-mode daemon's fleet is its in-process node plus
+// whoever joins.
+func TestDefaultDaemonAlsoAcceptsJoinedWorkers(t *testing.T) {
+	dir := t.TempDir()
+	d := startDaemon(t, "-store", dir, "-workers", "1")
+	spawn(t, "-join", d.URL, "-node", "w1", "-store", dir)
+	waitFor(t, func() bool { return len(fleet(t, d)) == 2 })
+	nodes := fleet(t, d)
+	if nodes[0].Name != localNode || nodes[0].Capacity != 1 || nodes[1].Name != "w1" || !nodes[1].Alive {
+		t.Fatalf("fleet: %+v", nodes)
+	}
+	done := pollDone(t, d, postCampaign(t, d, e2eManifest).ID)
+	if done.Completed != 2 || done.Failed != 0 {
+		t.Fatalf("campaign outcome: %+v", done)
 	}
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"os/signal"
 	"strings"
 	"sync"
 	"syscall"
@@ -13,7 +15,7 @@ import (
 	"roadrunner/internal/cluster"
 )
 
-// TestRunWorkerExecutesAndDrainsOnSignal runs the real worker loop
+// TestRunWorkerExecutesAndDrainsOnSignal runs a worker-mode process
 // against an in-process coordinator: the worker must register, claim
 // and execute every run of a submitted campaign, and exit cleanly when
 // the process receives SIGTERM.
@@ -33,21 +35,13 @@ func TestRunWorkerExecutesAndDrainsOnSignal(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	workerStore, err := campaign.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The context main builds: SIGTERM ends it.
+	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM)
+	defer cancel()
 	var out syncBuffer
 	workerErr := make(chan error, 1)
 	go func() {
-		workerErr <- runWorker(workerConfig{
-			join:     ts.URL,
-			node:     "wtest",
-			capacity: 2,
-			store:    workerStore,
-			attempts: 2,
-			out:      &out,
-		})
+		workerErr <- run(ctx, []string{"-join", ts.URL, "-node", "wtest", "-capacity", "2", "-store", dir, "-max-attempts", "2"}, &out)
 	}()
 
 	// Wait for registration, then submit and let the worker drain it.
@@ -77,15 +71,15 @@ func TestRunWorkerExecutesAndDrainsOnSignal(t *testing.T) {
 		t.Fatalf("campaign status after worker drain: %+v", st)
 	}
 
-	// SIGTERM is intercepted by the worker's signal.Notify handler; the
-	// loop must join its heartbeat goroutine and return nil.
+	// SIGTERM ends the context; the loop must join its heartbeat
+	// goroutine and return nil.
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-workerErr:
 		if err != nil {
-			t.Fatalf("runWorker returned %v", err)
+			t.Fatalf("worker process returned %v", err)
 		}
 	case <-time.After(10 * time.Second): //roadlint:allow wallclock test harness timeout for worker shutdown
 		t.Fatal("worker did not exit after SIGTERM")

@@ -57,7 +57,7 @@ type Status struct {
 }
 
 // Event is one progress notification on a campaign's subscription stream
-// (served over SSE by cmd/roadrunnerd). Type "run" carries the updated
+// (served over SSE by internal/cluster). Type "run" carries the updated
 // run; type "campaign" carries the final status snapshot.
 type Event struct {
 	Type     string     `json:"type"`
@@ -83,7 +83,7 @@ type Campaign struct {
 }
 
 // subscriber is one progress listener. Broadcasts never block the
-// scheduler, so a stalled listener can drop intermediate events; lossy
+// coordinator, so a stalled listener can drop intermediate events; lossy
 // records that a drop happened, and the next broadcast with buffer space
 // re-synchronizes the listener with a full status snapshot before any
 // further incremental events.
@@ -184,7 +184,7 @@ func (c *Campaign) statusLocked() Status {
 }
 
 // Subscribe registers a progress listener. The returned channel receives
-// subsequent events, buffered so broadcasts never block the scheduler. A
+// subsequent events, buffered so broadcasts never block the coordinator. A
 // listener that stalls long enough to overflow the buffer loses
 // intermediate events, but never silently: once it drains, the next event
 // it receives is a full "campaign" status snapshot covering everything it
@@ -268,33 +268,6 @@ func (c *Campaign) subIDsLocked() []int {
 	return ids
 }
 
-// update applies a scheduler notification to run i and broadcasts it.
-func (c *Campaign) update(i int, ev runEvent, tr *TaskResult) RunStatus {
-	var state RunState
-	switch ev {
-	case runStarted:
-		state = RunRunning
-	case runCached:
-		state = RunCached
-	case runDone:
-		state = RunDone
-	case runFailed:
-		state = RunFailed
-	}
-	var upd *RunUpdate
-	if tr != nil {
-		upd = &RunUpdate{Attempts: tr.Attempts}
-		if tr.Result != nil {
-			upd.FinalAccuracy = tr.Result.FinalAccuracy
-			upd.EndS = float64(tr.Result.End)
-		}
-		if tr.Err != nil {
-			upd.Error = tr.Err.Error()
-		}
-	}
-	return c.Transition(i, state, upd)
-}
-
 // RunUpdate carries the completion detail an external driver attaches to
 // a run transition.
 type RunUpdate struct {
@@ -304,11 +277,10 @@ type RunUpdate struct {
 	Error         string
 }
 
-// Transition applies an externally driven lifecycle change to run i and
-// broadcasts it — the hook the cluster coordinator drives remote
-// executions through (the in-process scheduler goes through the same
-// path). upd may be nil for a bare state change (started, re-queued
-// after a lease expiry).
+// Transition applies a lifecycle change to run i and broadcasts it —
+// the hook the cluster coordinator drives every execution through. upd
+// may be nil for a bare state change (started, re-queued after a lease
+// expiry).
 func (c *Campaign) Transition(i int, state RunState, upd *RunUpdate) RunStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -326,13 +298,9 @@ func (c *Campaign) Transition(i int, state RunState, upd *RunUpdate) RunStatus {
 }
 
 // Finish marks the campaign done, emits the terminal event, and closes
-// every subscription. It is idempotent; external drivers call it once
+// every subscription. It is idempotent; the coordinator calls it once
 // the last run reaches a terminal state.
-func (c *Campaign) Finish() { c.finish() }
-
-// finish marks the campaign done, emits the terminal event, and closes
-// every subscription.
-func (c *Campaign) finish() {
+func (c *Campaign) Finish() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.done {
@@ -350,37 +318,4 @@ func (c *Campaign) finish() {
 		delete(c.subs, id)
 	}
 	close(c.doneCh)
-}
-
-// RunCampaign executes every run of the campaign on the scheduler's pool,
-// journaling progress when a store is attached (the journal is what makes
-// a killed campaign resumable) and driving the campaign's status and event
-// stream. It blocks until the campaign is done and returns outcomes in
-// campaign order.
-func (s *Scheduler) RunCampaign(c *Campaign) ([]TaskResult, error) {
-	tasks := make([]Task, len(c.specs))
-	for i, spec := range c.specs {
-		t, err := TaskForSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		tasks[i] = t
-	}
-	var j *Journal
-	if s.store != nil {
-		var err error
-		j, err = s.store.OpenJournal(c)
-		if err != nil {
-			return nil, err
-		}
-		defer j.Close()
-	}
-	results := s.execute(tasks, func(idx int, ev runEvent, tr *TaskResult) {
-		snapshot := c.update(idx, ev, tr)
-		if j != nil && snapshot.State.Terminal() {
-			j.RecordRun(snapshot)
-		}
-	})
-	c.finish()
-	return results, nil
 }

@@ -28,21 +28,20 @@ func TestCampaignLifecycleAndEvents(t *testing.T) {
 	events, cancel := c.Subscribe()
 	defer cancel()
 
-	s := instantScheduler(t, Options{Workers: 2})
-	results, err := s.RunCampaign(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range results {
-		if tr.Err != nil {
-			t.Fatalf("run %d failed: %v", i, tr.Err)
+	// Drive the lifecycle the way the coordinator does: started, then
+	// done with its completion detail, then the campaign finishes.
+	for i := range st.Runs {
+		c.Transition(i, RunRunning, nil)
+		if snap := c.Transition(i, RunDone, &RunUpdate{Attempts: 1, EndS: 10}); snap.State != RunDone || snap.EndS != 10 {
+			t.Fatalf("transition snapshot: %+v", snap)
 		}
 	}
+	c.Finish()
 
 	select {
 	case <-c.Done():
 	default:
-		t.Fatal("Done channel not closed after RunCampaign returned")
+		t.Fatal("Done channel not closed after Finish returned")
 	}
 
 	var runEvents, terminalRunEvents, campaignEvents int
@@ -106,10 +105,10 @@ func TestStalledSubscriberStillGetsTerminalEvent(t *testing.T) {
 	// Far more transitions than the buffer holds, with the subscriber
 	// deliberately stalled (nothing reads the channel yet).
 	for i := 0; i < 4*subscriberBuffer; i++ {
-		c.update(i%2, runStarted, nil)
-		c.update(i%2, runDone, nil)
+		c.Transition(i%2, RunRunning, nil)
+		c.Transition(i%2, RunDone, nil)
 	}
-	c.finish()
+	c.Finish()
 
 	var last Event
 	n := 0
@@ -143,14 +142,14 @@ func TestLossySubscriberResyncsWithSnapshot(t *testing.T) {
 	// Overflow the buffer so at least one event drops and the subscriber
 	// is marked lossy.
 	for i := 0; i < 2*subscriberBuffer; i++ {
-		c.update(0, runStarted, nil)
+		c.Transition(0, RunRunning, nil)
 	}
 	// Stall over: drain everything buffered so far.
 	for len(events) > 0 {
 		<-events
 	}
 	// The transition the stalled client must not miss.
-	c.update(1, runCached, nil)
+	c.Transition(1, RunCached, nil)
 
 	ev := <-events
 	if ev.Type != "campaign" || ev.Status == nil {

@@ -15,12 +15,13 @@ import (
 // The campaign journal is the resume protocol's source of truth: an
 // append-only JSONL file under <store>/campaigns/<id>.jsonl whose first
 // record is the submitted manifest and whose subsequent records are
-// terminal run states, each fsync'd before the scheduler reports the run
+// terminal run states, each fsync'd before the coordinator reports the run
 // finished. A campaign killed mid-flight therefore leaves (a) a manifest
 // that re-expands to the identical spec list and keys, and (b) a store
-// holding every run that completed. Resuming re-runs the campaign from the
-// journaled manifest: completed runs are store hits served byte-identically
-// without execution, unfinished ones execute as usual — so the resumed
+// holding every run that completed. Resuming re-submits the journaled
+// manifest under its original ID (cluster.Coordinator.Resume): completed
+// runs are store hits served byte-identically without execution,
+// unfinished ones are still in the durable queue — so the resumed
 // campaign's final output is byte-identical to an uninterrupted one's.
 
 // journalRecord is one line of the journal file.
@@ -34,7 +35,7 @@ type journalRecord struct {
 }
 
 // JournalPath returns the campaign's journal location inside the store —
-// the file ResumeCampaign reads and cmd/roadrunnerd scans at startup.
+// the file a resume reads.
 func (s *Store) JournalPath(id string) string {
 	return filepath.Join(s.root, "campaigns", id+".jsonl")
 }
@@ -56,10 +57,9 @@ func (s *Store) JournaledCampaignIDs() ([]string, error) {
 	return ids, nil
 }
 
-// Journal appends records for one running campaign. External drivers
-// (the cluster coordinator) obtain one via Store.OpenJournal and record
-// terminal run states through it, so cluster campaigns resume with the
-// same protocol as single-node ones.
+// Journal appends records for one running campaign. The coordinator
+// obtains one via Store.OpenJournal and records terminal run states
+// through it.
 type Journal struct {
 	mu  sync.Mutex
 	log *wal.Log
@@ -156,27 +156,4 @@ func ReadJournal(path string) (Manifest, map[string]RunStatus, error) {
 		return Manifest{}, nil, fmt.Errorf("campaign: journal %s has no manifest record", path)
 	}
 	return *replay.manifest, replay.runs, nil
-}
-
-// ResumeCampaign rebuilds a campaign from its journal and runs it to
-// completion. Runs that completed before the interruption are store hits
-// (no ticks execute, bytes identical); everything else executes normally.
-// It requires a scheduler with a store — journals live inside it.
-func (s *Scheduler) ResumeCampaign(id string) (*Campaign, []TaskResult, error) {
-	if s.store == nil {
-		return nil, nil, fmt.Errorf("campaign: resume needs a store-backed scheduler")
-	}
-	manifest, _, err := ReadJournal(s.store.JournalPath(id))
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := NewCampaign(id, manifest)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := s.RunCampaign(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, results, nil
 }

@@ -194,63 +194,3 @@ func TestOpenJournalRewritesTornManifest(t *testing.T) {
 		t.Fatalf("repaired journal: manifest %q, %d runs", m.Name, len(runs))
 	}
 }
-
-// TestResumeAlreadyCompleteCampaign replays a campaign whose every run
-// already finished: resume must be a pure cache pass — zero fresh
-// executions — and the journal must absorb the duplicate terminal
-// records without confusing a later replay.
-func TestResumeAlreadyCompleteCampaign(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := instantScheduler(t, Options{Workers: 2, Store: store})
-	c, err := NewCampaign("c0100-complete", tinyManifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sched.RunCampaign(c); err != nil {
-		t.Fatal(err)
-	}
-	if st := sched.Stats(); st.Executed != 2 {
-		t.Fatalf("cold pass executed %d, want 2", st.Executed)
-	}
-
-	// Resume the finished campaign in a "restarted" process.
-	store2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched2 := instantScheduler(t, Options{Workers: 2, Store: store2})
-	c2, results, err := sched2.ResumeCampaign(c.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range results {
-		if tr.Err != nil || !tr.Cached {
-			t.Fatalf("resumed run %d not a cache hit: %+v", i, tr)
-		}
-	}
-	if st := sched2.Stats(); st.Executed != 0 || st.Cached != 2 {
-		t.Fatalf("resume of complete campaign executed fresh runs: %+v", st)
-	}
-	if st := c2.Status(); !st.Done || st.Cached != 2 {
-		t.Fatalf("resumed status: %+v", st)
-	}
-
-	// The journal now holds duplicate terminal records per key (one per
-	// pass); a third replay still resolves to one state per key.
-	_, runs, err := ReadJournal(store.JournalPath(c.ID()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("journal replay found %d keys, want 2", len(runs))
-	}
-	for key, run := range runs {
-		if run.State != RunCached && run.State != RunDone {
-			t.Fatalf("key %s replayed non-terminal state %q", key[:4], run.State)
-		}
-	}
-}

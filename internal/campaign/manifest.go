@@ -14,9 +14,10 @@
 // RunSpec is content-addressable: its Key is a hash of the canonical spec
 // encoding, and a durable Store maps keys to canonical results. The
 // Scheduler executes specs on a worker pool with per-run panic isolation
-// and retry-with-backoff, skipping execution entirely on store hits; a
-// campaign journal makes a killed campaign resumable to byte-identical
-// final output. cmd/roadrunnerd serves all of this over HTTP.
+// and retry-with-backoff, skipping execution entirely on store hits; the
+// durable Queue and the campaign journal make a killed campaign resumable
+// to byte-identical final output. internal/cluster's Coordinator drives
+// campaigns over these pieces and cmd/roadrunnerd serves it over HTTP.
 package campaign
 
 import (

@@ -44,26 +44,19 @@ type TaskResult struct {
 	Err      error
 }
 
-// Stats is a snapshot of the scheduler's lifetime accounting, the source
-// of cmd/roadrunnerd's /metrics endpoint.
+// Stats is a snapshot of the scheduler's lifetime accounting.
 type Stats struct {
-	// QueueDepth and Active describe the present moment: tasks waiting for
-	// a worker and tasks currently executing.
-	QueueDepth int
-	Active     int
 	// Executed counts fresh simulation executions (attempts that ran to
-	// completion); Cached counts store hits that skipped execution; Failed
-	// counts tasks whose every attempt failed; Retried counts extra
-	// attempts after a failure.
+	// completion); Cached counts store hits that skipped execution;
+	// Retried counts extra attempts after a failure.
 	Executed uint64
 	Cached   uint64
-	Failed   uint64
 	Retried  uint64
 	// SimSeconds and EventsExecuted accumulate simulated seconds and
 	// processed simulation events over fresh executions only — a warm
 	// cache-hit campaign adds exactly zero to either. WallSeconds is the
 	// host time those executions took; SimSeconds/WallSeconds is the
-	// service's aggregate simsec/wallsec throughput.
+	// pool's aggregate simsec/wallsec throughput.
 	SimSeconds     float64
 	EventsExecuted uint64
 	WallSeconds    float64
@@ -86,8 +79,8 @@ type Options struct {
 
 // Scheduler executes tasks on a bounded worker pool with per-run panic
 // isolation, retry-with-backoff, and content-addressed result caching. It
-// is safe for concurrent use; one scheduler typically serves a whole
-// process (cmd/roadrunnerd builds exactly one).
+// is safe for concurrent use; it is the library pool under cmd/sweep,
+// repro.RunParallel and every cluster node's Runner.
 type Scheduler struct {
 	workers     int
 	maxAttempts int
@@ -130,9 +123,6 @@ func defaultBackoff(attempt int) {
 	time.Sleep(d) //roadlint:allow wallclock retry backoff at the service edge; simulation results never depend on it
 }
 
-// Store returns the scheduler's result store (nil when caching is off).
-func (s *Scheduler) Store() *Store { return s.store }
-
 // Stats returns a consistent snapshot of the scheduler's accounting.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
@@ -144,30 +134,7 @@ func (s *Scheduler) Stats() Stats {
 // order. The pool dimension is min(workers, len(tasks)); result order is
 // deterministic regardless of completion order.
 func (s *Scheduler) Execute(tasks []Task) []TaskResult {
-	return s.execute(tasks, nil)
-}
-
-// runEvent is the lifecycle notification stream execute feeds observers:
-// one Started per task that actually begins work, then exactly one of
-// Cached, Done, or Failed.
-type runEvent int
-
-const (
-	runStarted runEvent = iota
-	runCached
-	runDone
-	runFailed
-)
-
-func (s *Scheduler) execute(tasks []Task, notify func(idx int, ev runEvent, tr *TaskResult)) []TaskResult {
 	results := make([]TaskResult, len(tasks))
-	if len(tasks) == 0 {
-		return results
-	}
-	s.mu.Lock()
-	s.stats.QueueDepth += len(tasks)
-	s.mu.Unlock()
-
 	workers := s.workers
 	if workers > len(tasks) {
 		workers = len(tasks)
@@ -179,34 +146,7 @@ func (s *Scheduler) execute(tasks []Task, notify func(idx int, ev runEvent, tr *
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				s.mu.Lock()
-				s.stats.QueueDepth--
-				s.stats.Active++
-				s.mu.Unlock()
-				if notify != nil {
-					notify(idx, runStarted, nil)
-				}
-				tr := s.runTask(tasks[idx])
-				s.mu.Lock()
-				s.stats.Active--
-				switch {
-				case tr.Cached:
-					s.stats.Cached++
-				case tr.Err != nil:
-					s.stats.Failed++
-				}
-				s.mu.Unlock()
-				results[idx] = tr
-				if notify != nil {
-					switch {
-					case tr.Cached:
-						notify(idx, runCached, &tr)
-					case tr.Err != nil:
-						notify(idx, runFailed, &tr)
-					default:
-						notify(idx, runDone, &tr)
-					}
-				}
+				results[idx] = s.runTask(tasks[idx])
 			}
 		}()
 	}
@@ -228,6 +168,9 @@ func (s *Scheduler) runTask(t Task) TaskResult {
 	}
 	if t.Key != "" && s.store != nil {
 		if res, _ := s.store.Get(t.Key); res != nil {
+			s.mu.Lock()
+			s.stats.Cached++
+			s.mu.Unlock()
 			out.Result = res
 			out.Cached = true
 			return out

@@ -28,23 +28,32 @@ func chaosManifest(seeds ...uint64) campaign.Manifest {
 }
 
 // singleNodeReference computes the merged canonical artifact of a
-// manifest on a plain single-node scheduler — the byte-level ground
-// truth every cluster execution must reproduce.
+// manifest on the library pool — no queue, no leases, no coordinator —
+// the independent byte-level ground truth every cluster execution must
+// reproduce.
 func singleNodeReference(t *testing.T, m campaign.Manifest) []byte {
 	t.Helper()
 	store, err := campaign.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store, Backoff: func(int) {}})
-	c, err := campaign.NewCampaign("ref", m)
+	specs, err := m.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sched.RunCampaign(c); err != nil {
-		t.Fatal(err)
+	tasks := make([]campaign.Task, len(specs))
+	for i, spec := range specs {
+		if tasks[i], err = campaign.TaskForSpec(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	data, err := campaign.MergedCanonicalBytes(c.Specs(), store)
+	sched := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store, Backoff: func(int) {}})
+	for _, tr := range sched.Execute(tasks) {
+		if tr.Err != nil {
+			t.Fatal(tr.Err)
+		}
+	}
+	data, err := campaign.MergedCanonicalBytes(specs, store)
 	if err != nil {
 		t.Fatal(err)
 	}

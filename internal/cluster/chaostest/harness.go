@@ -259,7 +259,7 @@ func New(cfg Config) (*Harness, error) {
 		h.nodes[nc.Name] = &workerNode{
 			name:     nc.Name,
 			capacity: capacity,
-			runner:   cluster.NewRunner(nodeStore, 2, func(int) {}),
+			runner:   cluster.NewRunner(nodeStore, 1, 2, func(int) {}),
 			alive:    true,
 		}
 		h.order = append(h.order, nc.Name)

@@ -1,8 +1,9 @@
-// Package cluster fans campaign manifests across multiple roadrunnerd
-// worker nodes. A single coordinator owns the durable work queue
-// (campaign.Queue), the campaign journals, and the shared result store;
-// workers register, heartbeat, claim runs through a pluggable routing
-// policy, execute them against the shared store, and report outcomes.
+// Package cluster is the one way a manifest runs: a Coordinator owns the
+// durable work queue (campaign.Queue), the campaign journals, and the
+// shared result store; nodes — a daemon's in-process node, joined
+// roadrunnerd worker processes, or both — register, heartbeat, claim runs
+// through a pluggable routing policy, execute them against the shared
+// store, and report outcomes, all through the same Worker loop.
 //
 // The design leans on two existing invariants instead of inventing new
 // distributed-consensus machinery:
@@ -12,13 +13,13 @@
 //     death becomes a store hit rather than a divergent re-execution;
 //   - campaign journals and the queue log are append-only fsync'd JSONL,
 //     so a coordinator or worker crash leaves the campaign resumable and
-//     the final merged artifact byte-identical to a single-node run.
+//     the final merged artifact byte-identical on any fleet.
 //
 // All lease timing runs on the queue's logical Tick clock, advanced by
 // Coordinator.Advance. Production drives Advance from a service-edge
 // timer in cmd/roadrunnerd; the chaos harness (chaostest) drives it from
-// its deterministic round loop. Nothing in this package reads the host
-// clock.
+// its deterministic round loop. Nothing in this package but Worker's
+// pacing reads the host clock.
 package cluster
 
 import (
@@ -49,8 +50,8 @@ type Outcome struct {
 // chaos harness keys its fault schedule off these, and the coordinator's
 // SSE endpoint interleaves them with per-campaign run events.
 //
-// Types: node-join, node-dead, node-revived, claim, steal, start,
-// complete, stale-complete, lease-expired, campaign-done.
+// Types: submit, node-join, node-dead, node-revived, claim, steal,
+// start, complete, stale-complete, lease-expired, campaign-done.
 type Event struct {
 	Type     string        `json:"type"`
 	Node     string        `json:"node,omitempty"`

@@ -39,8 +39,9 @@ type Options struct {
 	MaxOutstanding int
 }
 
-// ErrUnknownNode reports a claim or completion from a node that never
-// registered (or a campaign lookup that missed).
+// ErrUnknownNode reports a heartbeat or work request from a node this
+// coordinator never registered — to a worker, the sign that the
+// coordinator restarted and it must join again.
 var ErrUnknownNode = errors.New("cluster: unknown node")
 
 // ErrUnknownCampaign reports a lookup for a campaign the coordinator
@@ -99,6 +100,8 @@ type Coordinator struct {
 	nodes     map[string]*node
 	campaigns map[string]*runningCampaign
 	order     []string
+	// Lifetime tallies of terminal refs, for Stats.
+	executed, cached, failed uint64
 
 	observers []func(Event)
 	subs      map[int]chan Event
@@ -267,10 +270,10 @@ func (co *Coordinator) Submit(m campaign.Manifest) (string, error) {
 	return id, nil
 }
 
-// Resume re-registers a journaled campaign: the manifest re-expands to
-// the identical spec list, journaled-complete runs are store hits, and
-// only unfinished work re-enters the queue — the same resume protocol as
-// a single-node scheduler, driven by the cluster.
+// Resume re-registers a journaled campaign under its original ID: the
+// manifest re-expands to the identical spec list, journaled-complete runs
+// are store hits, and only work the queue does not already hold re-enters
+// it. It is the only resume protocol there is.
 func (co *Coordinator) Resume(id string) error {
 	m, _, err := campaign.ReadJournal(co.store.JournalPath(id))
 	if err != nil {
@@ -326,8 +329,7 @@ func (co *Coordinator) submit(id string, m campaign.Manifest) error {
 			// The queue log says this ref already finished, but the store
 			// cannot serve it (a failed run, or a done run whose entry was
 			// evicted). Enqueue would be a no-op for the known ref, so clear
-			// the terminal state and re-issue the work — the cluster twin of
-			// single-node resume re-executing a store miss. Without this the
+			// the terminal state and re-issue the work. Without this the
 			// ref counts toward remaining but no lease is ever granted, and
 			// the resumed campaign hangs forever.
 			retries = append(retries, item)
@@ -384,9 +386,10 @@ func (co *Coordinator) submit(id string, m campaign.Manifest) error {
 		j.Close()
 		return err
 	}
-	var events []Event
 	co.campaigns[id] = rc
 	co.order = append(co.order, id)
+	co.cached += uint64(len(cachedRuns))
+	events := []Event{{Type: "submit", Campaign: id, Tick: co.now}}
 	if rc.remaining == 0 {
 		events = append(events, co.finishLocked(id, rc)...)
 	}
@@ -507,8 +510,8 @@ func campaignOfRef(ref string) string {
 }
 
 // campaignSeq parses the numeric sequence out of a coordinator-minted
-// campaign ID (c%04d-%x). IDs in other formats — single-node campaigns
-// share the journal directory — report ok=false.
+// campaign ID (c%04d-%x). IDs in other formats (a journal dropped into
+// the store by hand resumes like any other) report ok=false.
 func campaignSeq(id string) (int, bool) {
 	dash := strings.IndexByte(id, '-')
 	if dash < 2 || id[0] != 'c' {
@@ -519,14 +522,6 @@ func campaignSeq(id string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// Minted reports whether id has the shape Submit mints, which is how a
-// restarted service tells the journals the coordinator resumes from the
-// rest of the journal directory.
-func Minted(id string) bool {
-	_, ok := campaignSeq(id)
-	return ok
 }
 
 // RequestWork grants up to max assignments to node, routing through the
@@ -698,7 +693,7 @@ type CompletionReport struct {
 // CompleteRuns records a node's outcomes for started leases it holds,
 // all under one journal append. A non-failed outcome whose result is
 // missing from the shared store is demoted to failed — durability is
-// part of the run contract, exactly as in the single-node scheduler.
+// part of the run contract, exactly as in the library scheduler.
 // Each report gets its own error slot: stale completions (the lease
 // expired mid-run and the work was re-issued, was never started, or
 // belongs to another node) report ErrStaleLease in their slot, change
@@ -772,6 +767,14 @@ func (co *Coordinator) completedLocked(name string, lease campaign.Lease, state 
 		case state != campaign.RunFailed:
 			n.executed++
 		}
+	}
+	switch {
+	case state == campaign.RunFailed:
+		co.failed++
+	case out.Cached:
+		co.cached++
+	default:
+		co.executed++
 	}
 	if rc, ok := co.campaigns[campaignOfRef(lease.Ref)]; ok {
 		upd := &campaign.RunUpdate{
@@ -858,6 +861,28 @@ func (co *Coordinator) Nodes() []NodeStatus {
 	return out
 }
 
+// Stats is the coordinator's accounting, the campaign half of
+// cmd/roadrunnerd's /metrics: the queue's present depth and lifetime
+// tallies of how refs ended (Cached includes runs a submission found in
+// the store).
+type Stats struct {
+	Pending, Leased          int
+	Executed, Cached, Failed uint64
+	Campaigns                int
+}
+
+// Stats returns a consistent snapshot of the coordinator's accounting.
+func (co *Coordinator) Stats() Stats {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	pending, leased := co.queue.Depth()
+	return Stats{
+		Pending: pending, Leased: leased,
+		Executed: co.executed, Cached: co.cached, Failed: co.failed,
+		Campaigns: len(co.order),
+	}
+}
+
 // Campaign looks up a registered campaign.
 func (co *Coordinator) Campaign(id string) (*campaign.Campaign, error) {
 	co.mu.Lock()
@@ -887,7 +912,7 @@ func (co *Coordinator) Campaigns() []campaign.Status {
 }
 
 // MergedResult renders the campaign's merged canonical artifact — a pure
-// function of the manifest, byte-identical to a single-node run's.
+// function of the manifest, byte-identical on any fleet.
 func (co *Coordinator) MergedResult(id string) ([]byte, error) {
 	co.mu.Lock()
 	rc, ok := co.campaigns[id]

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"roadrunner/internal/campaign"
@@ -34,8 +36,38 @@ func newTestCoordinator(t *testing.T, dir string) *Coordinator {
 	return co
 }
 
-// drive runs the full worker protocol — claim, start, execute, complete
-// — for one node until it receives no work.
+// libraryReference computes a manifest's merged canonical artifact on
+// the library pool — no queue, no leases, no coordinator: the independent
+// ground truth a coordinator-run campaign must reproduce.
+func libraryReference(t *testing.T, m campaign.Manifest) []byte {
+	t.Helper()
+	store, err := campaign.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := make([]campaign.Task, len(specs))
+	for i, spec := range specs {
+		if tasks[i], err = campaign.TaskForSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store, Backoff: func(int) {}})
+	for _, tr := range sched.Execute(tasks) {
+		if tr.Err != nil {
+			t.Fatal(tr.Err)
+		}
+	}
+	data, err := campaign.MergedCanonicalBytes(specs, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // startRun and completeRun speak the batch verbs with a batch of one.
 func startRun(co *Coordinator, node string, id campaign.LeaseID) error {
 	return co.StartRuns(node, []campaign.LeaseID{id})[0]
@@ -45,6 +77,8 @@ func completeRun(co *Coordinator, node string, id campaign.LeaseID, out Outcome)
 	return co.CompleteRuns(node, []CompletionReport{{Lease: id, Outcome: out}})[0]
 }
 
+// drive runs the full worker protocol — claim, start, execute, complete
+// — for one node until it receives no work.
 func drive(t *testing.T, co *Coordinator, runner *Runner, node string) int {
 	t.Helper()
 	ran := 0
@@ -68,6 +102,14 @@ func drive(t *testing.T, co *Coordinator, runner *Runner, node string) int {
 	}
 }
 
+// TestCoordinatorRequiresStore: the queue log and the journals live in
+// the store, so there is no coordinator — and no resume — without one.
+func TestCoordinatorRequiresStore(t *testing.T) {
+	if _, err := NewCoordinator(Options{}); err == nil {
+		t.Fatal("coordinator built without a store")
+	}
+}
+
 // TestCoordinatorSingleWorkerLifecycle walks one node through the whole
 // protocol and checks the campaign lands done with a journal that makes
 // it resumable.
@@ -83,7 +125,7 @@ func TestCoordinatorSingleWorkerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(workerStore, 2, func(int) {})
+	runner := NewRunner(workerStore, 1, 2, func(int) {})
 	if ran := drive(t, co, runner, "w1"); ran != 2 {
 		t.Fatalf("worker ran %d assignments, want 2", ran)
 	}
@@ -120,7 +162,7 @@ func TestCoordinatorCachedSubmitFinishesWithoutClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(workerStore, 2, func(int) {})
+	runner := NewRunner(workerStore, 1, 2, func(int) {})
 	if _, err := co.Submit(tinyClusterManifest()); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +201,7 @@ func TestCoordinatorResumeAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(workerStore, 2, func(int) {})
+	runner := NewRunner(workerStore, 1, 2, func(int) {})
 	// Execute exactly one of the two runs, then "crash" the coordinator.
 	asgs, err := co.RequestWork("w1", 1)
 	if err != nil || len(asgs) != 1 {
@@ -195,23 +237,7 @@ func TestCoordinatorResumeAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: the same manifest on a fresh single-node scheduler.
-	refStore, err := campaign.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refC, err := campaign.NewCampaign("ref", tinyClusterManifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := campaign.NewScheduler(campaign.Options{Workers: 1, Store: refStore, Backoff: func(int) {}})
-	if _, err := sched.RunCampaign(refC); err != nil {
-		t.Fatal(err)
-	}
-	want, err := campaign.MergedCanonicalBytes(refC.Specs(), refStore)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := libraryReference(t, tinyClusterManifest())
 	if string(got) != string(want) {
 		t.Fatalf("resumed merge differs from reference (%d vs %d bytes)", len(got), len(want))
 	}
@@ -236,7 +262,7 @@ func TestCoordinatorResumeRetriesUnstoredTerminalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(workerStore, 2, func(int) {})
+	runner := NewRunner(workerStore, 1, 2, func(int) {})
 	// Execute the first run properly; report the second done without a
 	// store publish so the coordinator demotes it to failed — a ref that
 	// is terminal in the queue log with nothing servable in the store.
@@ -298,7 +324,7 @@ func TestCoordinatorRestartMintsFreshCampaignIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(workerStore, 2, func(int) {})
+	runner := NewRunner(workerStore, 1, 2, func(int) {})
 	id1, err := co.Submit(tinyClusterManifest())
 	if err != nil {
 		t.Fatal(err)
@@ -503,5 +529,147 @@ func TestCoordinatorMarksSilentNodesDead(t *testing.T) {
 	}
 	if !sawDead || !sawRevived {
 		t.Fatalf("events %v missing node-dead/node-revived", types)
+	}
+}
+
+// TestCampaignCrashResumeByteIdentical is the resume-protocol contract
+// test: a campaign interrupted mid-flight (injected store crash after the
+// first run persisted, so the second ends failed) resumes on a restarted
+// coordinator with a fresh store handle. Exactly the pre-crash run is a
+// cache hit, the failed one re-enters the queue through Queue.Retry and
+// re-executes, and the merged bytes equal an uninterrupted control's.
+func TestCampaignCrashResumeByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	m := tinyClusterManifest()
+
+	// Phase 1: run the campaign into the injected crash.
+	storeA, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeA.FailAfterPuts(1)
+	coA, err := NewCoordinator(Options{Store: storeA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coA.RegisterNode("w1", 1)
+	id, err := coA.Submit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran := drive(t, coA, NewRunner(storeA, 1, 1, func(int) {}), "w1"); ran != 2 {
+		t.Fatalf("ran %d assignments, want 2", ran)
+	}
+	cA, err := coA.Campaign(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stA := cA.Status()
+	if !stA.Done || stA.Completed != 1 || stA.Failed != 1 {
+		t.Fatalf("interrupted campaign status: %+v", stA)
+	}
+	if failed := stA.Runs[1]; failed.State != campaign.RunFailed || !strings.Contains(failed.Error, campaign.ErrInjectedCrash.Error()) {
+		t.Fatalf("post-crash run: %+v, want the injected crash", failed)
+	}
+	coA.Close()
+
+	// Phase 2: resume with a fresh store handle (the "restarted process").
+	coB := newTestCoordinator(t, dir)
+	coB.RegisterNode("w1", 1)
+	if err := coB.Resume(id); err != nil {
+		t.Fatal(err)
+	}
+	cB, err := coB.Campaign(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cB.Status(); st.Done || st.Cached != 1 || st.Queued != 1 || st.Runs[0].State != campaign.RunCached {
+		t.Fatalf("resume should cache-hit exactly the pre-crash run: %+v", st)
+	}
+	runnerB := NewRunner(coB.Store(), 1, 2, func(int) {})
+	if ran := drive(t, coB, runnerB, "w1"); ran != 1 {
+		t.Fatalf("resume ran %d assignments, want the failed run only", ran)
+	}
+	if bs := runnerB.Stats(); bs.Executed != 1 || bs.Cached != 0 {
+		t.Fatalf("resume re-executed completed work: %+v", bs)
+	}
+	if st := cB.Status(); !st.Done || st.Cached != 1 || st.Completed != 1 || st.Failed != 0 {
+		t.Fatalf("resumed campaign status: %+v", st)
+	}
+	recs, err := campaign.ReadQueueLog(coB.Store().QueueLogPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	retries := 0
+	for _, rec := range recs {
+		if rec.Op == "retry" {
+			retries++
+		}
+	}
+	if retries != 1 {
+		t.Fatalf("queue log holds %d retry records, want 1 (the failed run)", retries)
+	}
+
+	// Phase 3: an uninterrupted control on the library path.
+	got, err := coB.MergedResult(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, libraryReference(t, m)) {
+		t.Fatal("resumed merge differs from the uninterrupted control")
+	}
+}
+
+// TestResumeAlreadyCompleteCampaign resumes a campaign whose every run
+// already finished: resume must be a pure cache pass — nothing claimable,
+// zero fresh executions — and the journal must absorb the duplicate
+// terminal records without confusing a later replay.
+func TestResumeAlreadyCompleteCampaign(t *testing.T) {
+	dir := t.TempDir()
+	co := newTestCoordinator(t, dir)
+	co.RegisterNode("w1", 2)
+	id, err := co.Submit(tinyClusterManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := NewRunner(co.Store(), 1, 2, func(int) {})
+	drive(t, co, runner, "w1")
+	if st := runner.Stats(); st.Executed != 2 {
+		t.Fatalf("cold pass executed %d, want 2", st.Executed)
+	}
+	co.Close()
+
+	co2 := newTestCoordinator(t, dir)
+	co2.RegisterNode("w1", 2)
+	if err := co2.Resume(id); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := co2.Campaign(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Status(); !st.Done || st.Cached != 2 {
+		t.Fatalf("resumed status: %+v", st)
+	}
+	if ran := drive(t, co2, NewRunner(co2.Store(), 1, 2, func(int) {}), "w1"); ran != 0 {
+		t.Fatalf("resume of a complete campaign issued %d assignments", ran)
+	}
+	if st := co2.Stats(); st.Executed != 0 || st.Cached != 2 || st.Pending != 0 {
+		t.Fatalf("resume of a complete campaign: %+v", st)
+	}
+
+	// The journal now holds duplicate terminal records per key (one per
+	// pass); a third replay still resolves to one state per key.
+	_, runs, err := campaign.ReadJournal(co2.Store().JournalPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2 {
+		t.Fatalf("journal replay found %d keys, want 2", len(runs))
+	}
+	for key, run := range runs {
+		if run.State != campaign.RunCached && run.State != campaign.RunDone {
+			t.Fatalf("key %s replayed non-terminal state %q", key[:4], run.State)
+		}
 	}
 }

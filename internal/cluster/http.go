@@ -14,19 +14,22 @@ import (
 // maxBodyBytes bounds every decoded request body.
 const maxBodyBytes = 1 << 20
 
-// Routes mounts the coordinator's HTTP API on mux:
+// Routes mounts the coordinator's HTTP API on mux. The five campaign
+// routes answer under two prefixes with the same handlers — /v1/campaigns
+// and /v1/cluster/campaigns (the second is the one roadctl and the
+// benchmark were written against):
 //
-//	POST /v1/cluster/campaigns           submit a manifest
-//	GET  /v1/cluster/campaigns           list campaign statuses
-//	GET  /v1/cluster/campaigns/{id}      one campaign's status
-//	GET  /v1/cluster/campaigns/{id}/events  merged SSE progress stream
-//	GET  /v1/cluster/campaigns/{id}/result  merged canonical artifact (409 while running)
-//	GET  /v1/cluster/nodes               fleet status
-//	POST /v1/cluster/register            worker join
-//	POST /v1/cluster/heartbeat           worker liveness
-//	POST /v1/cluster/claims              worker work request (batched: one call grants many)
-//	POST /v1/cluster/starts              execution gate for a batch of leases
-//	POST /v1/cluster/complete            outcome report for a batch of leases
+//	POST {prefix}                submit a manifest
+//	GET  {prefix}                list campaign statuses
+//	GET  {prefix}/{id}           one campaign's status
+//	GET  {prefix}/{id}/events    merged SSE progress stream
+//	GET  {prefix}/{id}/result    merged canonical artifact (409 while running)
+//	GET  /v1/cluster/nodes       fleet status
+//	POST /v1/cluster/register    worker join
+//	POST /v1/cluster/heartbeat   worker liveness
+//	POST /v1/cluster/claims      worker work request (batched: one call grants many)
+//	POST /v1/cluster/starts      execution gate for a batch of leases
+//	POST /v1/cluster/complete    outcome report for a batch of leases
 //
 // starts takes {"node","leases":[...]} and complete takes
 // {"node","completes":[{"lease","outcome"},...]}; a node with one lease
@@ -35,11 +38,13 @@ const maxBodyBytes = 1 << 20
 // siblings. Submissions rejected by admission backpressure answer 429
 // with a Retry-After hint.
 func (co *Coordinator) Routes(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/cluster/campaigns", co.handleSubmit)
-	mux.HandleFunc("GET /v1/cluster/campaigns", co.handleList)
-	mux.HandleFunc("GET /v1/cluster/campaigns/{id}", co.handleStatus)
-	mux.HandleFunc("GET /v1/cluster/campaigns/{id}/events", co.handleEvents)
-	mux.HandleFunc("GET /v1/cluster/campaigns/{id}/result", co.handleResult)
+	for _, prefix := range []string{"/v1/campaigns", "/v1/cluster/campaigns"} {
+		mux.HandleFunc("POST "+prefix, co.handleSubmit)
+		mux.HandleFunc("GET "+prefix, co.handleList)
+		mux.HandleFunc("GET "+prefix+"/{id}", co.handleStatus)
+		mux.HandleFunc("GET "+prefix+"/{id}/events", co.handleEvents)
+		mux.HandleFunc("GET "+prefix+"/{id}/result", co.handleResult)
+	}
 	mux.HandleFunc("GET /v1/cluster/nodes", co.handleNodes)
 	mux.HandleFunc("POST /v1/cluster/register", co.handleRegister)
 	mux.HandleFunc("POST /v1/cluster/heartbeat", co.handleHeartbeat)
@@ -124,8 +129,8 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
-	runEvents, cancelRuns := c.Subscribe()
-	defer cancelRuns()
+	campaignEvents, cancelCampaign := c.Subscribe()
+	defer cancelCampaign()
 	clusterEvents, cancelCluster := co.Subscribe()
 	defer cancelCluster()
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -138,7 +143,7 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, open := <-runEvents:
+		case ev, open := <-campaignEvents:
 			if !open {
 				return // terminal campaign event delivered
 			}
@@ -164,10 +169,10 @@ func writeEventSSE(w http.ResponseWriter, v any) {
 	_, _ = fmt.Fprintf(w, "data: %s\n\n", data)
 }
 
-// handleResult serves the merged canonical artifact, mirroring the
-// single-node endpoint's gate: 409 until the campaign is done. Merging
-// mid-campaign would let the self-heal path synchronously execute runs
-// still leased to workers, double-executing them inside the handler.
+// handleResult serves the merged canonical artifact, gated: 409 until
+// the campaign is done. Merging mid-campaign would let the self-heal path
+// synchronously execute runs still leased to workers, double-executing
+// them inside the handler.
 func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c, err := co.Campaign(r.PathValue("id"))
 	if err != nil {
@@ -304,7 +309,8 @@ func (co *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	clusterJSON(w, http.StatusOK, map[string]any{"results": leaseSlots(ids, errs)})
 }
 
-// Client is the worker side of the coordinator API.
+// Client is the worker side of the coordinator API: the Link of a joined
+// worker process.
 type Client struct {
 	base string
 	node string
@@ -330,7 +336,13 @@ func (c *Client) post(path string, body, reply any) error {
 	defer func() { _, _ = io.Copy(io.Discard, resp.Body); _ = resp.Body.Close() }()
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("cluster: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
+		err := fmt.Errorf("cluster: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
+		if resp.StatusCode == http.StatusNotFound {
+			// The only 404 the worker verbs answer: this coordinator does
+			// not know the node (it restarted since the node joined).
+			return fmt.Errorf("%w: %w", ErrUnknownNode, err)
+		}
+		return err
 	}
 	if reply == nil {
 		return nil

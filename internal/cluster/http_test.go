@@ -78,7 +78,7 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(workerStore, 2, func(int) {})
+	runner := NewRunner(workerStore, 1, 2, func(int) {})
 	ran := 0
 	for {
 		asgs, err := client.Claims(2)
@@ -194,7 +194,7 @@ func TestHTTPResultGatedUntilDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(t, co, NewRunner(workerStore, 2, func(int) {}), "w1")
+	drive(t, co, NewRunner(workerStore, 1, 2, func(int) {}), "w1")
 	if got := getBytes(t, ts.URL+"/v1/cluster/campaigns/"+id+"/result"); len(got) == 0 {
 		t.Fatal("finished campaign served an empty merged result")
 	}
@@ -249,7 +249,7 @@ func TestHTTPEventsStreamDeliversTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(workerStore, 2, func(int) {})
+	runner := NewRunner(workerStore, 1, 2, func(int) {})
 	if _, err := co.Submit(tinyClusterManifest()); err != nil {
 		t.Fatal(err)
 	}

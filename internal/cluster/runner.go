@@ -4,55 +4,68 @@ import (
 	"roadrunner/internal/campaign"
 )
 
-// Runner executes assignments on a worker node: a thin wrapper over the
-// single-node scheduler so cluster workers inherit its store-first
-// lookup, retry-with-backoff, panic isolation, and durable-put-before-
-// report contract unchanged.
+// Runner executes assignments on a node: a thin wrapper over the
+// library scheduler pool so every node inherits its store-first lookup,
+// retry-with-backoff, panic isolation, and durable-put-before-report
+// contract unchanged.
 type Runner struct {
 	sched *campaign.Scheduler
 }
 
-// NewRunner builds a worker-side runner against the shared store.
-// MaxAttempts and Backoff follow campaign.Options semantics; the worker
-// pool is one — cluster concurrency comes from running many nodes, and
-// per-assignment execution stays serial so an assignment's attempts are
-// ordered.
-func NewRunner(store *campaign.Store, maxAttempts int, backoff func(int)) *Runner {
+// NewRunner builds a node-side runner against the shared store. workers
+// is the pool a claimed batch executes on (a joined worker process runs
+// one; the in-process node of a daemon runs -workers); MaxAttempts and
+// Backoff follow campaign.Options semantics.
+func NewRunner(store *campaign.Store, workers, maxAttempts int, backoff func(int)) *Runner {
 	return &Runner{sched: campaign.NewScheduler(campaign.Options{
-		Workers:     1,
+		Workers:     workers,
 		Store:       store,
 		MaxAttempts: maxAttempts,
 		Backoff:     backoff,
 	})}
 }
 
-// Stats exposes the underlying scheduler's accounting (the node's
-// /metrics source).
+// Stats exposes the underlying pool's accounting (the node's /metrics
+// source).
 func (r *Runner) Stats() campaign.Stats { return r.sched.Stats() }
 
-// Run executes one assignment's spec and reports the outcome. A store
-// hit skips execution (Cached); a fresh execution only reports done once
-// its result is durable in the shared store.
-func (r *Runner) Run(asg Assignment) Outcome {
-	task, err := campaign.TaskForSpec(asg.Spec)
-	if err != nil {
-		return Outcome{State: campaign.RunFailed, Error: err.Error()}
+// Run executes one assignment — RunBatch with a batch of one.
+func (r *Runner) Run(asg Assignment) Outcome { return r.RunBatch([]Assignment{asg})[0] }
+
+// RunBatch executes a claimed batch on the pool and reports one outcome
+// per assignment, in order. A store hit skips execution (Cached); a
+// fresh execution only reports done once its result is durable in the
+// shared store.
+func (r *Runner) RunBatch(asgs []Assignment) []Outcome {
+	outs := make([]Outcome, len(asgs))
+	tasks := make([]campaign.Task, 0, len(asgs))
+	slots := make([]int, 0, len(asgs))
+	for i, asg := range asgs {
+		task, err := campaign.TaskForSpec(asg.Spec)
+		if err != nil {
+			outs[i] = Outcome{State: campaign.RunFailed, Error: err.Error()}
+			continue
+		}
+		tasks = append(tasks, task)
+		slots = append(slots, i)
 	}
-	tr := r.sched.Execute([]campaign.Task{task})[0]
-	out := Outcome{Attempts: tr.Attempts}
-	switch {
-	case tr.Cached:
-		out.State = campaign.RunCached
-		out.Cached = true
-	case tr.Err != nil:
-		out.State = campaign.RunFailed
-		out.Error = tr.Err.Error()
-	default:
-		out.State = campaign.RunDone
+	for k, tr := range r.sched.Execute(tasks) {
+		out := Outcome{Attempts: tr.Attempts}
+		switch {
+		case tr.Cached:
+			out.State = campaign.RunCached
+			out.Cached = true
+		case tr.Err != nil:
+			out.State = campaign.RunFailed
+			out.Error = tr.Err.Error()
+		default:
+			out.State = campaign.RunDone
+		}
+		if tr.Result != nil {
+			out.FinalAccuracy = tr.Result.FinalAccuracy
+			out.EndS = float64(tr.Result.End)
+		}
+		outs[slots[k]] = out
 	}
-	if tr.Result != nil {
-		out.FinalAccuracy = tr.Result.FinalAccuracy
-		out.EndS = float64(tr.Result.End)
-	}
-	return out
+	return outs
 }

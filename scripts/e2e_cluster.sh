@@ -4,7 +4,8 @@
 # campaign through roadctl, SIGKILLs one worker while it holds claims
 # mid-campaign, and asserts the cluster recovers — the campaign finishes
 # with zero failures, the dead node is reported dead, and the merged
-# canonical result is byte-identical to a single-node reference run.
+# canonical result is byte-identical to a reference run on a default-mode
+# daemon (the coordinator with only its in-process node).
 #
 # The coordinator runs with an aggressive snapshot-compaction threshold
 # and an admission cap, so the scenario additionally asserts that
@@ -16,11 +17,12 @@
 # A second coordinator then goes through crash recovery itself: it is
 # SIGKILLed mid-campaign, a half-written record is appended to its queue
 # log (the artifact of dying inside an append), and it is restarted with
-# -cluster -resume — twice. The first restart must re-register the
-# campaign with the coordinator (served under /v1/cluster/campaigns/{id},
-# not executed by the single-node scheduler) and finish it with zero
-# failures; the second must open the log the first one appended to, and
-# the merged result must again be byte-identical to the reference. No
+# -cluster -resume — twice — under a worker that lives through both
+# restarts and re-joins each new coordinator on its own. The first restart
+# must re-register the campaign (served under both prefixes, executed by
+# nothing in the coordinator process) and finish it with zero failures;
+# the second must open the log the first one appended to, and the merged
+# result must again be byte-identical to the reference. No
 # queue log of the run may hold a single-ref enqueue/claim/start/
 # complete/expire record: the batch verbs are the only write path.
 #
@@ -61,7 +63,7 @@ wait_healthy() { # wait_healthy BASE PID LOG
 
 extract_id() { grep -o '"id": *"[^"]*"' | head -1 | sed 's/.*"id": *"\([^"]*\)".*/\1/'; }
 
-# --- Reference: the same manifest on a classic single-node server. ---------
+# --- Reference: the same manifest on a default-mode daemon. -----------------
 "$WORK/roadrunnerd" -addr "$REF_ADDR" -store "$WORK/refstore" >"$WORK/ref.log" 2>&1 &
 REF_PID=$!; PIDS+=("$REF_PID")
 wait_healthy "$REF_BASE" "$REF_PID" "$WORK/ref.log"
@@ -87,7 +89,7 @@ kill "$REF_PID"; wait "$REF_PID" 2>/dev/null || true
 # ~32-entry campaign; -max-outstanding 8 admits the 8-run manifest
 # exactly and rejects anything larger.
 "$WORK/roadrunnerd" -addr "$CO_ADDR" -cluster -policy config-affinity \
-    -tick 100ms -lease-ttl 10 -steal-after 2 -workers 1 \
+    -tick 100ms -lease-ttl 10 -steal-after 2 \
     -compact-every 16 -max-outstanding 8 \
     -store "$WORK/store" >"$WORK/coordinator.log" 2>&1 &
 CO_PID=$!; PIDS+=("$CO_PID")
@@ -144,10 +146,10 @@ grep -A1 '"name": *"w2"' "$WORK/nodes.json" | grep -q '"alive": *false' \
 SURVIVORS="$(grep -c '"alive": *true' "$WORK/nodes.json" || true)"
 [ "$SURVIVORS" = "2" ] || { cat "$WORK/nodes.json" >&2; fail "expected 2 alive survivors, saw $SURVIVORS"; }
 
-# The merged artifact must match the single-node reference byte for byte.
+# The merged artifact must match the reference byte for byte.
 "$WORK/roadctl" -addr "$CO_BASE" result -o "$WORK/cluster.bytes" "$ID"
 cmp -s "$WORK/reference.bytes" "$WORK/cluster.bytes" \
-    || fail "cluster merged result differs from single-node reference ($(wc -c <"$WORK/reference.bytes") vs $(wc -c <"$WORK/cluster.bytes") bytes)"
+    || fail "cluster merged result differs from the reference ($(wc -c <"$WORK/reference.bytes") vs $(wc -c <"$WORK/cluster.bytes") bytes)"
 
 # --- Snapshot compaction evidence. -----------------------------------------
 # The ~32-entry campaign crossed the 16-entry threshold at least once:
@@ -191,7 +193,7 @@ REC_LOG="$WORK/recstore/cluster/queue.jsonl"
 start_recovery_coordinator() { # start_recovery_coordinator LOGFILE [extra flags] -> sets REC_PID
     local log="$1"; shift
     "$WORK/roadrunnerd" -addr "$REC_ADDR" -cluster -policy config-affinity \
-        -tick 100ms -lease-ttl 10 -steal-after 2 -workers 1 "$@" \
+        -tick 100ms -lease-ttl 10 -steal-after 2 "$@" \
         -store "$WORK/recstore" >"$log" 2>&1 &
     REC_PID=$!; PIDS+=("$REC_PID")
     wait_healthy "$REC_BASE" "$REC_PID" "$log"
@@ -204,7 +206,7 @@ start_recovery_worker() { # start_recovery_worker NAME -> pid
 }
 
 start_recovery_coordinator "$WORK/rec1.log"
-R1_PID="$(start_recovery_worker r1)"
+R1_PID="$(start_recovery_worker r1)"; PIDS+=("$R1_PID") # the $(...) subshell's PIDS+= is lost, and r1 outlives both coordinators
 RID="$("$WORK/roadctl" -addr "$REC_BASE" submit -f <(printf '%s' "$MANIFEST") | extract_id)"
 [ -n "$RID" ] || fail "recovery submission returned no campaign id"
 for _ in $(seq 1 200); do
@@ -214,13 +216,12 @@ done
 grep -q "worker r1: done" "$WORK/r1.log" || { cat "$WORK/r1.log" >&2; fail "worker r1 never completed a run"; }
 
 # The coordinator dies mid-campaign, inside an append: its log ends in
-# half a record with no newline. (Workers do not outlive their
-# coordinator's epoch: a restarted coordinator knows no nodes.)
-kill -9 "$REC_PID" "$R1_PID"; wait "$REC_PID" "$R1_PID" 2>/dev/null || true
+# half a record with no newline. Worker r1 stays up.
+kill -9 "$REC_PID"; wait "$REC_PID" 2>/dev/null || true
 printf '{"op":"claim-batch","node":"r1","ba' >>"$REC_LOG"
 
-# First restart: the journaled campaign must come back on the cluster
-# tree, unfinished, with nothing executing it until a worker joins.
+# First restart: the journaled campaign must come back under both
+# prefixes, unfinished — the coordinator process itself executes nothing.
 start_recovery_coordinator "$WORK/rec2.log" -resume
 grep -q "resumed 1 journaled campaign" "$WORK/rec2.log" \
     || { cat "$WORK/rec2.log" >&2; fail "restarted coordinator did not resume the journaled campaign"; }
@@ -229,9 +230,10 @@ curl -fsS "$REC_BASE/v1/cluster/campaigns/$RID" >"$WORK/rec.json" \
 grep -q '"done": *false' "$WORK/rec.json" \
     || { cat "$WORK/rec.json" >&2; fail "coordinator was not killed mid-campaign (or the resumed campaign ran without a worker)"; }
 CODE="$(curl -s -o /dev/null -w '%{http_code}' "$REC_BASE/v1/campaigns/$RID")"
-[ "$CODE" = "404" ] || fail "resumed cluster campaign was also handed to the single-node scheduler (HTTP $CODE)"
+[ "$CODE" = "200" ] || fail "resumed campaign is not served under /v1/campaigns as well (HTTP $CODE)"
 
-R2_PID="$(start_recovery_worker r2)"
+# r1 finds the new coordinator answering 404 to its claims, re-registers,
+# and finishes the campaign; no new worker is started.
 for _ in $(seq 1 300); do
     "$WORK/roadctl" -addr "$REC_BASE" status "$RID" >"$WORK/rec.json" 2>/dev/null || true
     grep -q '"done": *true' "$WORK/rec.json" && break
@@ -239,11 +241,13 @@ for _ in $(seq 1 300); do
 done
 grep -q '"done": *true' "$WORK/rec.json" || { cat "$WORK/rec.json" "$WORK/rec2.log" >&2; fail "resumed campaign never finished"; }
 grep -q '"failed": *0' "$WORK/rec.json" || { cat "$WORK/rec.json" >&2; fail "resumed campaign reported failures"; }
+grep -q "worker r1 re-joined" "$WORK/r1.log" || { cat "$WORK/r1.log" >&2; fail "worker r1 did not re-join the restarted coordinator"; }
+kill -0 "$R1_PID" 2>/dev/null || fail "worker r1 died with its coordinator"
 
 # Second restart: the log now holds records appended after the tear. A
 # coordinator that appended onto the half-line instead of truncating it
 # survives its first restart and refuses this one.
-kill -9 "$REC_PID" "$R2_PID"; wait "$REC_PID" "$R2_PID" 2>/dev/null || true
+kill -9 "$REC_PID"; wait "$REC_PID" 2>/dev/null || true
 start_recovery_coordinator "$WORK/rec3.log" -resume
 "$WORK/roadctl" -addr "$REC_BASE" status "$RID" >"$WORK/rec.json" \
     || { cat "$WORK/rec3.log" >&2; fail "campaign $RID lost across the second coordinator restart"; }
@@ -251,7 +255,13 @@ grep -q '"done": *true' "$WORK/rec.json" || { cat "$WORK/rec.json" >&2; fail "fi
 grep -q '"failed": *0' "$WORK/rec.json" || { cat "$WORK/rec.json" >&2; fail "finished campaign reports failures after the second restart"; }
 "$WORK/roadctl" -addr "$REC_BASE" result -o "$WORK/rec.bytes" "$RID"
 cmp -s "$WORK/reference.bytes" "$WORK/rec.bytes" \
-    || fail "merged result after two coordinator crashes differs from single-node reference"
+    || fail "merged result after two coordinator crashes differs from the reference"
+for _ in $(seq 1 50); do
+    "$WORK/roadctl" -addr "$REC_BASE" nodes | grep -q '"name": *"r1"' && break
+    sleep 0.1
+done
+"$WORK/roadctl" -addr "$REC_BASE" nodes | grep -q '"name": *"r1"' \
+    || fail "worker r1 did not re-join after the second restart"
 
 # The batch verbs are the only write path: no log of this run holds a
 # single-ref lease record.
@@ -261,4 +271,4 @@ for log in "$QUEUE_LOG" "$REC_LOG"; do
     fi
 done
 
-echo "e2e-cluster: OK — campaign $ID survived a SIGKILLed worker and campaign $RID two SIGKILLed coordinators (one mid-append); merged results byte-identical to single-node reference ($(wc -c <"$WORK/cluster.bytes") bytes); snapshot compaction, admission backpressure and -cluster -resume verified"
+echo "e2e-cluster: OK — campaign $ID survived a SIGKILLed worker and campaign $RID two SIGKILLed coordinators (one mid-append); one worker re-joined both restarted coordinators; merged results byte-identical to the default-mode reference ($(wc -c <"$WORK/cluster.bytes") bytes); snapshot compaction, admission backpressure and -cluster -resume verified"

@@ -4,7 +4,9 @@
 # laptop-scale campaign over HTTP, polls it to completion, and then
 # resubmits the identical manifest asserting the warm pass is 100% cache
 # hits — zero fresh executions, zero additional simulation events, and
-# byte-identical served results.
+# byte-identical served results. The same default-mode daemon (coordinator
+# plus its in-process node) is then driven with roadctl — submit, status,
+# result — which speaks the /v1/cluster/campaigns prefix of the one API.
 set -euo pipefail
 
 ADDR="${ROADRUNNERD_ADDR:-127.0.0.1:8383}"
@@ -89,11 +91,33 @@ done
 
 echo "e2e: OK — cold pass executed $EXECUTED runs ($SIM_EVENTS sim events), warm pass served both from cache byte-identically"
 
+# --- roadctl against the same daemon. --------------------------------------
+# One API, two prefixes: roadctl drives /v1/cluster/campaigns, the curls
+# above drove /v1/campaigns, and both see the same campaigns.
+go build -o "$WORK/roadctl" ./cmd/roadctl
+CTL_MANIFEST='{"name":"ci-roadctl","env":"tiny","rounds":2,"strategies":[{"kind":"fedavg"},{"kind":"opp"}],"seeds":[2]}'
+CTL_ID="$("$WORK/roadctl" -addr "$BASE" submit -f <(printf '%s' "$CTL_MANIFEST") \
+    | grep -o '"id": *"[^"]*"' | head -1 | sed 's/.*"id": *"\([^"]*\)".*/\1/')"
+[ -n "$CTL_ID" ] || fail "roadctl submit returned no campaign id"
+for _ in $(seq 1 300); do
+    "$WORK/roadctl" -addr "$BASE" status "$CTL_ID" >"$WORK/ctl.json"
+    grep -q '"done": *true' "$WORK/ctl.json" && break
+    sleep 0.2
+done
+grep -q '"completed": *2' "$WORK/ctl.json" || { cat "$WORK/ctl.json" >&2; fail "roadctl campaign did not complete 2 runs"; }
+"$WORK/roadctl" -addr "$BASE" result -o "$WORK/ctl.bytes" "$CTL_ID"
+[ -s "$WORK/ctl.bytes" ] || fail "roadctl result is empty"
+curl -fsS "$BASE/v1/campaigns/$CTL_ID/result" | cmp -s - "$WORK/ctl.bytes" \
+    || fail "roadctl result differs from GET /v1/campaigns/$CTL_ID/result"
+"$WORK/roadctl" -addr "$BASE" nodes | grep -q '"name": *"local"' \
+    || fail "the in-process node is missing from the fleet view"
+echo "e2e: OK — roadctl submit/status/result/nodes against the default-mode daemon"
+
 # --- Multi-node cluster scenario. ------------------------------------------
 # Three workers, one SIGKILLed mid-campaign; the cluster must recover and
-# produce a merged result byte-identical to a single-node reference. Set
-# E2E_SKIP_CLUSTER=1 to run only the single-node smoke (CI runs the
-# cluster scenario as its own job).
+# produce a merged result byte-identical to a default-mode daemon's. Set
+# E2E_SKIP_CLUSTER=1 to run only the smoke above (CI runs the cluster
+# scenario as its own job).
 if [ "${E2E_SKIP_CLUSTER:-0}" != "1" ]; then
     kill "$SERVER_PID" 2>/dev/null || true
     wait "$SERVER_PID" 2>/dev/null || true
