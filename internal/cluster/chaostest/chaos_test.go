@@ -326,7 +326,7 @@ func queueLogOps(t *testing.T, h *Harness) map[string]int {
 func TestClusterBatchedVerbsMatchSingleNode(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
 	want := singleNodeReference(t, m)
-	h, id := runCluster(t, m, Config{BatchVerbs: true})
+	h, id := runCluster(t, m, Config{GateBacklog: true})
 	assertHealthyFinish(t, h, id, want)
 	for key, n := range h.ExecCounts() {
 		if n > 1 {
@@ -350,7 +350,7 @@ func TestClusterKillMidBatchRecovers(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
 	want := singleNodeReference(t, m)
 	h, id := runCluster(t, m, Config{
-		BatchVerbs: true,
+		GateBacklog: true,
 		Script: Script{
 			{On: Trigger{Event: "complete", N: 1, Node: "w2"}, Do: Kill{Node: "w2", MidRun: true}},
 		},
@@ -379,7 +379,7 @@ func TestClusterCompactionAndRestartMidCampaign(t *testing.T) {
 	m := chaosManifest(1, 2, 3, 4)
 	want := singleNodeReference(t, m)
 	h, id := runCluster(t, m, Config{
-		BatchVerbs:   true,
+		GateBacklog:  true,
 		CompactEvery: 8,
 		Script: Script{
 			{On: Trigger{Event: "complete", N: 3}, Do: RestartCoordinator{}},
@@ -413,7 +413,7 @@ func TestClusterCrashDuringCompactionRecovers(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
 	want := singleNodeReference(t, m)
 	h, id := runCluster(t, m, Config{
-		BatchVerbs:   true,
+		GateBacklog:  true,
 		CompactEvery: -1, // the only snapshot is the crash-simulated one
 		Script: Script{
 			{On: Trigger{Event: "complete", N: 2}, Do: RestartCoordinator{CrashCompaction: true}},
@@ -447,7 +447,7 @@ func TestClusterBackpressureCapsAdmission(t *testing.T) {
 	h, err := New(Config{
 		Dir:            t.TempDir(),
 		Nodes:          []NodeConfig{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}},
-		BatchVerbs:     true,
+		GateBacklog:    true,
 		MaxOutstanding: 8,
 	})
 	if err != nil {

@@ -43,7 +43,7 @@ type Action interface {
 // executions. With MidRun set, the node dies immediately after passing
 // the Start gate on its next run — the lease is started but never
 // completed, the crash-mid-run case lease expiry must recover. Under
-// BatchVerbs the MidRun death lands after the node gates its whole
+// GateBacklog the MidRun death lands after the node gates its whole
 // backlog through one StartRuns call, orphaning every started lease in
 // the batch at once — the kill-mid-batch case.
 type Kill struct {
@@ -139,13 +139,13 @@ type Config struct {
 	// harness defaults 4 and 2.
 	LeaseTTL   campaign.Tick
 	StealAfter campaign.Tick
-	// BatchVerbs selects the harness's pacing, not a protocol — every
-	// node speaks StartRuns/CompleteRuns either way. Off, a node executes
-	// one run per round (a batch of one), which is what leaves claims
-	// sitting unstarted for the steal and expiry scenarios; on, it gates
-	// its whole backlog through one StartRuns call and reports every
-	// outcome through one CompleteRuns call per round.
-	BatchVerbs bool
+	// GateBacklog selects the harness's pacing — every node speaks
+	// StartRuns/CompleteRuns either way. Off, a node executes one run per
+	// round (a batch of one), which is what leaves claims sitting
+	// unstarted for the steal and expiry scenarios; on, it gates its
+	// whole backlog through one StartRuns call and reports every outcome
+	// through one CompleteRuns call per round.
+	GateBacklog bool
 	// CompactEvery and MaxOutstanding forward to cluster.Options: the
 	// queue's snapshot-compaction threshold and the admission cap.
 	CompactEvery   int
@@ -181,21 +181,21 @@ type completion struct {
 
 // Harness drives a simulated cluster deterministically.
 type Harness struct {
-	dir        string
-	co         *cluster.Coordinator
-	opts       cluster.Options // for RestartCoordinator re-opens
-	batchVerbs bool
-	nodes      map[string]*workerNode
-	order      []string
-	script     []scriptStep
-	due        []Action
-	log        []string
-	execCount  map[string]int
-	completes  []completion
-	stale      int
-	maxRounds  int
-	campaigns  []string
-	rounds     int
+	dir         string
+	co          *cluster.Coordinator
+	opts        cluster.Options // for RestartCoordinator re-opens
+	gateBacklog bool
+	nodes       map[string]*workerNode
+	order       []string
+	script      []scriptStep
+	due         []Action
+	log         []string
+	execCount   map[string]int
+	completes   []completion
+	stale       int
+	maxRounds   int
+	campaigns   []string
+	rounds      int
 }
 
 type scriptStep struct {
@@ -235,13 +235,13 @@ func New(cfg Config) (*Harness, error) {
 		maxRounds = 200
 	}
 	h := &Harness{
-		dir:        cfg.Dir,
-		co:         co,
-		opts:       opts,
-		batchVerbs: cfg.BatchVerbs,
-		nodes:      make(map[string]*workerNode),
-		execCount:  make(map[string]int),
-		maxRounds:  maxRounds,
+		dir:         cfg.Dir,
+		co:          co,
+		opts:        opts,
+		gateBacklog: cfg.GateBacklog,
+		nodes:       make(map[string]*workerNode),
+		execCount:   make(map[string]int),
+		maxRounds:   maxRounds,
 	}
 	for _, s := range cfg.Script {
 		h.script = append(h.script, scriptStep{step: s})
@@ -387,7 +387,7 @@ func (h *Harness) Run() error {
 			if skip[name] || len(n.backlog) == 0 {
 				continue
 			}
-			if h.batchVerbs {
+			if h.gateBacklog {
 				h.executeBatch(n, round)
 			} else {
 				h.executeOne(n, round)

@@ -8,8 +8,16 @@ package ml
 // unrolled once into the layer-owned col buffer, the forward pass is one
 // (outC × ck)·(ck × outN) matrix product, and the backward pass is two
 // products (dW = dY·colᵀ, dcol = Wᵀ·dY) plus a col2im scatter. The scratch
-// buffers are allocated once at construction and reused across calls, so a
-// training step allocates nothing.
+// buffers are allocated once and reused across calls, so a training step
+// allocates nothing.
+//
+// In the paper CNN, dY arrives through ReLU and a 2×2 max-pool, which
+// routes gradient to at most one position in four, so the backward
+// products run over dY's nonzero entries only (gemmNTSparse,
+// gemmTNSparse). Dropping a ±0 product is exact while x and w are finite —
+// the argument is in gemm.go's header — so a non-finite x or w takes the
+// dense kernels, where 0·Inf still yields its NaN. Either way the bits
+// equal the dense path's.
 type conv2d struct {
 	inC, inH, inW int
 	outC, k       int
@@ -21,8 +29,9 @@ type conv2d struct {
 	x    []float32
 	y    []float32
 	dx   []float32
-	col  []float32 // im2col patch matrix: (inC·k·k) × (outH·outW)
-	dcol []float32 // gradient of col, same shape
+	col  []float32  // im2col patch matrix: (inC·k·k) × (outH·outW)
+	dcol []float32  // gradient of col, same shape
+	dy   sparseRows // dY's nonzero entries, sized by the first backward
 }
 
 func newConv2D(inC, inH, inW, outC, k int) *conv2d {
@@ -59,7 +68,7 @@ func (c *conv2d) forward(x []float32) []float32 {
 	return c.y
 }
 
-func (c *conv2d) backward(dout []float32) []float32 {
+func (c *conv2d) backward(dout []float32, needDx bool) []float32 {
 	outN := c.outH * c.outW
 	ck := c.inC * c.k * c.k
 	// Bias gradient: per-channel row sums of dY.
@@ -71,11 +80,24 @@ func (c *conv2d) backward(dout []float32) []float32 {
 		c.db[oc] += db
 	}
 	// Weight gradient: dW += dY · colᵀ (col still holds this forward's
-	// unrolled input).
-	gemmNT(c.outC, ck, outN, dout, c.col, c.dw)
+	// unrolled input, so x stands in for it in the finite test).
+	sparse := allFinite(c.x) && allFinite(c.w)
+	if sparse {
+		c.dy.compress(c.outC, outN, dout)
+		gemmNTSparse(ck, outN, &c.dy, c.col, c.dw)
+	} else {
+		gemmNT(c.outC, ck, outN, dout, c.col, c.dw)
+	}
+	if !needDx {
+		return nil
+	}
 	// Input gradient: dcol = Wᵀ · dY, scattered back by col2im.
 	zero(c.dcol)
-	gemmTN(ck, outN, c.outC, c.w, dout, c.dcol)
+	if sparse {
+		gemmTNSparse(ck, outN, c.w, &c.dy, c.dcol)
+	} else {
+		gemmTN(ck, outN, c.outC, c.w, dout, c.dcol)
+	}
 	zero(c.dx)
 	col2im(c.dcol, c.inC, c.inH, c.inW, c.k, c.outH, c.outW, c.dx)
 	return c.dx
@@ -216,7 +238,10 @@ func (m *maxpool2) forward(x []float32) []float32 {
 	return m.y
 }
 
-func (m *maxpool2) backward(dout []float32) []float32 {
+func (m *maxpool2) backward(dout []float32, needDx bool) []float32 {
+	if !needDx {
+		return nil
+	}
 	zero(m.dx)
 	for o, idx := range m.argmax {
 		m.dx[idx] += dout[o]

@@ -1,5 +1,7 @@
 package ml
 
+import "math"
+
 // gemm.go holds the float32 matrix kernels behind the im2col convolution
 // path. All kernels are scalar Go, shaped for the small, skinny matrices
 // the paper CNN produces (m and k of a few dozen at most): gemmNN and
@@ -13,6 +15,19 @@ package ml
 // with a fixed loop nest, so results are bit-identical across runs, hosts,
 // and worker counts — the (config, seed) → byte-identical-result contract
 // does not tolerate reassociation that varies between executions.
+//
+// The conv backward pass multiplies by an upstream gradient that ReLU and
+// max-pool have mostly zeroed, so gemmNTSparse and gemmTNSparse take that
+// operand as its nonzero entries (sparseRows) and skip the rest. They are
+// bit-identical to gemmNT and gemmTN when the dense operand is finite:
+// every accumulator they share with the dense kernels starts at +0 (the
+// `var s float32` of gemmNT, the zeroed dcol under gemmTN), under
+// round-to-nearest a sum is −0 only if both addends are, so no accumulator
+// is ever −0, and adding a ±0 product to one changes no bit. The surviving
+// products are added in the same ascending order. A non-finite dense
+// operand breaks the argument (0·Inf = NaN must appear), so callers test
+// allFinite first and fall back to the dense kernels, which stay as that
+// fallback and as the test oracle.
 
 // gemmNN computes C += A·B for row-major matrices: A is M×K, B is K×N and
 // C is M×N. Callers that need C = A·B pre-fill C (the conv forward path
@@ -233,6 +248,125 @@ func col2im(dcol []float32, inC, inH, inW, k, outH, outW int, dx []float32) {
 					}
 				}
 				ck++
+			}
+		}
+	}
+}
+
+// sparseRows holds a row-major matrix as its nonzero entries: row r's
+// column indices are idx[off[r]:off[r+1]], ascending, with values in the
+// parallel val. The buffers are reused across compress calls.
+type sparseRows struct {
+	off []int
+	idx []int
+	val []float32
+}
+
+// compress loads the m×n row-major matrix a, dropping every ±0 entry. NaN
+// is kept. The loop is branchless — each entry is written and the cursor
+// advances only past a nonzero — because which positions a max-pool routes
+// gradient to is data-dependent, and a compare-and-branch mispredicts.
+func (s *sparseRows) compress(m, n int, a []float32) {
+	if len(s.idx) < m*n {
+		s.idx = make([]int, m*n)
+		s.val = make([]float32, m*n)
+	}
+	idx, val := s.idx, s.val
+	s.off = append(s.off[:0], 0)
+	t := 0
+	for r := 0; r < m; r++ {
+		for j, v := range a[r*n : r*n+n] {
+			idx[t], val[t] = j, v
+			b := math.Float32bits(v) << 1 // drop the sign: ±0 → 0
+			t += int((b | (0 - b)) >> 31)
+		}
+		s.off = append(s.off, t)
+	}
+}
+
+// allFinite reports whether s holds no Inf or NaN. It tests the exponent
+// bits directly (all ones is Inf or NaN): math.IsInf plus a NaN compare
+// cost a measurable share of the training hot path.
+func allFinite(s []float32) bool {
+	for _, v := range s {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			return false
+		}
+	}
+	return true
+}
+
+// gemmNTSparse is gemmNT with A given as sparseRows (M×K, M = len(a.off)-1):
+// C += A·Bᵀ with B N×K and C M×N, row-major. Each C element is the same
+// ascending-k dot product as gemmNT's, over A's nonzero entries only; four
+// B rows share one pass over the entry list.
+func gemmNTSparse(n, k int, a *sparseRows, b, c []float32) {
+	for i := 0; i+1 < len(a.off); i++ {
+		idx := a.idx[a.off[i]:a.off[i+1]]
+		val := a.val[a.off[i]:a.off[i+1]]
+		val = val[:len(idx)]
+		crow := c[i*n : i*n+n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[(j+0)*k : (j+1)*k]
+			b1 := b[(j+1)*k : (j+2)*k]
+			b2 := b[(j+2)*k : (j+3)*k]
+			b3 := b[(j+3)*k : (j+4)*k]
+			var s0, s1, s2, s3 float32
+			for t, p := range idx {
+				av := val[t]
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			crow[j] += s0
+			crow[j+1] += s1
+			crow[j+2] += s2
+			crow[j+3] += s3
+		}
+		for ; j < n; j++ {
+			brow := b[j*k : j*k+k]
+			var s float32
+			for t, p := range idx {
+				s += val[t] * brow[p]
+			}
+			crow[j] += s
+		}
+	}
+}
+
+// gemmTNSparse is gemmTN with B given as sparseRows (K×N, K = len(b.off)-1):
+// C += Aᵀ·B with A K×M and C M×N, row-major. Like gemmTN it walks p in
+// ascending order as the outermost loop, so every C element receives its
+// products in the same order; only the columns of B's nonzero entries are
+// touched.
+func gemmTNSparse(m, n int, a []float32, b *sparseRows, c []float32) {
+	for p := 0; p+1 < len(b.off); p++ {
+		idx := b.idx[b.off[p]:b.off[p+1]]
+		val := b.val[b.off[p]:b.off[p+1]]
+		val = val[:len(idx)]
+		arow := a[p*m : p*m+m]
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			v0, v1, v2, v3 := arow[i], arow[i+1], arow[i+2], arow[i+3]
+			c0 := c[(i+0)*n : (i+1)*n]
+			c1 := c[(i+1)*n : (i+2)*n]
+			c2 := c[(i+2)*n : (i+3)*n]
+			c3 := c[(i+3)*n : (i+4)*n]
+			for t, j := range idx {
+				bv := val[t]
+				c0[j] += v0 * bv
+				c1[j] += v1 * bv
+				c2[j] += v2 * bv
+				c3[j] += v3 * bv
+			}
+		}
+		for ; i < m; i++ {
+			v := arow[i]
+			crow := c[i*n : i*n+n]
+			for t, j := range idx {
+				crow[j] += v * val[t]
 			}
 		}
 	}

@@ -50,3 +50,32 @@ func BenchmarkGEMMConvShapes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConvBackward times one conv backward at the paper CNN's two
+// conv shapes, under the pool-routed upstream gradient training feeds it:
+// "layer" is conv2d.backward as the network calls it (conv1 without an
+// input gradient, conv2 with one), "dense" the dense-kernel oracle, which
+// always computes dx.
+func BenchmarkConvBackward(b *testing.B) {
+	rng := sim.NewRNG(1)
+	for li, cc := range paperConvShapes {
+		c := newConv2D(cc.inC, cc.inH, cc.inW, cc.outC, cc.k)
+		randomFill(rng, c.w)
+		randomFill(rng, c.b)
+		x := make([]float32, cc.inC*cc.inH*cc.inW)
+		randomFill(rng, x)
+		dout := poolRoutedGrad(rng, c.forward(x), cc.outC, cc.inH-cc.k+1, cc.inW-cc.k+1)
+		needDx := li > 0
+		name := fmt.Sprintf("conv%d_%dx%dx%d_oc%d", li+1, cc.inC, cc.inH, cc.inW, cc.outC)
+		b.Run(name+"/layer", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.backward(dout, needDx)
+			}
+		})
+		b.Run(name+"/dense", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				denseConvBackward(c, dout)
+			}
+		})
+	}
+}

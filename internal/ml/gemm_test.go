@@ -85,7 +85,7 @@ func TestConvGEMMBackwardMatchesReference(t *testing.T) {
 			randomFill(rng, dout)
 
 			c.forward(x)
-			dx := c.backward(dout)
+			dx := c.backward(dout, true)
 			wantDx, wantDw, wantDb := referenceConvBackward(c.w, x, dout, cc.inC, cc.inH, cc.inW, cc.outC, cc.k)
 			if d := maxAbsDiff(t, dx, wantDx); d > 1e-5 {
 				t.Fatalf("dx diverges from reference by %g", d)
@@ -101,7 +101,7 @@ func TestConvGEMMBackwardMatchesReference(t *testing.T) {
 			// a second identical backward must double dw/db exactly like
 			// the reference would.
 			c.forward(x)
-			c.backward(dout)
+			c.backward(dout, true)
 			for i := range wantDw {
 				wantDw[i] *= 2
 			}
@@ -132,7 +132,7 @@ func TestConvGEMMDeterministic(t *testing.T) {
 		dout := make([]float32, 5*7*6)
 		randomFill(rng, dout)
 		y := append([]float32(nil), c.forward(x)...)
-		dx := append([]float32(nil), c.backward(dout)...)
+		dx := append([]float32(nil), c.backward(dout, true)...)
 		dw := append([]float32(nil), c.dw...)
 		return y, dx, dw
 	}

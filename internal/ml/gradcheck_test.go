@@ -148,7 +148,7 @@ func TestGradCheckInputGradient(t *testing.T) {
 	}
 	cur := dlogits
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		cur = n.layers[i].backward(cur)
+		cur = n.layers[i].backward(cur, true)
 	}
 	dx := cur
 	const eps = 1e-3
@@ -181,7 +181,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 			t.Fatalf("pool output[%d] = %v, want %v", i, y[i], want[i])
 		}
 	}
-	dx := p.backward([]float32{1, 2, 3, 4})
+	dx := p.backward([]float32{1, 2, 3, 4}, true)
 	// Gradient must land exactly on the argmax positions.
 	wantDx := make([]float32, 16)
 	wantDx[5], wantDx[7], wantDx[13], wantDx[15] = 1, 2, 3, 4
@@ -208,7 +208,7 @@ func TestReLUForward(t *testing.T) {
 			t.Fatalf("relu[%d] = %v, want %v", i, y[i], want[i])
 		}
 	}
-	dx := r.backward([]float32{10, 20, 30, 40})
+	dx := r.backward([]float32{10, 20, 30, 40}, true)
 	wantDx := []float32{0, 0, 30, 0}
 	for i := range wantDx {
 		if dx[i] != wantDx[i] {

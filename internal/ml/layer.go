@@ -14,8 +14,11 @@ type layer interface {
 	forward(x []float32) []float32
 	// backward consumes the gradient w.r.t. the layer output, accumulates
 	// parameter gradients, and returns the gradient w.r.t. the input. The
-	// returned slice is owned by the layer.
-	backward(dout []float32) []float32
+	// returned slice is owned by the layer. With needDx false the caller
+	// reads no input gradient (the network's first layer): the layer skips
+	// computing it and returns nil; parameter gradients are the same bits
+	// either way.
+	backward(dout []float32, needDx bool) []float32
 	// params returns the trainable parameter slices (empty for stateless
 	// layers). The slices are live views; mutating them updates the layer.
 	params() [][]float32
@@ -62,22 +65,39 @@ func (d *dense) forward(x []float32) []float32 {
 	return d.y
 }
 
-func (d *dense) backward(dout []float32) []float32 {
-	for i := range d.dx {
-		d.dx[i] = 0
+// backward skips output rows whose upstream gradient is ±0. That drops
+// only ±0 products, which change no bit of an accumulator that is never
+// −0 (zeroGrads and the dx reset start every one at +0, and under
+// round-to-nearest a sum is −0 only if both addends are) — provided x and
+// w are finite. A 0·Inf or 0·NaN product would be NaN and this skip drops
+// it, so with a non-finite x or w the layer differs from a dense product.
+// conv2d's sparse backward (conv.go) rests on the same argument and
+// guards that case.
+func (d *dense) backward(dout []float32, needDx bool) []float32 {
+	if needDx {
+		zero(d.dx)
 	}
 	for o := 0; o < d.out; o++ {
 		g := dout[o]
 		if g == 0 {
 			continue
 		}
-		row := d.w[o*d.in : (o+1)*d.in]
 		drow := d.dw[o*d.in : (o+1)*d.in]
 		d.db[o] += g
+		if !needDx {
+			for i, xi := range d.x {
+				drow[i] += g * xi
+			}
+			continue
+		}
+		row := d.w[o*d.in : (o+1)*d.in]
 		for i, xi := range d.x {
 			drow[i] += g * xi
 			d.dx[i] += row[i] * g
 		}
+	}
+	if !needDx {
+		return nil
 	}
 	return d.dx
 }
@@ -124,7 +144,10 @@ func (r *relu) forward(x []float32) []float32 {
 	return y
 }
 
-func (r *relu) backward(dout []float32) []float32 {
+func (r *relu) backward(dout []float32, needDx bool) []float32 {
+	if !needDx {
+		return nil
+	}
 	dx := r.dx
 	for i, g := range dout {
 		dx[i] = math.Float32frombits(math.Float32bits(g) & r.mask[i])

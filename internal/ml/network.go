@@ -242,10 +242,13 @@ func (n *Network) Train(examples []Example, cfg TrainConfig, rng *sim.RNG) (floa
 	return lastEpochLoss, nil
 }
 
+// backward backpropagates dlogits through every layer, accumulating
+// parameter gradients. Nothing reads the gradient w.r.t. the network
+// input, so the first layer is asked not to compute it.
 func (n *Network) backward(dlogits []float32) {
 	cur := dlogits
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		cur = n.layers[i].backward(cur)
+		cur = n.layers[i].backward(cur, i > 0)
 	}
 }
 
