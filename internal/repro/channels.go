@@ -137,52 +137,6 @@ func AblationChannels(rounds int, seed uint64) ([]ChannelPoint, error) {
 	return points, nil
 }
 
-// Fig4Channel runs the Figure-4 workload (BASE + OPP) under the given
-// channel model — the bench channel-variant point. A nil config is the
-// analytic default, making this a strict generalization of Fig4Workers.
-func Fig4Channel(rounds int, seed uint64, evalWorkers int, ch *channel.Config) (*Fig4Output, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("repro: non-positive round count %d", rounds)
-	}
-	runOne := func(name string, mk func() (strategy.Strategy, error)) (*core.Result, error) {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.EvalWorkers = evalWorkers
-		cfg.Comm.Channel = ch
-		s, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		res, err := run(cfg, s)
-		if err != nil {
-			return nil, fmt.Errorf("repro: fig4 %s (channel): %w", name, err)
-		}
-		return res, nil
-	}
-	base, err := runOne("BASE", func() (strategy.Strategy, error) {
-		fa := strategy.DefaultFedAvgConfig()
-		fa.Rounds = rounds
-		return strategy.NewFederatedAveraging(fa)
-	})
-	if err != nil {
-		return nil, err
-	}
-	opp, err := runOne("OPP", func() (strategy.Strategy, error) {
-		oc := strategy.DefaultOppConfig()
-		oc.Rounds = rounds
-		return strategy.NewOpportunistic(oc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Fig4Output{
-		Base:    base,
-		Opp:     opp,
-		BaseEnd: base.End,
-		OppEnd:  opp.End,
-	}, nil
-}
-
 // fitThroughCSV serializes samples as a chantrace CSV, re-parses it, fits
 // the indicator table, serializes that as a chantable CSV, and re-parses it
 // — proving in-process what the file-based record/fit/replay workflow does.

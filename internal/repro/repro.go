@@ -48,18 +48,11 @@ type Fig4Output struct {
 // fleet, data distribution, and V2C budget. rounds scales the experiment
 // (the paper uses 75); seed fixes all randomness.
 func Fig4(rounds int, seed uint64) (*Fig4Output, error) {
-	return Fig4Workers(rounds, seed, 0)
-}
-
-// Fig4Workers is Fig4 with the test-set evaluation worker count set:
-// values above 1 enable the shard-deterministic parallel evaluator, which
-// changes throughput but not a single recorded byte (0 or 1 = serial).
-func Fig4Workers(rounds int, seed uint64, evalWorkers int) (*Fig4Output, error) {
-	baseRes, err := fig4Base(rounds, seed, evalWorkers)
+	baseRes, err := Fig4Base(rounds, seed)
 	if err != nil {
 		return nil, err
 	}
-	oppRes, err := fig4Opp(rounds, seed, evalWorkers)
+	oppRes, err := Fig4Opp(rounds, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -86,16 +79,11 @@ func Fig4Workers(rounds int, seed uint64, evalWorkers int) (*Fig4Output, error) 
 
 // Fig4Base runs only the BASE (vanilla FL) side of Figure 4.
 func Fig4Base(rounds int, seed uint64) (*core.Result, error) {
-	return fig4Base(rounds, seed, 0)
-}
-
-func fig4Base(rounds int, seed uint64, evalWorkers int) (*core.Result, error) {
 	if rounds <= 0 {
 		return nil, fmt.Errorf("repro: non-positive round count %d", rounds)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
-	cfg.EvalWorkers = evalWorkers
 	fa := strategy.DefaultFedAvgConfig()
 	fa.Rounds = rounds
 	s, err := strategy.NewFederatedAveraging(fa)
@@ -111,16 +99,11 @@ func fig4Base(rounds int, seed uint64, evalWorkers int) (*core.Result, error) {
 
 // Fig4Opp runs only the OPP side of Figure 4.
 func Fig4Opp(rounds int, seed uint64) (*core.Result, error) {
-	return fig4Opp(rounds, seed, 0)
-}
-
-func fig4Opp(rounds int, seed uint64, evalWorkers int) (*core.Result, error) {
 	if rounds <= 0 {
 		return nil, fmt.Errorf("repro: non-positive round count %d", rounds)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
-	cfg.EvalWorkers = evalWorkers
 	oc := strategy.DefaultOppConfig()
 	oc.Rounds = rounds
 	s, err := strategy.NewOpportunistic(oc)
