@@ -60,8 +60,8 @@ test:
 
 # determinism re-runs the reproducibility tests on their own, so a
 # regression fails CI under an unambiguous step name. The ml line holds the
-# sparse conv backward and the first layer's skipped input gradient to the
-# dense kernels bit for bit.
+# sparse conv backward, the first layer's skipped input gradient and the
+# batched forward kernels to their oracles bit for bit.
 determinism:
 	$(GO) test ./internal/repro/ -run 'ByteIdentical|Invariant|MatchesSerial' -count=1
 	$(GO) test ./internal/ml/ -run 'BitIdentical' -count=1

@@ -139,7 +139,7 @@ func (e *Experiment) TrainOnData(id sim.AgentID, m *ml.Snapshot, examples []ml.E
 	var ev sim.Event
 	ev, err = e.engine.After(dur, func() {
 		e.removePending(id, ev)
-		net, err := ml.LoadSnapshot(m)
+		net, err := e.loadModel(m)
 		if err != nil {
 			e.Logf("core: train on %v: load snapshot: %v", id, err)
 			e.tracer.EndWith(span, "status", "error")
@@ -164,6 +164,27 @@ func (e *Experiment) TrainOnData(id sim.AgentID, m *ml.Snapshot, examples []ml.E
 	}
 	e.pending[id] = append(e.pending[id], pendingTrain{ev: ev, span: span})
 	return nil
+}
+
+// loadModel returns a network holding m's weights. It overwrites the
+// weights of the experiment's one network when m has that network's
+// architecture: Train and Evaluate read nothing a previous call left behind
+// but the weights (gradients, optimizer, shuffle order and layer caches are
+// rebuilt per call), and event callbacks run one at a time, so reuse
+// changes no bit. It spares each train task and evaluation a fresh network
+// and its batch buffers.
+func (e *Experiment) loadModel(m *ml.Snapshot) (*ml.Network, error) {
+	if e.net != nil {
+		if spec := e.net.Spec(); spec.Equal(&m.Spec) {
+			return e.net, e.net.SetWeights(m.Weights)
+		}
+	}
+	net, err := ml.LoadSnapshot(m)
+	if err != nil {
+		return nil, err
+	}
+	e.net = net
+	return net, nil
 }
 
 // removePending drops one completed training event from the agent's slot
@@ -213,7 +234,7 @@ func (e *Experiment) TestAccuracy(m *ml.Snapshot) (float64, error) {
 		acc, _, err = ml.EvaluateParallel(m, e.testSet, e.cfg.EvalWorkers)
 	} else {
 		var net *ml.Network
-		net, err = ml.LoadSnapshot(m)
+		net, err = e.loadModel(m)
 		if err != nil {
 			e.tracer.EndWith(span, "status", "error")
 			return 0, err

@@ -76,6 +76,10 @@ type Experiment struct {
 	accCache *snapshotAccCache
 	horizon  sim.Time
 	ran      bool
+
+	// net is the network every train task and serial evaluation loads its
+	// snapshot into (loadModel), nil until the first.
+	net *ml.Network
 }
 
 // pendingTrain is one outstanding training occupation: the completion

@@ -11,7 +11,7 @@ import (
 // denseConvBackward runs the conv backward on the dense kernels only —
 // gemmNT, gemmTN, col2im — always computing dx: the oracle the
 // bit-identity tests hold conv2d.backward to.
-func denseConvBackward(c *conv2d, dout []float32) []float32 {
+func denseConvBackward(c *conv2d, e int, dout []float32) []float32 {
 	outN := c.outH * c.outW
 	ck := c.inC * c.k * c.k
 	for oc := 0; oc < c.outC; oc++ {
@@ -21,7 +21,7 @@ func denseConvBackward(c *conv2d, dout []float32) []float32 {
 		}
 		c.db[oc] += db
 	}
-	gemmNT(c.outC, ck, outN, dout, c.col, c.dw)
+	gemmNT(c.outC, ck, outN, c.ld, dout, c.col[e*outN:], c.dw)
 	zero(c.dcol)
 	gemmTN(ck, outN, c.outC, c.w, dout, c.dcol)
 	zero(c.dx)
@@ -32,14 +32,16 @@ func denseConvBackward(c *conv2d, dout []float32) []float32 {
 // denseConv runs a conv layer's backward through the oracle.
 type denseConv struct{ *conv2d }
 
-func (d denseConv) backward(dout []float32, _ bool) []float32 {
-	return denseConvBackward(d.conv2d, dout)
+func (d denseConv) backward(e int, dout []float32, _ bool) []float32 {
+	return denseConvBackward(d.conv2d, e, dout)
 }
 
 // withDx computes the input gradient whether or not the caller reads it.
 type withDx struct{ layer }
 
-func (w withDx) backward(dout []float32, _ bool) []float32 { return w.layer.backward(dout, true) }
+func (w withDx) backward(e int, dout []float32, _ bool) []float32 {
+	return w.layer.backward(e, dout, true)
+}
 
 // requireSameBits fails unless got and want agree bit for bit.
 func requireSameBits(t *testing.T, what string, got, want []float32) {
@@ -62,10 +64,10 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 func poolRoutedGrad(rng *sim.RNG, y []float32, c, h, w int) []float32 {
 	r := newReLU(len(y))
 	p := newMaxPool2(c, h, w)
-	p.forward(r.forward(y))
+	p.forward(r.forward(y, 1), 1)
 	dpool := make([]float32, len(p.y))
 	randomFill(rng, dpool)
-	return append([]float32(nil), r.backward(p.backward(dpool, true), true)...)
+	return append([]float32(nil), r.backward(0, p.backward(0, dpool, true), true)...)
 }
 
 // paperConvShapes are the two conv layers of the paper CNN (paperCNN).
@@ -101,7 +103,7 @@ func TestConvBackwardBitIdentical(t *testing.T) {
 				randomFill(rng, got.b)
 				x := make([]float32, cc.inC*cc.inH*cc.inW)
 				randomFill(rng, x)
-				y := got.forward(x)
+				y := got.forward(x, 1)
 
 				dout := make([]float32, len(y))
 				switch mode {
@@ -130,20 +132,20 @@ func TestConvBackwardBitIdentical(t *testing.T) {
 				want := newConv2D(cc.inC, cc.inH, cc.inW, cc.outC, cc.k)
 				copy(want.w, got.w)
 				copy(want.b, got.b)
-				want.forward(x)
+				want.forward(x, 1)
 				noDx := newConv2D(cc.inC, cc.inH, cc.inW, cc.outC, cc.k)
 				copy(noDx.w, got.w)
 				copy(noDx.b, got.b)
-				noDx.forward(x)
+				noDx.forward(x, 1)
 				for call := 1; call <= 2; call++ {
-					gotDx := got.backward(dout, true)
-					wantDx := denseConvBackward(want, dout)
+					gotDx := got.backward(0, dout, true)
+					wantDx := denseConvBackward(want, 0, dout)
 					requireSameBits(t, fmt.Sprintf("call %d dx", call), gotDx, wantDx)
 					requireSameBits(t, fmt.Sprintf("call %d dw", call), got.dw, want.dw)
 					requireSameBits(t, fmt.Sprintf("call %d db", call), got.db, want.db)
 
-					if dx := noDx.backward(dout, false); dx != nil {
-						t.Fatalf("call %d: backward(dout, false) returned an input gradient", call)
+					if dx := noDx.backward(0, dout, false); dx != nil {
+						t.Fatalf("call %d: backward(0, dout, false) returned an input gradient", call)
 					}
 					requireSameBits(t, fmt.Sprintf("call %d dw without dx", call), noDx.dw, want.dw)
 					requireSameBits(t, fmt.Sprintf("call %d db without dx", call), noDx.db, want.db)
@@ -182,15 +184,15 @@ func TestConvBackwardNonFiniteBitIdentical(t *testing.T) {
 				randomFill(rng, got.w)
 				x := make([]float32, cc.inC*cc.inH*cc.inW)
 				randomFill(rng, x)
-				dout := poolRoutedGrad(rng, got.forward(x), cc.outC, outH, outW)
+				dout := poolRoutedGrad(rng, got.forward(x, 1), cc.outC, outH, outW)
 				tc.plant(x, got.w)
-				got.forward(x)
+				got.forward(x, 1)
 
 				want := newConv2D(cc.inC, cc.inH, cc.inW, cc.outC, cc.k)
 				copy(want.w, got.w)
-				want.forward(x)
-				gotDx := got.backward(dout, true)
-				wantDx := denseConvBackward(want, dout)
+				want.forward(x, 1)
+				gotDx := got.backward(0, dout, true)
+				wantDx := denseConvBackward(want, 0, dout)
 				requireSameBits(t, "dx", gotDx, wantDx)
 				requireSameBits(t, "dw", got.dw, want.dw)
 				requireSameBits(t, "db", got.db, want.db)
@@ -201,9 +203,9 @@ func TestConvBackwardNonFiniteBitIdentical(t *testing.T) {
 				var unguarded, oracle []float32
 				if tc.inDw {
 					unguarded = make([]float32, len(want.dw))
-					gemmNTSparse(ck, outN, &dy, want.col, unguarded)
+					gemmNTSparse(ck, outN, outN, &dy, want.col, unguarded)
 					oracle = make([]float32, len(want.dw))
-					gemmNT(cc.outC, ck, outN, dout, want.col, oracle)
+					gemmNT(cc.outC, ck, outN, outN, dout, want.col, oracle)
 				} else {
 					unguarded = make([]float32, len(want.dcol))
 					gemmTNSparse(ck, outN, want.w, &dy, unguarded)

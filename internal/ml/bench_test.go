@@ -84,6 +84,23 @@ func BenchmarkForwardCNN(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateCNN measures one accuracy evaluation of the paper CNN
+// on the Figure-4 test set size (500 examples).
+func BenchmarkEvaluateCNN(b *testing.B) {
+	spec := paperCNN()
+	net, err := NewNetwork(spec, sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	examples := benchExamples(b, spec, 500)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := net.Evaluate(examples); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFedAvg15 measures one OPP-scale aggregation (≈15 contributions).
 func BenchmarkFedAvg15(b *testing.B) {
 	spec := paperCNN()

@@ -22,12 +22,12 @@ func (n *Network) Confusion(examples []Example) (ConfusionMatrix, error) {
 	for i := range m {
 		m[i] = make([]int, n.nOut)
 	}
-	for _, ex := range examples {
-		pred, err := n.Predict(ex.X)
-		if err != nil {
-			return nil, err
+	for lo := 0; lo < len(examples); lo += n.maxBatch {
+		chunk := examples[lo:min(lo+n.maxBatch, len(examples))]
+		logits := n.forwardBatch(len(chunk), func(e int) []float32 { return chunk[e].X })
+		for e, ex := range chunk {
+			m[ex.Label][Argmax(logits[e*n.nOut:(e+1)*n.nOut])]++
 		}
-		m[ex.Label][pred]++
 	}
 	return m, nil
 }

@@ -118,23 +118,6 @@ func evaluateShard(net *Network, examples []Example, i int) evalShard {
 	if hi > len(examples) {
 		hi = len(examples)
 	}
-	var p evalShard
-	scratch := net.dlogits
-	for _, ex := range examples[lo:hi] {
-		logits, err := net.Forward(ex.X)
-		if err != nil {
-			p.err = err
-			return p
-		}
-		if Argmax(logits) == ex.Label {
-			p.correct++
-		}
-		l, err := SoftmaxCrossEntropy(logits, ex.Label, scratch)
-		if err != nil {
-			p.err = err
-			return p
-		}
-		p.loss += l
-	}
-	return p
+	correct, loss, err := net.score(examples[lo:hi])
+	return evalShard{correct: correct, loss: loss, err: err}
 }

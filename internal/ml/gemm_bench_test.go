@@ -19,7 +19,7 @@ var convGEMMShapes = map[string][]gemmShape{
 
 func BenchmarkGEMMConvShapes(b *testing.B) {
 	kernels := map[string]func(m, n, k int, a, b, c []float32){
-		"NN": gemmNN, "NT": gemmNT, "TN": gemmTN,
+		"NN": gemmNN, "NT": packedNT, "TN": gemmTN,
 	}
 	rng := sim.NewRNG(1)
 	for _, name := range []string{"NN", "NT", "TN"} {
@@ -64,17 +64,17 @@ func BenchmarkConvBackward(b *testing.B) {
 		randomFill(rng, c.b)
 		x := make([]float32, cc.inC*cc.inH*cc.inW)
 		randomFill(rng, x)
-		dout := poolRoutedGrad(rng, c.forward(x), cc.outC, cc.inH-cc.k+1, cc.inW-cc.k+1)
+		dout := poolRoutedGrad(rng, c.forward(x, 1), cc.outC, cc.inH-cc.k+1, cc.inW-cc.k+1)
 		needDx := li > 0
 		name := fmt.Sprintf("conv%d_%dx%dx%d_oc%d", li+1, cc.inC, cc.inH, cc.inW, cc.outC)
 		b.Run(name+"/layer", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.backward(dout, needDx)
+				c.backward(0, dout, needDx)
 			}
 		})
 		b.Run(name+"/dense", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				denseConvBackward(c, dout)
+				denseConvBackward(c, 0, dout)
 			}
 		})
 	}

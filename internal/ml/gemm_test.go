@@ -59,7 +59,7 @@ func TestConvGEMMForwardMatchesReference(t *testing.T) {
 			x := make([]float32, cc.inC*cc.inH*cc.inW)
 			randomFill(rng, x)
 
-			got := c.forward(x)
+			got := c.forward(x, 1)
 			want := referenceConvForward(c.w, c.b, x, cc.inC, cc.inH, cc.inW, cc.outC, cc.k)
 			if d := maxAbsDiff(t, got, want); d > 1e-5 {
 				t.Fatalf("forward diverges from reference by %g", d)
@@ -84,8 +84,8 @@ func TestConvGEMMBackwardMatchesReference(t *testing.T) {
 			dout := make([]float32, cc.outC*(cc.inH-cc.k+1)*(cc.inW-cc.k+1))
 			randomFill(rng, dout)
 
-			c.forward(x)
-			dx := c.backward(dout, true)
+			c.forward(x, 1)
+			dx := c.backward(0, dout, true)
 			wantDx, wantDw, wantDb := referenceConvBackward(c.w, x, dout, cc.inC, cc.inH, cc.inW, cc.outC, cc.k)
 			if d := maxAbsDiff(t, dx, wantDx); d > 1e-5 {
 				t.Fatalf("dx diverges from reference by %g", d)
@@ -100,8 +100,8 @@ func TestConvGEMMBackwardMatchesReference(t *testing.T) {
 			// Gradients accumulate across backward calls (mini-batching):
 			// a second identical backward must double dw/db exactly like
 			// the reference would.
-			c.forward(x)
-			c.backward(dout, true)
+			c.forward(x, 1)
+			c.backward(0, dout, true)
 			for i := range wantDw {
 				wantDw[i] *= 2
 			}
@@ -131,8 +131,8 @@ func TestConvGEMMDeterministic(t *testing.T) {
 		randomFill(rng, x)
 		dout := make([]float32, 5*7*6)
 		randomFill(rng, dout)
-		y := append([]float32(nil), c.forward(x)...)
-		dx := append([]float32(nil), c.backward(dout, true)...)
+		y := append([]float32(nil), c.forward(x, 1)...)
+		dx := append([]float32(nil), c.backward(0, dout, true)...)
 		dw := append([]float32(nil), c.dw...)
 		return y, dx, dw
 	}
@@ -185,7 +185,7 @@ func TestGEMMKernelsMatchNaive(t *testing.T) {
 		for name, got := range map[string][]float32{
 			"gemmNN": runGEMM(m, n, k, a, b, gemmNN),
 			"gemmTN": runGEMM(m, n, k, at, b, gemmTN),
-			"gemmNT": runGEMM(m, n, k, a, bt, gemmNT),
+			"gemmNT": runGEMM(m, n, k, a, bt, packedNT),
 		} {
 			if d := maxAbsDiff(t, got, want); d > 1e-5 {
 				t.Fatalf("%s (m=%d n=%d k=%d) diverges from naive by %g", name, m, n, k, d)
@@ -193,6 +193,9 @@ func TestGEMMKernelsMatchNaive(t *testing.T) {
 		}
 	}
 }
+
+// packedNT is gemmNT on a packed B (rows K apart).
+func packedNT(m, n, k int, a, b, c []float32) { gemmNT(m, n, k, k, a, b, c) }
 
 func runGEMM(m, n, k int, a, b []float32, kernel func(m, n, k int, a, b, c []float32)) []float32 {
 	c := make([]float32, m*n)

@@ -47,7 +47,7 @@ func numericalGradCheck(t *testing.T, spec Spec, seed uint64) {
 	if _, err := SoftmaxCrossEntropy(logits, label, dlogits); err != nil {
 		t.Fatalf("SoftmaxCrossEntropy: %v", err)
 	}
-	n.backward(dlogits)
+	n.backward(0, dlogits)
 
 	params := n.paramGroups()
 	grads := n.gradGroups()
@@ -148,7 +148,7 @@ func TestGradCheckInputGradient(t *testing.T) {
 	}
 	cur := dlogits
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		cur = n.layers[i].backward(cur, true)
+		cur = n.layers[i].backward(0, cur, true)
 	}
 	dx := cur
 	const eps = 1e-3
@@ -174,14 +174,14 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}
-	y := p.forward(x)
+	y := p.forward(x, 1)
 	want := []float32{6, 8, 14, 16}
 	for i := range want {
 		if y[i] != want[i] {
 			t.Fatalf("pool output[%d] = %v, want %v", i, y[i], want[i])
 		}
 	}
-	dx := p.backward([]float32{1, 2, 3, 4}, true)
+	dx := p.backward(0, []float32{1, 2, 3, 4}, true)
 	// Gradient must land exactly on the argmax positions.
 	wantDx := make([]float32, 16)
 	wantDx[5], wantDx[7], wantDx[13], wantDx[15] = 1, 2, 3, 4
@@ -201,14 +201,14 @@ func TestMaxPoolOddDimensionsDropTail(t *testing.T) {
 
 func TestReLUForward(t *testing.T) {
 	r := newReLU(4)
-	y := r.forward([]float32{-1, 0, 2, -3})
+	y := r.forward([]float32{-1, 0, 2, -3}, 1)
 	want := []float32{0, 0, 2, 0}
 	for i := range want {
 		if y[i] != want[i] {
 			t.Fatalf("relu[%d] = %v, want %v", i, y[i], want[i])
 		}
 	}
-	dx := r.backward([]float32{10, 20, 30, 40}, true)
+	dx := r.backward(0, []float32{10, 20, 30, 40}, true)
 	wantDx := []float32{0, 0, 30, 0}
 	for i := range wantDx {
 		if dx[i] != wantDx[i] {
@@ -221,7 +221,7 @@ func TestDenseForwardKnownValues(t *testing.T) {
 	d := newDense(2, 2)
 	copy(d.w, []float32{1, 2, 3, 4}) // W = [[1,2],[3,4]]
 	copy(d.b, []float32{10, 20})
-	y := d.forward([]float32{1, 1})
+	y := d.forward([]float32{1, 1}, 1)
 	if y[0] != 13 || y[1] != 27 {
 		t.Fatalf("dense forward = %v, want [13 27]", y)
 	}
@@ -240,7 +240,7 @@ func TestConvForwardKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}
-	y := c.forward(x)
+	y := c.forward(x, 1)
 	want := []float32{1 + 2 + 4 + 5 + 1, 2 + 3 + 5 + 6 + 1, 4 + 5 + 7 + 8 + 1, 5 + 6 + 8 + 9 + 1}
 	for i := range want {
 		if y[i] != want[i] {

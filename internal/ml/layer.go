@@ -2,23 +2,29 @@ package ml
 
 import "math"
 
-// layer is one differentiable stage of a network. Layers operate on single
-// examples (flat float32 activations); batching is handled above them by
-// accumulating gradients across a mini-batch before an optimizer step.
+// layer is one differentiable stage of a network. The forward pass runs
+// over a batch of nb examples stored back to back (example e's activation
+// is x[e·size:(e+1)·size]), and every output element is computed by the
+// same float32 operations in the same order whatever nb is, so one pass
+// over a batch gives the bits of nb one-example passes (gemm.go header).
+// The backward pass runs one example at a time against the caches the
+// last forward left, accumulating parameter gradients: summing a
+// mini-batch's gradients in one product would regroup float additions.
 // Forward caches whatever backward needs, so a layer instance serves one
-// example at a time — each simulated agent trains on its own Network clone,
-// so this needs no locking.
+// batch at a time; a Network is used by one goroutine at a time, so this
+// needs no locking.
 type layer interface {
-	// forward computes the layer output for input x. The returned slice is
-	// owned by the layer and valid until the next forward call.
-	forward(x []float32) []float32
-	// backward consumes the gradient w.r.t. the layer output, accumulates
-	// parameter gradients, and returns the gradient w.r.t. the input. The
-	// returned slice is owned by the layer. With needDx false the caller
-	// reads no input gradient (the network's first layer): the layer skips
-	// computing it and returns nil; parameter gradients are the same bits
-	// either way.
-	backward(dout []float32, needDx bool) []float32
+	// forward computes the outputs of the nb examples in x, back to back.
+	// The returned slice is owned by the layer and valid until the next
+	// forward call.
+	forward(x []float32, nb int) []float32
+	// backward consumes the gradient w.r.t. example e's output of the last
+	// forward, accumulates parameter gradients, and returns the gradient
+	// w.r.t. that example's input. The returned slice is owned by the
+	// layer. With needDx false the caller reads no input gradient (the
+	// network's first layer): the layer skips computing it and returns nil;
+	// parameter gradients are the same bits either way.
+	backward(e int, dout []float32, needDx bool) []float32
 	// params returns the trainable parameter slices (empty for stateless
 	// layers). The slices are live views; mutating them updates the layer.
 	params() [][]float32
@@ -28,6 +34,15 @@ type layer interface {
 	zeroGrads()
 }
 
+// fit returns s with length n, reusing its array when it is large enough.
+// Contents are not kept: every caller overwrites all n elements.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // dense is a fully connected layer: y = Wx + b, with W stored row-major
 // [out][in].
 type dense struct {
@@ -35,7 +50,7 @@ type dense struct {
 	w, b    []float32
 	dw, db  []float32
 
-	x  []float32 // cached input
+	x  []float32 // cached input batch
 	y  []float32
 	dx []float32
 }
@@ -47,21 +62,19 @@ func newDense(in, out int) *dense {
 		b:  make([]float32, out),
 		dw: make([]float32, in*out),
 		db: make([]float32, out),
-		y:  make([]float32, out),
 		dx: make([]float32, in),
 	}
 }
 
-func (d *dense) forward(x []float32) []float32 {
-	d.x = x
-	for o := 0; o < d.out; o++ {
-		row := d.w[o*d.in : (o+1)*d.in]
-		sum := d.b[o]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		d.y[o] = sum
+// forward fills every output with its bias and lets gemmNTChain add the
+// example's products to it one at a time, in input order.
+func (d *dense) forward(x []float32, nb int) []float32 {
+	d.x = x[:nb*d.in]
+	d.y = fit(d.y, nb*d.out)
+	for e := 0; e < nb; e++ {
+		copy(d.y[e*d.out:(e+1)*d.out], d.b)
 	}
+	gemmNTChain(nb, d.out, d.in, d.x, d.w, d.y)
 	return d.y
 }
 
@@ -73,7 +86,8 @@ func (d *dense) forward(x []float32) []float32 {
 // it, so with a non-finite x or w the layer differs from a dense product.
 // conv2d's sparse backward (conv.go) rests on the same argument and
 // guards that case.
-func (d *dense) backward(dout []float32, needDx bool) []float32 {
+func (d *dense) backward(e int, dout []float32, needDx bool) []float32 {
+	x := d.x[e*d.in : (e+1)*d.in]
 	if needDx {
 		zero(d.dx)
 	}
@@ -85,13 +99,13 @@ func (d *dense) backward(dout []float32, needDx bool) []float32 {
 		drow := d.dw[o*d.in : (o+1)*d.in]
 		d.db[o] += g
 		if !needDx {
-			for i, xi := range d.x {
+			for i, xi := range x {
 				drow[i] += g * xi
 			}
 			continue
 		}
 		row := d.w[o*d.in : (o+1)*d.in]
-		for i, xi := range d.x {
+		for i, xi := range x {
 			drow[i] += g * xi
 			d.dx[i] += row[i] * g
 		}
@@ -117,22 +131,21 @@ func (d *dense) zeroGrads() {
 // the backward pass reuses the stored mask, guaranteeing the two passes
 // agree on the pass-through set.
 type relu struct {
+	size int
 	y    []float32
 	dx   []float32
 	mask []uint32 // all-ones where the input was positive, else zero
 }
 
 func newReLU(size int) *relu {
-	return &relu{
-		y:    make([]float32, size),
-		dx:   make([]float32, size),
-		mask: make([]uint32, size),
-	}
+	return &relu{size: size, dx: make([]float32, size)}
 }
 
-func (r *relu) forward(x []float32) []float32 {
-	y := r.y
-	mask := r.mask
+func (r *relu) forward(x []float32, nb int) []float32 {
+	x = x[:nb*r.size]
+	r.y = fit(r.y, len(x))
+	r.mask = fit(r.mask, len(x))
+	y, mask := r.y[:len(x)], r.mask[:len(x)]
 	for i, v := range x {
 		b := math.Float32bits(v)
 		// Sign bit of (b | -b) is set iff b != 0; clearing elements whose
@@ -141,16 +154,17 @@ func (r *relu) forward(x []float32) []float32 {
 		y[i] = math.Float32frombits(b & m)
 		mask[i] = m
 	}
-	return y
+	return r.y
 }
 
-func (r *relu) backward(dout []float32, needDx bool) []float32 {
+func (r *relu) backward(e int, dout []float32, needDx bool) []float32 {
 	if !needDx {
 		return nil
 	}
-	dx := r.dx
-	for i, g := range dout {
-		dx[i] = math.Float32frombits(math.Float32bits(g) & r.mask[i])
+	mask := r.mask[e*r.size : (e+1)*r.size]
+	dx := r.dx[:len(mask)]
+	for i, g := range dout[:len(mask)] {
+		dx[i] = math.Float32frombits(math.Float32bits(g) & mask[i])
 	}
 	return r.dx
 }

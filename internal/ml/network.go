@@ -26,7 +26,19 @@ type Network struct {
 
 	// order is the epoch shuffle buffer, reused across Train calls.
 	order []int
+
+	// in is the batch input buffer. maxBatch is the most examples one
+	// forward pass carries: Train's mini-batches and Evaluate's runs of the
+	// example list go through the layers maxBatch at a time. Any value
+	// gives the same bits (layer.go); it bounds the layers' batch buffers,
+	// and tests set it to 1 for the one-example-at-a-time oracle.
+	in       []float32
+	maxBatch int
 }
+
+// defaultMaxBatch is Network.maxBatch unless a test lowers it: the paper's
+// mini-batch size, and a quarter of an EvaluateParallel shard.
+const defaultMaxBatch = 16
 
 // NewNetwork builds a network from spec with He-initialized weights drawn
 // from rng (biases start at zero).
@@ -46,7 +58,7 @@ func buildNetwork(spec Spec) (*Network, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{spec: spec}
+	n := &Network{spec: spec, maxBatch: defaultMaxBatch}
 	cur := shapeState{c: spec.InputC, h: spec.InputH, w: spec.InputW}
 	for _, ls := range spec.Layers {
 		switch ls.Kind {
@@ -104,11 +116,27 @@ func (n *Network) Forward(x []float32) ([]float32, error) {
 	if len(x) != n.spec.InputDim() {
 		return nil, fmt.Errorf("ml: input dim %d, want %d", len(x), n.spec.InputDim())
 	}
-	cur := x
+	return n.forward(x, 1), nil
+}
+
+// forward runs nb examples, stored back to back in x, through every layer
+// and returns their logits back to back.
+func (n *Network) forward(x []float32, nb int) []float32 {
 	for _, l := range n.layers {
-		cur = l.forward(cur)
+		x = l.forward(x, nb)
 	}
-	return cur, nil
+	return x
+}
+
+// forwardBatch gathers nb examples' inputs, x(e) being example e's, into
+// the batch buffer and runs them through the network in one pass.
+func (n *Network) forwardBatch(nb int, x func(e int) []float32) []float32 {
+	dim := n.spec.InputDim()
+	n.in = fit(n.in, nb*dim)
+	for e := 0; e < nb; e++ {
+		copy(n.in[e*dim:(e+1)*dim], x(e))
+	}
+	return n.forward(n.in, nb)
 }
 
 // Predict returns the argmax class for x.
@@ -203,24 +231,22 @@ func (n *Network) Train(examples []Example, cfg TrainConfig, rng *sim.RNG) (floa
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss := 0.0
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
+			end := min(start+cfg.BatchSize, len(order))
 			n.zeroGrads()
 			batchLoss := 0.0
-			for _, idx := range order[start:end] {
-				ex := examples[idx]
-				logits, err := n.Forward(ex.X)
-				if err != nil {
-					return 0, err
+			// One forward pass per mini-batch (weights change only at the
+			// step below), then each example's backward in order.
+			for lo := start; lo < end; lo += n.maxBatch {
+				chunk := order[lo:min(lo+n.maxBatch, end)]
+				logits := n.forwardBatch(len(chunk), func(e int) []float32 { return examples[chunk[e]].X })
+				for e, idx := range chunk {
+					loss, err := SoftmaxCrossEntropy(logits[e*n.nOut:(e+1)*n.nOut], examples[idx].Label, n.dlogits)
+					if err != nil {
+						return 0, err
+					}
+					batchLoss += loss
+					n.backward(e, n.dlogits)
 				}
-				loss, err := SoftmaxCrossEntropy(logits, ex.Label, n.dlogits)
-				if err != nil {
-					return 0, err
-				}
-				batchLoss += loss
-				n.backward(n.dlogits)
 			}
 			// Average gradients over the batch.
 			scale := float32(1 / float64(end-start))
@@ -242,13 +268,13 @@ func (n *Network) Train(examples []Example, cfg TrainConfig, rng *sim.RNG) (floa
 	return lastEpochLoss, nil
 }
 
-// backward backpropagates dlogits through every layer, accumulating
-// parameter gradients. Nothing reads the gradient w.r.t. the network
-// input, so the first layer is asked not to compute it.
-func (n *Network) backward(dlogits []float32) {
+// backward backpropagates example e's dlogits through every layer,
+// accumulating parameter gradients. Nothing reads the gradient w.r.t. the
+// network input, so the first layer is asked not to compute it.
+func (n *Network) backward(e int, dlogits []float32) {
 	cur := dlogits
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		cur = n.layers[i].backward(cur, i > 0)
+		cur = n.layers[i].backward(e, cur, i > 0)
 	}
 }
 
@@ -261,24 +287,34 @@ func (n *Network) Evaluate(examples []Example) (accuracy, loss float64, err erro
 	if err := ValidateExamples(examples, n.spec.InputDim(), n.nOut); err != nil {
 		return 0, 0, err
 	}
-	correct := 0
-	totalLoss := 0.0
-	scratch := n.dlogits // softmax scratch; no training state lives here
-	for _, ex := range examples {
-		logits, err := n.Forward(ex.X)
-		if err != nil {
-			return 0, 0, err
-		}
-		if Argmax(logits) == ex.Label {
-			correct++
-		}
-		l, err := SoftmaxCrossEntropy(logits, ex.Label, scratch)
-		if err != nil {
-			return 0, 0, err
-		}
-		totalLoss += l
+	correct, totalLoss, err := n.score(examples)
+	if err != nil {
+		return 0, 0, err
 	}
 	return float64(correct) / float64(len(examples)), totalLoss / float64(len(examples)), nil
+}
+
+// score runs validated examples through the network maxBatch at a time and
+// returns how many it classifies correctly and their cross-entropy losses
+// summed in example order.
+func (n *Network) score(examples []Example) (correct int, loss float64, err error) {
+	scratch := n.dlogits // softmax scratch; no training state lives here
+	for lo := 0; lo < len(examples); lo += n.maxBatch {
+		chunk := examples[lo:min(lo+n.maxBatch, len(examples))]
+		logits := n.forwardBatch(len(chunk), func(e int) []float32 { return chunk[e].X })
+		for e, ex := range chunk {
+			out := logits[e*n.nOut : (e+1)*n.nOut]
+			if Argmax(out) == ex.Label {
+				correct++
+			}
+			l, err := SoftmaxCrossEntropy(out, ex.Label, scratch)
+			if err != nil {
+				return 0, 0, err
+			}
+			loss += l
+		}
+	}
+	return correct, loss, nil
 }
 
 // clipGradients rescales all gradient groups so their joint L2 norm does
