@@ -61,10 +61,13 @@ test:
 # determinism re-runs the reproducibility tests on their own, so a
 # regression fails CI under an unambiguous step name. The ml line holds the
 # sparse conv backward, the first layer's skipped input gradient and the
-# batched forward kernels to their oracles bit for bit.
+# batched forward kernels to their oracles bit for bit. The world line holds
+# what a run reads of its world — traces cut at its horizon, each vehicle's
+# data drawn on first read — to the eagerly built world and its goldens.
 determinism:
 	$(GO) test ./internal/repro/ -run 'ByteIdentical|Invariant|MatchesSerial' -count=1
 	$(GO) test ./internal/ml/ -run 'BitIdentical' -count=1
+	$(GO) test ./internal/core/ ./internal/dataset/ ./internal/mobility/ ./internal/sim/ -run 'BitIdentical|MatchColdAndGolden' -count=1
 
 race:
 	$(GO) test -race ./...

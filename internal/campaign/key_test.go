@@ -135,7 +135,16 @@ func TestGroupKeyFollowsTheWorld(t *testing.T) {
 	faulted.Config.Faults = &plan
 	lossy := tinySpec(1)
 	lossy.Config.Comm.V2C.DropProb = 0.25
-	for name, s := range map[string]RunSpec{"strategy": otherStrat, "fault plan": faulted, "comm": lossy} {
+	// A horizon that does not end the run before the traces leaves the
+	// world as it is.
+	atFleet := tinySpec(1)
+	atFleet.Config.Horizon = atFleet.Config.Fleet.Horizon
+	pastFleet := tinySpec(1)
+	pastFleet.Config.Horizon = 2 * pastFleet.Config.Fleet.Horizon
+	for name, s := range map[string]RunSpec{
+		"strategy": otherStrat, "fault plan": faulted, "comm": lossy,
+		"horizon to the fleet's": atFleet, "horizon past the fleet's": pastFleet,
+	} {
 		if group(s) != base {
 			t.Errorf("changing only the %s left the world group", name)
 		}
@@ -145,7 +154,10 @@ func TestGroupKeyFollowsTheWorld(t *testing.T) {
 	fleet.Config.Fleet.Vehicles++
 	data := tinySpec(1)
 	data.Config.Partition.PerAgent *= 2
-	for name, s := range map[string]RunSpec{"seed": tinySpec(2), "fleet": fleet, "partition": data} {
+	// A horizon below the fleet's cuts the traces there.
+	short := tinySpec(1)
+	short.Config.Horizon = short.Config.Fleet.Horizon - 1
+	for name, s := range map[string]RunSpec{"seed": tinySpec(2), "fleet": fleet, "partition": data, "horizon below the fleet's": short} {
 		if group(s) == base {
 			t.Errorf("changing the %s kept the world group", name)
 		}

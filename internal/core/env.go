@@ -59,11 +59,23 @@ func (e *Experiment) IsBusy(id sim.AgentID) bool {
 	return len(e.pending[id]) >= unit.Profile().Slots
 }
 
-// DataAmount implements strategy.Env.
-func (e *Experiment) DataAmount(id sim.AgentID) int { return len(e.data[id]) }
+// DataAmount implements strategy.Env. It draws no data.
+func (e *Experiment) DataAmount(id sim.AgentID) int {
+	if ref, ok := e.agentIdx[id]; ok && ref.vehicle {
+		return len(e.world.assign[ref.idx])
+	}
+	return 0
+}
 
-// LocalData implements strategy.Env.
-func (e *Experiment) LocalData(id sim.AgentID) []ml.Example { return e.data[id] }
+// LocalData implements strategy.Env: a vehicle's slice of the world's data,
+// drawn on the first read by any run attached to the world; nil for other
+// agents.
+func (e *Experiment) LocalData(id sim.AgentID) []ml.Example {
+	if ref, ok := e.agentIdx[id]; ok && ref.vehicle {
+		return e.world.part(ref.idx)
+	}
+	return nil
+}
 
 // Model implements strategy.Env.
 func (e *Experiment) Model(id sim.AgentID) *ml.Snapshot { return e.models[id] }
@@ -95,7 +107,7 @@ func payloadBytes(p strategy.Payload) int {
 
 // Train implements strategy.Env.
 func (e *Experiment) Train(id sim.AgentID, m *ml.Snapshot) error {
-	return e.TrainOnData(id, m, e.data[id])
+	return e.TrainOnData(id, m, e.LocalData(id))
 }
 
 // TrainOnData implements strategy.Env: it occupies the agent's hardware

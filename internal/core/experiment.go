@@ -37,7 +37,7 @@ type Experiment struct {
 	rsus     []sim.AgentID
 	rsuPos   []roadnet.Point
 
-	data    map[sim.AgentID][]ml.Example
+	world   *world // the vehicles' local data is world.part(i)
 	testSet []ml.Example
 	models  map[sim.AgentID]*ml.Snapshot
 	units   map[sim.AgentID]*hw.Unit
@@ -134,7 +134,6 @@ func New(cfg Config, strat strategy.Strategy) (*Experiment, error) {
 		strat:    strat,
 		engine:   sim.NewEngine(),
 		recorder: metrics.NewRecorder(),
-		data:     make(map[sim.AgentID][]ml.Example),
 		models:   make(map[sim.AgentID]*ml.Snapshot),
 		units:    make(map[sim.AgentID]*hw.Unit),
 		pending:  make(map[sim.AgentID][]pendingTrain),
@@ -176,6 +175,7 @@ func New(cfg Config, strat strategy.Strategy) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.world = w
 	e.replayer = w.replayer
 	e.testSet = w.testSet
 	e.horizon = w.replayer.Horizon()
@@ -309,8 +309,8 @@ type agentRef struct {
 	idx     int
 }
 
-// createAgents registers the server, one vehicle per trace (attached to its
-// slice of the world's data) and the RSUs; rsuRNG is nil without RSUs.
+// createAgents registers the server, one vehicle per trace and the RSUs;
+// rsuRNG is nil without RSUs.
 func (e *Experiment) createAgents(w *world, rsuRNG *sim.RNG) error {
 	e.agentIdx = make(map[sim.AgentID]agentRef)
 	e.server = e.registry.Add(sim.KindCloudServer).ID
@@ -326,7 +326,6 @@ func (e *Experiment) createAgents(w *world, rsuRNG *sim.RNG) error {
 		a := e.registry.Add(sim.KindVehicle)
 		e.vehicles[i] = a.ID
 		e.agentIdx[a.ID] = agentRef{vehicle: true, idx: i}
-		e.data[a.ID] = w.parts[i]
 		unit, err := hw.NewUnit(e.cfg.OBU)
 		if err != nil {
 			return err
@@ -625,14 +624,12 @@ func (e *Experiment) Run() (*Result, error) {
 
 // finalizeCounters folds per-unit compute accounting into the recorder.
 func (e *Experiment) finalizeCounters() {
-	var vehicleBusy, vehicleTasks float64
+	var vehicleBusy float64
 	for _, v := range e.vehicles {
 		vehicleBusy += e.units[v].BusySeconds()
-		vehicleTasks += float64(e.units[v].TasksRun())
 	}
 	e.recorder.Add("vehicle_compute_seconds", vehicleBusy)
 	e.recorder.Add("server_compute_seconds", e.units[e.server].BusySeconds())
-	_ = vehicleTasks // already tracked via CounterTrainTasks
 }
 
 // Recorder exposes the experiment's metrics (also available via Result).

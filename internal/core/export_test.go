@@ -33,7 +33,8 @@ func WorldRetainedFor(cfg Config) bool {
 }
 
 // RetainedWorldChecksum hashes every trace sample, partition example and
-// test example of the retained world; ok is false when the slot is empty.
+// test example of the retained world — drawing every vehicle's data — and
+// ok is false when the slot is empty.
 func RetainedWorldChecksum() (sum string, ok bool) {
 	worldSlot.mu.Lock()
 	w := worldSlot.w
@@ -74,9 +75,21 @@ func RetainedWorldChecksum() (sum string, ok bool) {
 			}
 		}
 	}
-	for _, p := range w.parts {
-		examples(p)
+	for i := range w.parts {
+		examples(w.part(i))
 	}
 	examples(w.testSet)
 	return hex.EncodeToString(h.Sum(nil)), true
+}
+
+// DrawnVehicles lists the vehicles (trace indices) whose data the world of
+// exp has drawn so far.
+func DrawnVehicles(exp *Experiment) []int {
+	var drawn []int
+	for i := range exp.world.parts {
+		if exp.world.parts[i].examples != nil {
+			drawn = append(drawn, i)
+		}
+	}
+	return drawn
 }

@@ -22,15 +22,37 @@ import (
 // LocalData ship the slices as they are — so the runs that evaluate
 // different strategies and fault plans on one (environment, seed) can all
 // attach to the same instance.
+//
+// A world holds only what a run can read. Traces end at the run's horizon
+// (mobility.GenConfig.Through), and the vehicles' data is a walked pool:
+// vehicle i's examples are drawn from their recorded stream positions the
+// first time a run reads them (part). That memo is the only write after
+// buildWorld, and it stores a pure function of the key.
 type world struct {
 	graph    *roadnet.Graph // nil for trace-file worlds
 	replayer *mobility.Replayer
-	parts    [][]ml.Example // parts[i] is the local data of the vehicle replaying trace i
+	pool     *dataset.Pool
+	assign   [][]int    // assign[i]: the pool indices of the vehicle replaying trace i
+	parts    []lazyPart // parts[i]: that vehicle's examples, once drawn
 	testSet  []ml.Example
 	bytes    int64 // estimated heap footprint, see sizeOf
 }
 
+type lazyPart struct {
+	once     sync.Once
+	examples []ml.Example
+}
+
+// part returns the local data of vehicle i, drawing it on first use.
+func (w *world) part(i int) []ml.Example {
+	p := &w.parts[i]
+	p.once.Do(func() { p.examples = w.pool.Examples(w.assign[i]) })
+	return p.examples
+}
+
 // worldKey holds, by value, every configuration field a world depends on.
+// Fleet is the generated fleet: its Horizon is the run's Config.Horizon
+// when that ends the run before the traces do (mobility.GenConfig.Through).
 // RSUs is part of it because the conditional "rsu" fork sits between the
 // mobility and the data forks: placing any RSU shifts the root stream the
 // three data forks are drawn from. TraceFile worlds are never retained
@@ -52,7 +74,7 @@ func worldKeyOf(cfg Config) worldKey {
 		Seed:        cfg.Seed,
 		TraceFile:   cfg.TraceFile,
 		Grid:        cfg.Grid,
-		Fleet:       cfg.Fleet,
+		Fleet:       cfg.Fleet.Through(cfg.Horizon),
 		RSUs:        cfg.RSUCount > 0,
 		Data:        cfg.Data,
 		Partition:   cfg.Partition,
@@ -139,7 +161,7 @@ func worldFor(cfg Config, ws worldStreams) (*world, error) {
 	if cfg.TraceFile != "" {
 		// A path does not pin the file's contents.
 		worldCounters.misses.Add(1)
-		return buildWorld(cfg, ws)
+		return buildWorld(worldKeyOf(cfg), ws)
 	}
 	key := worldKeyOf(cfg)
 	worldSlot.mu.Lock()
@@ -152,7 +174,7 @@ func worldFor(cfg Config, ws worldStreams) (*world, error) {
 	worldSlot.mu.Unlock()
 
 	worldCounters.misses.Add(1)
-	w, err := buildWorld(cfg, ws)
+	w, err := buildWorld(key, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -166,21 +188,21 @@ func worldFor(cfg Config, ws worldStreams) (*world, error) {
 	return w, nil
 }
 
-// buildWorld generates (or, with Config.TraceFile, loads) the spatial
-// dynamics and the data of cfg from their dedicated streams.
-func buildWorld(cfg Config, ws worldStreams) (*world, error) {
+// buildWorld generates (or, with a trace file, loads) the spatial dynamics
+// and the data of k from their dedicated streams.
+func buildWorld(k worldKey, ws worldStreams) (*world, error) {
 	w := &world{}
 	var traces *mobility.TraceSet
 	var err error
-	if cfg.TraceFile != "" {
-		if traces, err = readTraceFile(cfg.TraceFile); err != nil {
+	if k.TraceFile != "" {
+		if traces, err = readTraceFile(k.TraceFile); err != nil {
 			return nil, err
 		}
 	} else {
-		if w.graph, err = roadnet.Generate(cfg.Grid, ws.roadnet); err != nil {
+		if w.graph, err = roadnet.Generate(k.Grid, ws.roadnet); err != nil {
 			return nil, err
 		}
-		if traces, err = mobility.Generate(cfg.Fleet, w.graph, ws.mobility); err != nil {
+		if traces, err = mobility.Generate(k.Fleet, w.graph, ws.mobility); err != nil {
 			return nil, err
 		}
 	}
@@ -188,23 +210,23 @@ func buildWorld(cfg Config, ws worldStreams) (*world, error) {
 		return nil, err
 	}
 
-	gen, err := dataset.NewGenerator(cfg.Data, ws.proto)
+	gen, err := dataset.NewGenerator(k.Data, ws.proto)
 	if err != nil {
 		return nil, err
 	}
 	vehicles := w.replayer.NumVehicles()
-	pool, err := gen.Balanced(vehicles*cfg.Partition.PerAgent, ws.draw)
-	if err != nil {
+	if w.pool, err = gen.Walk(vehicles*k.Partition.PerAgent, ws.draw); err != nil {
 		return nil, err
 	}
-	if w.parts, err = dataset.Partition(pool, vehicles, cfg.Partition, ws.partition); err != nil {
+	if w.assign, err = dataset.PartitionIndices(w.pool.Labels(), vehicles, k.Partition, ws.partition); err != nil {
 		return nil, err
 	}
-	// The test set continues the draw stream the pool came from.
-	if w.testSet, err = gen.Balanced(cfg.TestSamples, ws.draw); err != nil {
+	w.parts = make([]lazyPart, vehicles)
+	// The test set continues the draw stream the pool was walked on.
+	if w.testSet, err = gen.Balanced(k.TestSamples, ws.draw); err != nil {
 		return nil, err
 	}
-	w.bytes = w.sizeOf(cfg.Data.Dim())
+	w.bytes = w.sizeOf(k.Data.Dim())
 	return w, nil
 }
 
@@ -222,12 +244,15 @@ func readTraceFile(path string) (*mobility.TraceSet, error) {
 }
 
 // sizeOf estimates the world's heap footprint: float32 features plus the
-// example header per example, and the trace samples. The road network is
-// a few hundred nodes and is not counted.
+// example header per example, and the trace samples. Every vehicle's data
+// counts as drawn — the bound a world reaches once its runs have read it
+// all — so a world is retained or not on the same terms as when the pool
+// was drawn up front. The road network is a few hundred nodes and is not
+// counted.
 func (w *world) sizeOf(dim int) int64 {
 	examples := int64(len(w.testSet))
-	for _, p := range w.parts {
-		examples += int64(len(p))
+	for _, a := range w.assign {
+		examples += int64(len(a))
 	}
 	var samples int64
 	for _, tr := range w.replayer.TraceSet().Traces {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -240,6 +241,8 @@ func TestWorldKeyCoversEveryWorldField(t *testing.T) {
 		"TestSamples":      func(c *core.Config) { c.TestSamples++ },
 		"RSUCount to zero": func(c *core.Config) { c.RSUCount = 0 }, // removes the "rsu" fork before the data forks
 		"TraceFile":        func(c *core.Config) { c.TraceFile = "traces.csv" },
+		// The traces end at a horizon below the fleet's.
+		"Horizon below Fleet.Horizon": func(c *core.Config) { c.Horizon = c.Fleet.Horizon - 1 },
 	} {
 		cfg := base
 		mutate(&cfg)
@@ -263,8 +266,10 @@ func newExperiment(t *testing.T, cfg core.Config) *core.Experiment {
 }
 
 // TestWorldSharedAcrossPerRunFields: everything that distinguishes the runs
-// of one (environment, seed) — strategy, fault plan, channels, horizon, the
-// result-invariant knobs, model and hardware — attaches to the same world.
+// of one (environment, seed) — strategy, fault plan, channels, a horizon
+// that does not end the run before the traces, the result-invariant knobs,
+// model and hardware — attaches to the same world. Each case re-attaches
+// the base world first, so one miss cannot fail the cases after it.
 func TestWorldSharedAcrossPerRunFields(t *testing.T) {
 	core.ResetWorldSlot()
 	base := conformance.Config(worldSeed)
@@ -274,25 +279,29 @@ func TestWorldSharedAcrossPerRunFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutations := map[string]func(*core.Config){
-		"Faults":        func(c *core.Config) { c.Faults = &plan },
-		"Comm":          func(c *core.Config) { c.Comm.V2X.RangeM *= 2; c.Comm.V2C.DropProb = 0.3 },
-		"Horizon":       func(c *core.Config) { c.Horizon = 900 },
-		"TickInterval":  func(c *core.Config) { c.TickInterval = 2 },
-		"EvalWorkers":   func(c *core.Config) { c.EvalWorkers = 3 },
-		"Trace":         func(c *core.Config) { c.Trace = true },
-		"ChannelRecord": func(c *core.Config) { c.ChannelRecord = true },
-		"RSUCount":      func(c *core.Config) { c.RSUCount = 5 }, // still forks "rsu" once
-		"Model":         func(c *core.Config) { c.Model = ml.MLPSpec(c.Data.Dim(), []int{12, 8}, c.Data.Classes) },
-		"Train":         func(c *core.Config) { c.Train.Epochs = 1 },
-		"OBU":           func(c *core.Config) { c.OBU.Slots = 2 },
+		"Faults":               func(c *core.Config) { c.Faults = &plan },
+		"Comm":                 func(c *core.Config) { c.Comm.V2X.RangeM *= 2; c.Comm.V2C.DropProb = 0.3 },
+		"Horizon zero":         func(c *core.Config) { c.Horizon = 0 },
+		"Horizon at Fleet's":   func(c *core.Config) { c.Horizon = c.Fleet.Horizon },
+		"Horizon past Fleet's": func(c *core.Config) { c.Horizon = 2 * c.Fleet.Horizon },
+		"TickInterval":         func(c *core.Config) { c.TickInterval = 2 },
+		"EvalWorkers":          func(c *core.Config) { c.EvalWorkers = 3 },
+		"Trace":                func(c *core.Config) { c.Trace = true },
+		"ChannelRecord":        func(c *core.Config) { c.ChannelRecord = true },
+		"RSUCount":             func(c *core.Config) { c.RSUCount = 5 }, // still forks "rsu" once
+		"Model":                func(c *core.Config) { c.Model = ml.MLPSpec(c.Data.Dim(), []int{12, 8}, c.Data.Classes) },
+		"Train":                func(c *core.Config) { c.Train.Epochs = 1 },
+		"OBU":                  func(c *core.Config) { c.OBU.Slots = 2 },
 	}
 	for name, mutate := range mutations {
+		newExperiment(t, base)
 		cfg := base
 		mutate(&cfg)
 		if h, m, _ := statsDelta(func() { newExperiment(t, cfg) }); h != 1 || m != 0 {
 			t.Errorf("changing only %s: %d hits, %d misses, want 1, 0", name, h, m)
 		}
 	}
+	newExperiment(t, base)
 	for _, c := range conformance.Cases() {
 		strat, err := c.New()
 		if err != nil {
@@ -383,5 +392,124 @@ func TestWorldTraceFileBypassesSlot(t *testing.T) {
 	newExperiment(t, cfg)
 	if !core.WorldRetainedFor(generated) {
 		t.Fatal("a trace-file run evicted the retained world")
+	}
+}
+
+// eagerParts deals cfg's vehicle data the way the world was built before
+// its pool was walked: Balanced draws the whole pool on the "data-draw" fork
+// and Partition deals the examples, with every root fork at New's position.
+func eagerParts(t *testing.T, cfg core.Config) [][]ml.Example {
+	t.Helper()
+	root := sim.NewRNG(cfg.Seed)
+	for _, label := range []string{"strategy", "train", "roadnet", "mobility"} {
+		root.Fork(label)
+	}
+	if cfg.RSUCount > 0 {
+		root.Fork("rsu")
+	}
+	root.Fork("comm")
+	gen, err := dataset.NewGenerator(cfg.Data, root.Fork("data-proto"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := gen.Balanced(cfg.Fleet.Vehicles*cfg.Partition.PerAgent, root.Fork("data-draw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := dataset.Partition(pool, cfg.Fleet.Vehicles, cfg.Partition, root.Fork("partition"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts
+}
+
+func sameExamples(a, b []ml.Example) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Label != b[i].Label || len(a[i].X) != len(b[i].X) {
+			return false
+		}
+		for k, v := range a[i].X {
+			if math.Float32bits(v) != math.Float32bits(b[i].X[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestWorldLazyPartsBitIdentical: every vehicle's data, drawn on its first
+// read, equals what Partition(Balanced(…)) dealt it — for each scheme, with
+// and without shifts — when 8 goroutines read every vehicle at once, each
+// in its own shuffled order (run under -race, this also checks the memo).
+func TestWorldLazyPartsBitIdentical(t *testing.T) {
+	schemes := []dataset.PartitionConfig{
+		{Scheme: dataset.SchemeIID, PerAgent: 24},
+		{Scheme: dataset.SchemeShards, PerAgent: 24, ShardsPerAgent: 2},
+		{Scheme: dataset.SchemeDirichlet, PerAgent: 24, Alpha: 0.5},
+	}
+	for _, part := range schemes {
+		for _, shift := range []int{0, 2} {
+			cfg := conformance.Config(worldSeed)
+			cfg.Partition = part
+			cfg.Data.MaxShift = shift
+			want := eagerParts(t, cfg)
+			core.ResetWorldSlot()
+			exp := newExperiment(t, cfg)
+			vs := exp.Vehicles()
+			const readers = 8
+			got := make([][][]ml.Example, readers)
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				order := sim.NewRNG(uint64(r)).Perm(len(vs))
+				got[r] = make([][]ml.Example, len(vs))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, i := range order {
+						got[r][i] = exp.LocalData(vs[i])
+					}
+				}()
+			}
+			wg.Wait()
+			for i, v := range vs {
+				if n := exp.DataAmount(v); n != len(want[i]) {
+					t.Fatalf("%v MaxShift %d vehicle %d: DataAmount %d, want %d", part.Scheme, shift, i, n, len(want[i]))
+				}
+				for r := range got {
+					if !sameExamples(got[r][i], want[i]) {
+						t.Fatalf("%v MaxShift %d vehicle %d (reader %d): lazy data differs from Partition(Balanced(…))", part.Scheme, shift, i, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWorldDrawsOnlyWhatIsRead: building a world draws no vehicle's data,
+// DataAmount draws none, and reading one vehicle draws that vehicle alone —
+// a vehicle that no run reads is never drawn.
+func TestWorldDrawsOnlyWhatIsRead(t *testing.T) {
+	core.ResetWorldSlot()
+	exp := newExperiment(t, conformance.Config(worldSeed))
+	if d := core.DrawnVehicles(exp); len(d) != 0 {
+		t.Fatalf("building the world drew vehicles %v", d)
+	}
+	for _, v := range exp.Vehicles() {
+		if exp.DataAmount(v) == 0 {
+			t.Fatalf("vehicle %v holds no data", v)
+		}
+	}
+	if d := core.DrawnVehicles(exp); len(d) != 0 {
+		t.Fatalf("DataAmount drew vehicles %v", d)
+	}
+	if exp.LocalData(exp.Server()) != nil || exp.DataAmount(exp.Server()) != 0 {
+		t.Fatal("the server holds vehicle data")
+	}
+	exp.LocalData(exp.Vehicles()[3])
+	if d := core.DrawnVehicles(exp); !reflect.DeepEqual(d, []int{3}) {
+		t.Fatalf("reading vehicle 3 drew vehicles %v", d)
 	}
 }

@@ -144,21 +144,53 @@ func (g *Generator) Config() Config { return g.cfg }
 // Sample draws one example of the given class: the prototype, cyclically
 // shifted, brightness-scaled, with Gaussian pixel noise.
 func (g *Generator) Sample(class int, rng *sim.RNG) (ml.Example, error) {
+	if err := g.check(class, rng); err != nil {
+		return ml.Example{}, err
+	}
+	x := make([]float32, g.cfg.Dim())
+	g.draw(class, rng, x)
+	return ml.Example{X: x, Label: class}, nil
+}
+
+// Skip advances rng past one Sample of class: it makes exactly the draw
+// calls Sample makes and builds no image.
+func (g *Generator) Skip(class int, rng *sim.RNG) error {
+	if err := g.check(class, rng); err != nil {
+		return err
+	}
+	g.draw(class, rng, nil)
+	return nil
+}
+
+func (g *Generator) check(class int, rng *sim.RNG) error {
 	if class < 0 || class >= g.cfg.Classes {
-		return ml.Example{}, fmt.Errorf("dataset: class %d outside [0,%d)", class, g.cfg.Classes)
+		return fmt.Errorf("dataset: class %d outside [0,%d)", class, g.cfg.Classes)
 	}
 	if rng == nil {
-		return ml.Example{}, fmt.Errorf("dataset: nil rng")
+		return fmt.Errorf("dataset: nil rng")
 	}
+	return nil
+}
+
+// draw is the one draw sequence of a sample, shared by Sample and Skip:
+// two shift draws when MaxShift > 0, one brightness draw, then one noise
+// draw per pixel in output order. It writes the image into x, or, with x
+// nil, only advances rng.
+func (g *Generator) draw(class int, rng *sim.RNG, x []float32) {
 	cfg := g.cfg
-	proto := g.protos[class]
-	x := make([]float32, cfg.Dim())
 	dx, dy := 0, 0
 	if cfg.MaxShift > 0 {
 		dx = rng.Intn(2*cfg.MaxShift+1) - cfg.MaxShift
 		dy = rng.Intn(2*cfg.MaxShift+1) - cfg.MaxShift
 	}
 	brightness := float32(rng.Range(0.8, 1.2))
+	if x == nil {
+		for i := cfg.Dim(); i > 0; i-- {
+			rng.NormFloat64()
+		}
+		return
+	}
+	proto := g.protos[class]
 	// The cyclic shift is resolved once per sample (start column) and once
 	// per row (source row), leaving an increment-and-wrap in the pixel loop;
 	// noise is still drawn pixel by pixel in output order.
@@ -177,7 +209,6 @@ func (g *Generator) Sample(class int, rng *sim.RNG) (ml.Example, error) {
 			}
 		}
 	}
-	return ml.Example{X: x, Label: class}, nil
 }
 
 // Balanced draws n examples with labels cycling through the classes
@@ -195,6 +226,62 @@ func (g *Generator) Balanced(n int, rng *sim.RNG) ([]ml.Example, error) {
 		out[i] = ex
 	}
 	return out, nil
+}
+
+// Pool is the pool Balanced(n, rng) draws, before any of it is drawn: the
+// stream position each example starts at. Example i has label
+// i % Classes, so the pool can be partitioned (PartitionIndices over
+// Labels) before a single image exists, and only the examples someone
+// reads are ever drawn.
+type Pool struct {
+	gen   *Generator
+	marks []uint64 // marks[i] is rng's Mark before example i
+}
+
+// Walk advances rng exactly as Balanced(n, rng) does and returns the pool
+// that call would have drawn, undrawn. Walking is sequential: rejection
+// sampling in the noise and shift draws makes an example's length in the
+// stream known only once it has been walked.
+func (g *Generator) Walk(n int, rng *sim.RNG) (*Pool, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("dataset: non-positive sample count %d", n)
+	}
+	if rng == nil {
+		return nil, fmt.Errorf("dataset: nil rng")
+	}
+	p := &Pool{gen: g, marks: make([]uint64, n)}
+	for i := range p.marks {
+		p.marks[i] = rng.Mark()
+		if err := g.Skip(i%g.cfg.Classes, rng); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Labels returns every example's label, in pool order.
+func (p *Pool) Labels() []int {
+	labels := make([]int, len(p.marks))
+	for i := range labels {
+		labels[i] = i % p.gen.cfg.Classes
+	}
+	return labels
+}
+
+// Examples draws the pool examples at idx, in idx order, each bit for bit
+// the example Balanced would have drawn at that index. The images share one
+// backing array. Pool is read-only, so concurrent calls are safe.
+func (p *Pool) Examples(idx []int) []ml.Example {
+	dim := p.gen.cfg.Dim()
+	buf := make([]float32, len(idx)*dim)
+	out := make([]ml.Example, len(idx))
+	for k, i := range idx {
+		x := buf[k*dim : (k+1)*dim : (k+1)*dim]
+		label := i % p.gen.cfg.Classes
+		p.gen.draw(label, sim.NewRNG(p.marks[i]), x)
+		out[k] = ml.Example{X: x, Label: label}
+	}
+	return out
 }
 
 func mod(a, m int) int {

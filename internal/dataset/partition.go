@@ -90,8 +90,31 @@ func (c PartitionConfig) Validate() error {
 
 // Partition splits pool into agents subsets of cfg.PerAgent samples each.
 // The pool must hold at least agents*cfg.PerAgent examples. Examples are
-// not duplicated across agents.
+// not duplicated across agents. It is PartitionIndices on the pool's
+// labels: a split depends on nothing else about an example.
 func Partition(pool []ml.Example, agents int, cfg PartitionConfig, rng *sim.RNG) ([][]ml.Example, error) {
+	labels := make([]int, len(pool))
+	for i, ex := range pool {
+		labels[i] = ex.Label
+	}
+	idx, err := PartitionIndices(labels, agents, cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]ml.Example, agents)
+	for a, ix := range idx {
+		out[a] = make([]ml.Example, len(ix))
+		for k, i := range ix {
+			out[a][k] = pool[i]
+		}
+	}
+	return out, nil
+}
+
+// PartitionIndices splits a pool given by its labels (labels[i] is the
+// label of example i) into agents lists of cfg.PerAgent pool indices each,
+// in the order Partition hands the examples out.
+func PartitionIndices(labels []int, agents int, cfg PartitionConfig, rng *sim.RNG) ([][]int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,50 +125,69 @@ func Partition(pool []ml.Example, agents int, cfg PartitionConfig, rng *sim.RNG)
 		return nil, fmt.Errorf("dataset: nil rng")
 	}
 	need := agents * cfg.PerAgent
-	if len(pool) < need {
-		return nil, fmt.Errorf("dataset: pool of %d samples cannot supply %d agents x %d", len(pool), agents, cfg.PerAgent)
+	if len(labels) < need {
+		return nil, fmt.Errorf("dataset: pool of %d samples cannot supply %d agents x %d", len(labels), agents, cfg.PerAgent)
 	}
 	switch cfg.Scheme {
 	case SchemeIID:
-		return partitionIID(pool, agents, cfg.PerAgent, rng), nil
+		return partitionIID(len(labels), agents, cfg.PerAgent, rng), nil
 	case SchemeShards:
-		return partitionShards(pool, agents, cfg.PerAgent, cfg.ShardsPerAgent, rng), nil
+		return partitionShards(labels, agents, cfg.PerAgent, cfg.ShardsPerAgent, rng), nil
 	case SchemeDirichlet:
-		return partitionDirichlet(pool, agents, cfg.PerAgent, cfg.Alpha, rng)
+		return partitionDirichlet(labels, agents, cfg.PerAgent, cfg.Alpha, rng)
 	default:
 		return nil, fmt.Errorf("dataset: unknown scheme %d", int(cfg.Scheme))
 	}
 }
 
-func partitionIID(pool []ml.Example, agents, perAgent int, rng *sim.RNG) [][]ml.Example {
-	perm := rng.Perm(len(pool))
-	out := make([][]ml.Example, agents)
-	k := 0
-	for a := 0; a < agents; a++ {
-		subset := make([]ml.Example, perAgent)
-		for i := range subset {
-			subset[i] = pool[perm[k]]
-			k++
+// byLabel groups pool indices by label: the labels in ascending order and,
+// per label, its indices in pool order. Concatenating the groups is a
+// stable sort of the pool by label.
+func byLabel(labels []int) (classes []int, groups [][]int) {
+	slot := map[int]int{}
+	for _, l := range labels {
+		if _, ok := slot[l]; !ok {
+			slot[l] = 0
+			classes = append(classes, l)
 		}
-		out[a] = subset
+	}
+	sort.Ints(classes)
+	for k, c := range classes {
+		slot[c] = k
+	}
+	groups = make([][]int, len(classes))
+	for i, l := range labels {
+		k := slot[l]
+		groups[k] = append(groups[k], i)
+	}
+	return classes, groups
+}
+
+func partitionIID(n, agents, perAgent int, rng *sim.RNG) [][]int {
+	perm := rng.Perm(n)
+	out := make([][]int, agents)
+	for a := range out {
+		out[a] = perm[a*perAgent : (a+1)*perAgent : (a+1)*perAgent]
 	}
 	return out
 }
 
-func partitionShards(pool []ml.Example, agents, perAgent, shardsPerAgent int, rng *sim.RNG) [][]ml.Example {
+func partitionShards(labels []int, agents, perAgent, shardsPerAgent int, rng *sim.RNG) [][]int {
 	// Stable sort by label, then slice into equal shards and deal a random
 	// shardsPerAgent of them to each agent.
-	sorted := make([]ml.Example, len(pool))
-	copy(sorted, pool)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Label < sorted[j].Label })
+	_, groups := byLabel(labels)
+	sorted := make([]int, 0, len(labels))
+	for _, g := range groups {
+		sorted = append(sorted, g...)
+	}
 
 	shardSize := perAgent / shardsPerAgent
 	numShards := agents * shardsPerAgent
 	shardOrder := rng.Perm(numShards)
-	out := make([][]ml.Example, agents)
+	out := make([][]int, agents)
 	k := 0
 	for a := 0; a < agents; a++ {
-		subset := make([]ml.Example, 0, perAgent)
+		subset := make([]int, 0, perAgent)
 		for s := 0; s < shardsPerAgent; s++ {
 			shard := shardOrder[k]
 			k++
@@ -157,46 +199,32 @@ func partitionShards(pool []ml.Example, agents, perAgent, shardsPerAgent int, rn
 	return out
 }
 
-func partitionDirichlet(pool []ml.Example, agents, perAgent int, alpha float64, rng *sim.RNG) ([][]ml.Example, error) {
+func partitionDirichlet(labels []int, agents, perAgent int, alpha float64, rng *sim.RNG) ([][]int, error) {
 	// Group pool indices by label, shuffled within each class.
-	byClass := map[int][]int{}
-	var classes []int
-	for i, ex := range pool {
-		if _, ok := byClass[ex.Label]; !ok {
-			classes = append(classes, ex.Label)
-		}
-		byClass[ex.Label] = append(byClass[ex.Label], i)
-	}
-	sort.Ints(classes)
-	for _, c := range classes {
-		idx := byClass[c]
+	classes, byClass := byLabel(labels)
+	for _, idx := range byClass {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	}
-	cursor := map[int]int{}
+	cursor := make([]int, len(classes))
 
-	out := make([][]ml.Example, agents)
+	out := make([][]int, agents)
 	for a := 0; a < agents; a++ {
 		props := dirichlet(rng, len(classes), alpha)
-		subset := make([]ml.Example, 0, perAgent)
+		subset := make([]int, 0, perAgent)
 		// Draw target counts per class, then fill, falling back to any
 		// class with remaining samples when one runs dry.
-		for ci, c := range classes {
-			want := int(props[ci]*float64(perAgent) + 0.5)
-			for n := 0; n < want && len(subset) < perAgent; n++ {
-				idx := byClass[c]
-				if cursor[c] >= len(idx) {
-					break
-				}
-				subset = append(subset, pool[idx[cursor[c]]])
+		for c, idx := range byClass {
+			want := int(props[c]*float64(perAgent) + 0.5)
+			for n := 0; n < want && len(subset) < perAgent && cursor[c] < len(idx); n++ {
+				subset = append(subset, idx[cursor[c]])
 				cursor[c]++
 			}
 		}
 		for len(subset) < perAgent {
 			grew := false
-			for _, c := range classes {
-				idx := byClass[c]
+			for c, idx := range byClass {
 				if cursor[c] < len(idx) {
-					subset = append(subset, pool[idx[cursor[c]]])
+					subset = append(subset, idx[cursor[c]])
 					cursor[c]++
 					grew = true
 					if len(subset) == perAgent {

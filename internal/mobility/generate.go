@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 
 	"roadrunner/internal/roadnet"
 	"roadrunner/internal/sim"
@@ -77,6 +78,19 @@ func (c GenConfig) Validate() error {
 	default:
 		return nil
 	}
+}
+
+// Through returns c cut to what replay reads up to and including instant
+// t. With 0 < t < Horizon the horizon becomes the next float64 above t, so
+// every sample with T <= t is generated — and, mid-trip, the first sample
+// after t that positions interpolate towards — exactly as the full horizon
+// generates it: each vehicle draws from its own fork, so where a trace ends
+// changes no draw before that point. Any other t returns c unchanged.
+func (c GenConfig) Through(t sim.Duration) GenConfig {
+	if t > 0 && t < c.Horizon {
+		c.Horizon = sim.Duration(math.Nextafter(float64(t), math.Inf(1)))
+	}
+	return c
 }
 
 // Generate produces a fleet trace set on the given road network, drawing

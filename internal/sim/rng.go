@@ -39,6 +39,11 @@ func (r *RNG) Fork(label string) *RNG {
 	return NewRNG(h.Sum64() ^ r.src.next())
 }
 
+// Mark returns r's position in its stream: NewRNG(r.Mark()) draws exactly
+// what r draws next. rand.Rand keeps no state of its own outside Read, which
+// nothing in the simulator calls, so the SplitMix64 state is the position.
+func (r *RNG) Mark() uint64 { return r.src.state }
+
 // Bool returns true with probability p (clamped to [0, 1]).
 func (r *RNG) Bool(p float64) bool {
 	if p <= 0 {

@@ -187,3 +187,23 @@ func TestSplitMix64KnownVector(t *testing.T) {
 		}
 	}
 }
+
+// TestRNGMarkResumeBitIdentical: a stream resumed from a Mark draws what
+// the original draws next, through every draw method the simulator uses,
+// including the rejection loops of NormFloat64 and Intn.
+func TestRNGMarkResumeBitIdentical(t *testing.T) {
+	r := NewRNG(23)
+	for i := 0; i < 2000; i++ {
+		resumed := NewRNG(r.Mark())
+		a := []float64{r.NormFloat64(), float64(r.Intn(7)), r.Float64(), r.Range(-1, 1), float64(r.Int63n(1<<40 + 3))}
+		b := []float64{resumed.NormFloat64(), float64(resumed.Intn(7)), resumed.Float64(), resumed.Range(-1, 1), float64(resumed.Int63n(1<<40 + 3))}
+		for k := range a {
+			if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+				t.Fatalf("step %d draw %d: resumed stream drew %v, original %v", i, k, b[k], a[k])
+			}
+		}
+		if r.Mark() != resumed.Mark() {
+			t.Fatalf("step %d: streams at different positions after the same draws", i)
+		}
+	}
+}
