@@ -59,13 +59,15 @@ test:
 	$(GO) test ./...
 
 # determinism re-runs the reproducibility tests on their own, so a
-# regression fails CI under an unambiguous step name. The ml line holds the
+# regression fails CI under an unambiguous step name. The first line holds
+# the library pool (campaign.Scheduler) to one worker and to a plain loop,
+# and a run to its own replay. The ml line holds the
 # sparse conv backward, the first layer's skipped input gradient and the
 # batched forward kernels to their oracles bit for bit. The world line holds
 # what a run reads of its world — traces cut at its horizon, each vehicle's
 # data drawn on first read — to the eagerly built world and its goldens.
 determinism:
-	$(GO) test ./internal/repro/ -run 'ByteIdentical|Invariant|MatchesSerial' -count=1
+	$(GO) test ./internal/campaign/ ./internal/repro/ -run 'ByteIdentical|Invariant|MatchesSerial' -count=1
 	$(GO) test ./internal/ml/ -run 'BitIdentical' -count=1
 	$(GO) test ./internal/core/ ./internal/dataset/ ./internal/mobility/ ./internal/sim/ -run 'BitIdentical|MatchColdAndGolden' -count=1
 
@@ -85,7 +87,8 @@ lint:
 	$(GO) run ./cmd/roadlint $(LINT_FLAGS) -baseline lint.baseline ./...
 
 # golden checks the published CSV layouts (Figure 4, ablations G and H)
-# against their golden files; -update must have been committed.
+# and what every figure computes (Figure 4 and ablations A–H at 2 rounds,
+# seed 1) against their golden files; -update must have been committed.
 golden:
 	$(GO) test ./cmd/figures/ -run 'Golden' -count=1
 

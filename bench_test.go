@@ -6,10 +6,10 @@
 package roadrunner_test
 
 import (
+	"strconv"
 	"testing"
 
-	"strconv"
-
+	"roadrunner/internal/core"
 	"roadrunner/internal/dataset"
 	"roadrunner/internal/repro"
 	"roadrunner/internal/sim"
@@ -19,11 +19,20 @@ import (
 // experiment uses 75 rounds (see cmd/figures -fig 4 -rounds 75).
 const benchRounds = 5
 
+// fig4Run runs one side of Figure 4 (0 = BASE, 1 = OPP) at benchRounds.
+func fig4Run(side int, seed uint64) (*core.Result, error) {
+	results, err := repro.Execute(repro.Fig4Specs(benchRounds, seed)[side])
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
 // BenchmarkFig4BASE runs the paper's baseline: vanilla FL, 5 vehicles per
 // 30 s round (Figure 4, blue curve).
 func BenchmarkFig4BASE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Fig4Base(benchRounds, uint64(i+1))
+		res, err := fig4Run(0, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -36,7 +45,7 @@ func BenchmarkFig4BASE(b *testing.B) {
 // 200 s round with V2X forwarding (Figure 4, red curve + bars).
 func BenchmarkFig4OPP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := repro.Fig4Opp(benchRounds, uint64(i+1))
+		res, err := fig4Run(1, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,14 +6,13 @@ import (
 	"path/filepath"
 	"sort"
 
-	"roadrunner/internal/core"
-	"roadrunner/internal/strategy"
+	"roadrunner/internal/repro"
 	"roadrunner/internal/textplot"
 	"roadrunner/internal/trace"
 )
 
-// figureT produces the observability artifact: one traced BASE run and one
-// traced OPP run, exported both as Chrome trace_event JSON (open in
+// figureT produces the observability artifact: Figure 4's BASE and OPP
+// runs with tracing on, exported both as Chrome trace_event JSON (open in
 // chrome://tracing or https://ui.perfetto.dev) and as the canonical CSV the
 // byte-identity tests are defined over. The spans live on the simulated
 // clock, so the timeline shows rounds, transfers, trainings, and fault
@@ -24,41 +23,19 @@ func figureT(rounds int, seed uint64, outDir string) error {
 	}
 	fmt.Printf("== Trace T: span timelines for BASE and OPP — %d rounds, seed %d ==\n", rounds, seed)
 
-	runs := []struct {
-		name  string
-		strat func() (strategy.Strategy, error)
-	}{
-		{"base", func() (strategy.Strategy, error) {
-			fa := strategy.DefaultFedAvgConfig()
-			fa.Rounds = rounds
-			return strategy.NewFederatedAveraging(fa)
-		}},
-		{"opp", func() (strategy.Strategy, error) {
-			oc := strategy.DefaultOppConfig()
-			oc.Rounds = rounds
-			return strategy.NewOpportunistic(oc)
-		}},
+	specs := repro.Fig4Specs(rounds, seed)
+	for i := range specs {
+		specs[i].Config.Trace = true
 	}
-	for _, r := range runs {
-		s, err := r.strat()
-		if err != nil {
+	results, err := repro.Execute(specs...)
+	if err != nil {
+		return fmt.Errorf("trace T: %w", err)
+	}
+	for i, name := range []string{"base", "opp"} {
+		if err := writeTrace(results[i].Trace, outDir, "trace_"+name); err != nil {
 			return err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.Trace = true
-		exp, err := core.New(cfg, s)
-		if err != nil {
-			return fmt.Errorf("trace T %s: %w", r.name, err)
-		}
-		res, err := exp.Run()
-		if err != nil {
-			return fmt.Errorf("trace T %s: %w", r.name, err)
-		}
-		if err := writeTrace(res.Trace, outDir, "trace_"+r.name); err != nil {
-			return err
-		}
-		printTraceSummary(r.name, res.Trace)
+		printTraceSummary(name, results[i].Trace)
 	}
 	fmt.Println("open the .json files in chrome://tracing or https://ui.perfetto.dev")
 	fmt.Println()

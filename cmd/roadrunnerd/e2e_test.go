@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"roadrunner/internal/campaign"
+	"roadrunner/internal/campaign/campaigntest"
 	"roadrunner/internal/cluster"
 )
 
@@ -417,36 +418,6 @@ func campaignKeys(t *testing.T, m campaign.Manifest) []string {
 	return c.Keys()
 }
 
-// libraryReference is the independent ground truth: the manifest's runs
-// on the library pool — no queue, no leases, no daemon — merged.
-func libraryReference(t *testing.T, m campaign.Manifest) []byte {
-	t.Helper()
-	store, err := campaign.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := make([]campaign.Task, len(specs))
-	for i, spec := range specs {
-		if tasks[i], err = campaign.TaskForSpec(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tr := range campaign.NewScheduler(campaign.Options{Workers: 2, Store: store}).Execute(tasks) {
-		if tr.Err != nil {
-			t.Fatal(tr.Err)
-		}
-	}
-	data, err := campaign.MergedCanonicalBytes(specs, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func mergedResult(t *testing.T, d *daemon, id string) []byte {
 	t.Helper()
 	code, body := fetch(t, d.URL+"/v1/campaigns/"+id+"/result")
@@ -465,7 +436,7 @@ func TestOneManifestThreeWaysOneArtifact(t *testing.T) {
 	if err := json.Unmarshal([]byte(manifest), &m); err != nil {
 		t.Fatal(err)
 	}
-	want := sha256.Sum256(libraryReference(t, m))
+	want := sha256.Sum256(campaigntest.LibraryReference(t, m))
 
 	single := newTestServer(t)
 	st := pollDone(t, single, postCampaign(t, single, manifest).ID)
@@ -530,7 +501,7 @@ func TestShutdownStopsAfterTheBatchInFlight(t *testing.T) {
 	if st.Failed != 0 || st.Cached < stored || st.Cached+st.Completed != 64 {
 		t.Fatalf("resumed campaign: %+v (%d runs were stored before the restart)", st, stored)
 	}
-	if !bytes.Equal(mergedResult(t, second, id), libraryReference(t, m)) {
+	if !bytes.Equal(mergedResult(t, second, id), campaigntest.LibraryReference(t, m)) {
 		t.Fatal("merged artifact after shutdown + resume differs from the library reference")
 	}
 }

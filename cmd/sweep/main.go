@@ -26,7 +26,6 @@ import (
 	"roadrunner/internal/core"
 	"roadrunner/internal/metrics"
 	"roadrunner/internal/repro"
-	"roadrunner/internal/strategy"
 	"roadrunner/internal/textplot"
 )
 
@@ -49,9 +48,10 @@ func run() error {
 	if *seeds <= 0 {
 		return fmt.Errorf("need at least one seed")
 	}
-	// Validate the strategy name before launching the fleet.
-	if _, err := buildStrategy(*stratName, *rounds); err != nil {
-		return err
+	// A manifest reads rounds 0 as its default of 10; refuse it instead.
+	// The strategy name is validated by Expand, before anything runs.
+	if *rounds <= 0 {
+		return fmt.Errorf("need a positive round count")
 	}
 
 	env := campaign.EnvDefault
@@ -131,33 +131,6 @@ func run() error {
 	fmt.Printf("sweep wall time: %v (%d workers, %d executed, %d cached)\n",
 		wall.Round(time.Millisecond), effectiveWorkers(*workers, len(specs)), st.Executed, st.Cached)
 	return nil
-}
-
-func buildStrategy(name string, rounds int) (strategy.Strategy, error) {
-	switch name {
-	case "fedavg", "base":
-		c := strategy.DefaultFedAvgConfig()
-		c.Rounds = rounds
-		return strategy.NewFederatedAveraging(c)
-	case "opp", "opportunistic":
-		c := strategy.DefaultOppConfig()
-		c.Rounds = rounds
-		return strategy.NewOpportunistic(c)
-	case "gossip":
-		return strategy.NewGossip(strategy.DefaultGossipConfig())
-	case "centralized":
-		c := strategy.DefaultCentralizedConfig()
-		c.Rounds = rounds
-		return strategy.NewCentralized(c)
-	case "hybrid":
-		return strategy.NewHybrid(strategy.DefaultHybridConfig())
-	case "rsu", "rsu-assisted":
-		c := strategy.DefaultRSUAssistedConfig()
-		c.Rounds = rounds
-		return strategy.NewRSUAssisted(c)
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", name)
-	}
 }
 
 func meanStd(values []float64) (mean, std float64) {

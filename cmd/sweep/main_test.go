@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-func TestBuildStrategyNames(t *testing.T) {
-	for name, want := range map[string]string{
-		"fedavg":      "fedavg",
-		"base":        "fedavg",
-		"opp":         "opportunistic",
-		"gossip":      "gossip",
-		"centralized": "centralized",
-		"hybrid":      "hybrid",
-		"rsu":         "rsu-assisted",
-	} {
-		s, err := buildStrategy(name, 5)
-		if err != nil {
-			t.Fatalf("buildStrategy(%q): %v", name, err)
-		}
-		if s.Name() != want {
-			t.Fatalf("buildStrategy(%q).Name() = %q, want %q", name, s.Name(), want)
-		}
-	}
-	if _, err := buildStrategy("nope", 5); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-}
-
 func TestMeanStd(t *testing.T) {
 	mean, std := meanStd([]float64{2, 4, 6})
 	if mean != 4 {

@@ -50,16 +50,22 @@ const (
 )
 
 // StrategySpec selects a learning strategy declaratively, so it can travel
-// in manifests over HTTP and participate in run-key hashes. Kind names
-// match cmd/sweep: fedavg (alias base), opp (alias opportunistic), gossip,
-// centralized, hybrid, rsu (alias rsu-assisted). Rounds parameterizes the
-// round-based strategies; duration-based ones (gossip, hybrid) ignore it.
+// in manifests over HTTP and participate in run-key hashes. Kinds: fedavg
+// (alias base), opp (alias opportunistic), gossip, centralized, hybrid, rsu
+// (alias rsu-assisted). Rounds parameterizes the round-based strategies;
+// duration-based ones (gossip, hybrid) ignore it. RoundDurationS and
+// Reporters override OPP's round timer and reporters per round (ablations
+// A and B); zero keeps the paper's value, and they are omitted from the
+// encoding when unset, so specs that do not set them keep their run keys.
 type StrategySpec struct {
-	Kind   string `json:"kind"`
-	Rounds int    `json:"rounds,omitempty"`
+	Kind           string  `json:"kind"`
+	Rounds         int     `json:"rounds,omitempty"`
+	RoundDurationS float64 `json:"round_duration_s,omitempty"`
+	Reporters      int     `json:"reporters,omitempty"`
 }
 
-// Validate reports whether the spec names a known strategy.
+// Validate reports whether the spec names a known strategy with usable
+// parameters.
 func (s StrategySpec) Validate() error {
 	if _, err := s.Build(); err != nil {
 		return err
@@ -77,6 +83,14 @@ func (s StrategySpec) Build() (strategy.Strategy, error) {
 	if rounds == 0 {
 		rounds = 10
 	}
+	if !(s.RoundDurationS >= 0) || s.Reporters < 0 {
+		return nil, fmt.Errorf("campaign: strategy %q: negative round_duration_s %v or reporters %d",
+			s.Kind, s.RoundDurationS, s.Reporters)
+	}
+	opp := s.Kind == "opp" || s.Kind == "opportunistic"
+	if !opp && (s.RoundDurationS != 0 || s.Reporters != 0) {
+		return nil, fmt.Errorf("campaign: strategy %q: round_duration_s and reporters apply only to opp", s.Kind)
+	}
 	switch s.Kind {
 	case "fedavg", "base":
 		c := strategy.DefaultFedAvgConfig()
@@ -85,6 +99,12 @@ func (s StrategySpec) Build() (strategy.Strategy, error) {
 	case "opp", "opportunistic":
 		c := strategy.DefaultOppConfig()
 		c.Rounds = rounds
+		if s.RoundDurationS > 0 {
+			c.RoundDuration = sim.Duration(s.RoundDurationS)
+		}
+		if s.Reporters > 0 {
+			c.Reporters = s.Reporters
+		}
 		return strategy.NewOpportunistic(c)
 	case "gossip":
 		return strategy.NewGossip(strategy.DefaultGossipConfig())

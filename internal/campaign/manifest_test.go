@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"roadrunner/internal/faults"
+	"roadrunner/internal/strategy"
 )
 
 func tinyManifest() Manifest {
@@ -113,13 +116,15 @@ func TestManifestValidateRejects(t *testing.T) {
 
 func TestStrategySpecBuildKnownKinds(t *testing.T) {
 	for kind, want := range map[string]string{
-		"fedavg":      "fedavg",
-		"base":        "fedavg",
-		"opp":         "opportunistic",
-		"gossip":      "gossip",
-		"centralized": "centralized",
-		"hybrid":      "hybrid",
-		"rsu":         "rsu-assisted",
+		"fedavg":        "fedavg",
+		"base":          "fedavg",
+		"opp":           "opportunistic",
+		"opportunistic": "opportunistic",
+		"gossip":        "gossip",
+		"centralized":   "centralized",
+		"hybrid":        "hybrid",
+		"rsu":           "rsu-assisted",
+		"rsu-assisted":  "rsu-assisted",
 	} {
 		s, err := StrategySpec{Kind: kind, Rounds: 3}.Build()
 		if err != nil {
@@ -134,6 +139,46 @@ func TestStrategySpecBuildKnownKinds(t *testing.T) {
 	}
 	if _, err := (StrategySpec{Kind: "fedavg", Rounds: -1}).Build(); err == nil {
 		t.Fatal("negative rounds accepted")
+	}
+}
+
+// TestStrategySpecOppParams checks the two OPP-only parameters: they reach
+// the strategy, they are rejected when negative or set on another kind
+// (so a manifest carrying them fails validation), and leaving them unset
+// keeps the spec's encoding, and so every existing run key, unchanged.
+func TestStrategySpecOppParams(t *testing.T) {
+	built, err := StrategySpec{Kind: "opp", Rounds: 3, RoundDurationS: 50, Reporters: 20}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strategy.DefaultOppConfig()
+	want.Rounds, want.RoundDuration, want.Reporters = 3, 50, 20
+	if got := built.(*strategy.Opportunistic).Config(); got != want {
+		t.Fatalf("built config %+v, want %+v", got, want)
+	}
+	for name, s := range map[string]StrategySpec{
+		"negative duration":  {Kind: "opp", RoundDurationS: -1},
+		"NaN duration":       {Kind: "opp", RoundDurationS: math.NaN()},
+		"negative reporters": {Kind: "opp", Reporters: -3},
+		"duration on fedavg": {Kind: "fedavg", RoundDurationS: 50},
+		"reporters on rsu":   {Kind: "rsu", Reporters: 2},
+		"reporters on base":  {Kind: "base", Reporters: 2},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", name, s)
+		}
+		m := tinyManifest()
+		m.Strategies = []StrategySpec{s}
+		if _, err := m.Expand(); err == nil {
+			t.Errorf("%s: manifest accepted", name)
+		}
+	}
+	raw, err := json.Marshal(StrategySpec{Kind: "opp", Rounds: 75})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != `{"kind":"opp","rounds":75}` {
+		t.Fatalf("unset OPP parameters changed the encoding: %s", raw)
 	}
 }
 

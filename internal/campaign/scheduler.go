@@ -9,11 +9,9 @@ import (
 	"roadrunner/internal/core"
 )
 
-// Task is one unit of scheduler work: a labelled run closure, optionally
-// content-addressed. Key == "" marks the task uncacheable (used by the
-// legacy repro fan-out shim, whose strategy factories are opaque closures
-// that cannot be hashed); keyed tasks carry the RunSpec that produced the
-// key so store entries are self-describing.
+// Task is one unit of scheduler work: a run spec, its content address and
+// the closure that executes it. TaskForSpec builds it; the spec travels
+// with the key so store entries are self-describing.
 type Task struct {
 	Name string
 	Key  string
@@ -80,7 +78,8 @@ type Options struct {
 // Scheduler executes tasks on a bounded worker pool with per-run panic
 // isolation, retry-with-backoff, and content-addressed result caching. It
 // is safe for concurrent use; it is the library pool under cmd/sweep,
-// repro.RunParallel and every cluster node's Runner.
+// repro.Execute (every figure and ablation) and every cluster node's
+// Runner.
 type Scheduler struct {
 	workers     int
 	maxAttempts int
@@ -166,7 +165,7 @@ func (s *Scheduler) runTask(t Task) TaskResult {
 		out.Err = fmt.Errorf("campaign: task %q has no run function", t.Name)
 		return out
 	}
-	if t.Key != "" && s.store != nil {
+	if s.store != nil {
 		if res, _ := s.store.Get(t.Key); res != nil {
 			s.mu.Lock()
 			s.stats.Cached++
@@ -192,10 +191,10 @@ func (s *Scheduler) runTask(t Task) TaskResult {
 			s.stats.EventsExecuted += res.EventsProcessed
 			s.stats.WallSeconds += res.Wall.Seconds()
 			s.mu.Unlock()
-			// Persistence is part of the run: a keyed task only succeeds
-			// once its result is durable, so a resumed campaign can treat
-			// "in store" as "done".
-			if t.Key != "" && s.store != nil {
+			// Persistence is part of the run: a task only succeeds once
+			// its result is durable, so a resumed campaign can treat "in
+			// store" as "done".
+			if s.store != nil {
 				err = s.store.Put(t.Key, t.Spec, res)
 			}
 			if err == nil {

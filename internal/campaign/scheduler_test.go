@@ -222,24 +222,18 @@ func TestSchedulerStorePutFailureFailsRun(t *testing.T) {
 	}
 }
 
-func TestSchedulerUncacheableTaskSkipsStore(t *testing.T) {
+// TestSchedulerKeylessTaskFailsOnStore: every task is content-addressed.
+// A task built without TaskForSpec carries no key, and a store-backed
+// scheduler must refuse to report it done rather than run it uncached.
+func TestSchedulerKeylessTaskFailsOnStore(t *testing.T) {
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := instantScheduler(t, Options{Workers: 1, Store: store})
-	var executions atomic.Int64
-	task := Task{Name: "opaque", Run: func() (*core.Result, error) {
-		executions.Add(1)
-		return fakeResult(0.3), nil
-	}}
-	for i := 0; i < 2; i++ {
-		results := s.Execute([]Task{task})
-		if results[0].Err != nil || results[0].Cached {
-			t.Fatalf("pass %d: %+v", i, results[0])
-		}
-	}
-	if executions.Load() != 2 {
-		t.Fatalf("uncacheable task executed %d times, want 2", executions.Load())
+	s := instantScheduler(t, Options{Workers: 1, MaxAttempts: 1, Store: store})
+	task := Task{Name: "keyless", Run: func() (*core.Result, error) { return fakeResult(0.3), nil }}
+	results := s.Execute([]Task{task})
+	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "malformed key") {
+		t.Fatalf("keyless task on a store-backed scheduler: %+v", results[0])
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"roadrunner/internal/campaign"
+	"roadrunner/internal/campaign/campaigntest"
 	"roadrunner/internal/cluster"
 )
 
@@ -25,39 +26,6 @@ func chaosManifest(seeds ...uint64) campaign.Manifest {
 		},
 		Seeds: seeds,
 	}
-}
-
-// singleNodeReference computes the merged canonical artifact of a
-// manifest on the library pool — no queue, no leases, no coordinator —
-// the independent byte-level ground truth every cluster execution must
-// reproduce.
-func singleNodeReference(t *testing.T, m campaign.Manifest) []byte {
-	t.Helper()
-	store, err := campaign.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := make([]campaign.Task, len(specs))
-	for i, spec := range specs {
-		if tasks[i], err = campaign.TaskForSpec(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sched := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store, Backoff: func(int) {}})
-	for _, tr := range sched.Execute(tasks) {
-		if tr.Err != nil {
-			t.Fatal(tr.Err)
-		}
-	}
-	data, err := campaign.MergedCanonicalBytes(specs, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // runCluster assembles a 3-node harness over a fresh shared store,
@@ -124,7 +92,7 @@ func assertHealthyFinish(t *testing.T, h *Harness, id string, want []byte) {
 // is byte-identical to a single-node run of the same manifest.
 func TestClusterKillWorkerMatchesSingleNode(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		Script: Script{
 			{On: Trigger{Event: "complete", N: 1, Node: "w2"}, Do: Kill{Node: "w2"}},
@@ -145,7 +113,7 @@ func TestClusterKillWorkerMatchesSingleNode(t *testing.T) {
 // and the run key still executes at most once (the victim never ran it).
 func TestClusterMidRunCrashRecovers(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		Script: Script{
 			{On: Trigger{Event: "complete", N: 1, Node: "w3"}, Do: Kill{Node: "w3", MidRun: true}},
@@ -175,7 +143,7 @@ func TestClusterMidRunCrashRecovers(t *testing.T) {
 // what builds the stealable backlog.
 func TestClusterStealFromStalledNode(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		Policy: cluster.ConfigAffinity{},
 		Script: Script{
@@ -205,7 +173,7 @@ func TestClusterStealFromStalledNode(t *testing.T) {
 // stale lease and the campaign must finish byte-identical anyway.
 func TestClusterDuplicateCompleteIsIdempotent(t *testing.T) {
 	m := chaosManifest(1, 2)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		Script: Script{
 			{On: Trigger{Event: "complete", N: 1}, Do: DuplicateComplete{}},
@@ -222,7 +190,7 @@ func TestClusterDuplicateCompleteIsIdempotent(t *testing.T) {
 // merge must re-execute it, landing on the reference bytes regardless.
 func TestClusterCorruptEntrySelfHeals(t *testing.T) {
 	m := chaosManifest(1, 2)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		Script: Script{
 			{On: Trigger{Event: "complete", N: 1}, Do: CorruptEntry{}},
@@ -264,7 +232,7 @@ func TestClusterChaosScriptReproducible(t *testing.T) {
 // bytes.
 func TestClusterPolicySweep(t *testing.T) {
 	m := chaosManifest(1, 2)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	for _, pol := range []cluster.Policy{cluster.RoundRobin{}, cluster.LeastLoaded{}, cluster.ConfigAffinity{}} {
 		t.Run(pol.Name(), func(t *testing.T) {
 			h, id := runCluster(t, m, Config{Policy: pol})
@@ -280,7 +248,7 @@ func TestClusterPolicySweep(t *testing.T) {
 // the steal-only-unstarted and start-gate rules exist to uphold.
 func TestClusterKillInterleavingsNeverDoubleExecute(t *testing.T) {
 	m := chaosManifest(1, 2)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	for _, node := range []string{"w1", "w2", "w3"} {
 		for j := 1; j <= 3; j++ {
 			for _, midRun := range []bool{false, true} {
@@ -325,7 +293,7 @@ func queueLogOps(t *testing.T, h *Harness) map[string]int {
 // reference.
 func TestClusterBatchedVerbsMatchSingleNode(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{GateBacklog: true})
 	assertHealthyFinish(t, h, id, want)
 	for key, n := range h.ExecCounts() {
@@ -348,7 +316,7 @@ func TestClusterBatchedVerbsMatchSingleNode(t *testing.T) {
 // survivors absorb the work, and no run key executes twice.
 func TestClusterKillMidBatchRecovers(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		GateBacklog: true,
 		Script: Script{
@@ -377,7 +345,7 @@ func TestClusterKillMidBatchRecovers(t *testing.T) {
 // single-node reference bytes.
 func TestClusterCompactionAndRestartMidCampaign(t *testing.T) {
 	m := chaosManifest(1, 2, 3, 4)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		GateBacklog:  true,
 		CompactEvery: 8,
@@ -411,7 +379,7 @@ func TestClusterCompactionAndRestartMidCampaign(t *testing.T) {
 // campaign must complete byte-identical regardless.
 func TestClusterCrashDuringCompactionRecovers(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
-	want := singleNodeReference(t, m)
+	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		GateBacklog:  true,
 		CompactEvery: -1, // the only snapshot is the crash-simulated one
@@ -442,8 +410,8 @@ func TestClusterCrashDuringCompactionRecovers(t *testing.T) {
 func TestClusterBackpressureCapsAdmission(t *testing.T) {
 	small := chaosManifest(1, 2)  // 4 runs
 	big := chaosManifest(3, 4, 5) // 6 runs
-	wantSmall := singleNodeReference(t, small)
-	wantBig := singleNodeReference(t, big)
+	wantSmall := campaigntest.LibraryReference(t, small)
+	wantBig := campaigntest.LibraryReference(t, big)
 	h, err := New(Config{
 		Dir:            t.TempDir(),
 		Nodes:          []NodeConfig{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}},

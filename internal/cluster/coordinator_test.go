@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"roadrunner/internal/campaign"
+	"roadrunner/internal/campaign/campaigntest"
 )
 
 func tinyClusterManifest() campaign.Manifest {
@@ -34,38 +35,6 @@ func newTestCoordinator(t *testing.T, dir string) *Coordinator {
 	}
 	t.Cleanup(co.Close)
 	return co
-}
-
-// libraryReference computes a manifest's merged canonical artifact on
-// the library pool — no queue, no leases, no coordinator: the independent
-// ground truth a coordinator-run campaign must reproduce.
-func libraryReference(t *testing.T, m campaign.Manifest) []byte {
-	t.Helper()
-	store, err := campaign.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := make([]campaign.Task, len(specs))
-	for i, spec := range specs {
-		if tasks[i], err = campaign.TaskForSpec(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sched := campaign.NewScheduler(campaign.Options{Workers: 1, Store: store, Backoff: func(int) {}})
-	for _, tr := range sched.Execute(tasks) {
-		if tr.Err != nil {
-			t.Fatal(tr.Err)
-		}
-	}
-	data, err := campaign.MergedCanonicalBytes(specs, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // startRun and completeRun speak the batch verbs with a batch of one.
@@ -237,7 +206,7 @@ func TestCoordinatorResumeAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := libraryReference(t, tinyClusterManifest())
+	want := campaigntest.LibraryReference(t, tinyClusterManifest())
 	if string(got) != string(want) {
 		t.Fatalf("resumed merge differs from reference (%d vs %d bytes)", len(got), len(want))
 	}
@@ -615,7 +584,7 @@ func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, libraryReference(t, m)) {
+	if !bytes.Equal(got, campaigntest.LibraryReference(t, m)) {
 		t.Fatal("resumed merge differs from the uninterrupted control")
 	}
 }

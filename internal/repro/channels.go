@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"fmt"
 
+	"roadrunner/internal/campaign"
 	"roadrunner/internal/channel"
 	"roadrunner/internal/core"
-	"roadrunner/internal/strategy"
 )
 
 // ChannelPoint is one (strategy, channel-model) cell of ablation H.
@@ -36,65 +36,38 @@ func DefaultChannelSweep() []string {
 // runs replay it. Everything derives from (rounds, seed), so the whole
 // sweep is deterministic.
 func AblationChannels(rounds int, seed uint64) ([]ChannelPoint, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("repro: non-positive round count %d", rounds)
-	}
-	cases := []struct {
-		name string
-		make func() (strategy.Strategy, error)
-	}{
-		{"BASE", func() (strategy.Strategy, error) {
-			fa := strategy.DefaultFedAvgConfig()
-			fa.Rounds = rounds
-			return strategy.NewFederatedAveraging(fa)
-		}},
-		{"OPP", func() (strategy.Strategy, error) {
-			oc := strategy.DefaultOppConfig()
-			oc.Rounds = rounds
-			return strategy.NewOpportunistic(oc)
-		}},
-	}
-	runWith := func(mk func() (strategy.Strategy, error), ch *channel.Config, record bool) (*core.Result, error) {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.Comm.Channel = ch
-		cfg.ChannelRecord = record
-		s, err := mk()
-		if err != nil {
-			return nil, err
+	strategies := baseAndOpp(rounds)
+	models := DefaultChannelSweep()
+	onModel := func(ch *channel.Config, record bool) func(*core.Config) {
+		return func(c *core.Config) {
+			c.Comm.Channel = ch
+			c.ChannelRecord = record
 		}
-		return run(cfg, s)
 	}
-
-	radio := &channel.Config{Model: channel.ModelRadio}
-	radioQueued := &channel.Config{Model: channel.ModelRadioQueued}
 
 	// Pass 1: the analytic baseline and the two synthetic radio stacks; the
 	// radio runs double as the oracle's measurement campaign (BASE supplies
 	// V2C samples, OPP adds V2X).
-	results := make(map[string]map[string]*core.Result, len(cases))
+	var synthetic []campaign.RunSpec
+	for _, st := range strategies {
+		synthetic = append(synthetic,
+			Spec(st.name+"/"+channel.ModelAnalytic, seed, st.spec, nil),
+			Spec(st.name+"/"+channel.ModelRadio, seed, st.spec,
+				onModel(&channel.Config{Model: channel.ModelRadio}, true)),
+			Spec(st.name+"/"+channel.ModelRadioQueued, seed, st.spec,
+				onModel(&channel.Config{Model: channel.ModelRadioQueued}, false)))
+	}
+	syntheticRes, err := Execute(synthetic...)
+	if err != nil {
+		return nil, fmt.Errorf("ablation H: %w", err)
+	}
 	var samples []channel.Sample
-	for _, c := range cases {
-		results[c.name] = make(map[string]*core.Result, 4)
-		analytic, err := runWith(c.make, nil, false)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation H %s/analytic: %w", c.name, err)
+	for i, st := range strategies {
+		radio := syntheticRes[3*i+1]
+		if radio.ChannelLog == nil || radio.ChannelLog.Len() == 0 {
+			return nil, fmt.Errorf("repro: ablation H %s/radio recorded no channel samples", st.name)
 		}
-		results[c.name][channel.ModelAnalytic] = analytic
-		radioRes, err := runWith(c.make, radio, true)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation H %s/radio: %w", c.name, err)
-		}
-		results[c.name][channel.ModelRadio] = radioRes
-		if radioRes.ChannelLog == nil || radioRes.ChannelLog.Len() == 0 {
-			return nil, fmt.Errorf("repro: ablation H %s/radio recorded no channel samples", c.name)
-		}
-		samples = append(samples, radioRes.ChannelLog.Samples()...)
-		rq, err := runWith(c.make, radioQueued, false)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation H %s/radio+queued: %w", c.name, err)
-		}
-		results[c.name][channel.ModelRadioQueued] = rq
+		samples = append(samples, radio.ChannelLog.Samples()...)
 	}
 
 	// Fit the oracle, round-tripping both canonical CSV forms so the
@@ -104,27 +77,27 @@ func AblationChannels(rounds int, seed uint64) ([]ChannelPoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: ablation H oracle fit: %w", err)
 	}
-	oracle := &channel.Config{
-		Model:  channel.ModelOracle,
-		Oracle: &channel.OracleConfig{Table: table.Bins},
-	}
 
 	// Pass 2: replay the fitted table under both strategies.
-	for _, c := range cases {
-		res, err := runWith(c.make, oracle, false)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation H %s/oracle: %w", c.name, err)
-		}
-		results[c.name][channel.ModelOracle] = res
+	oracle := make([]campaign.RunSpec, len(strategies))
+	for i, st := range strategies {
+		oracle[i] = Spec(st.name+"/"+channel.ModelOracle, seed, st.spec, onModel(&channel.Config{
+			Model:  channel.ModelOracle,
+			Oracle: &channel.OracleConfig{Table: table.Bins},
+		}, false))
+	}
+	oracleRes, err := Execute(oracle...)
+	if err != nil {
+		return nil, fmt.Errorf("ablation H: %w", err)
 	}
 
 	var points []ChannelPoint
-	for _, c := range cases {
-		for _, model := range DefaultChannelSweep() {
-			res := results[c.name][model]
+	for i, st := range strategies {
+		perModel := []*core.Result{syntheticRes[3*i], syntheticRes[3*i+1], syntheticRes[3*i+2], oracleRes[i]}
+		for j, res := range perModel {
 			points = append(points, ChannelPoint{
-				Model:    model,
-				Strategy: c.name,
+				Model:    models[j],
+				Strategy: st.name,
 				FinalAcc: LateAccuracy(res, 3),
 				SimEnd:   float64(res.End),
 				V2CMB:    float64(res.Comm["v2c"].BytesDelivered) / 1e6,

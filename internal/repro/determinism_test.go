@@ -4,23 +4,19 @@ import (
 	"bytes"
 	"testing"
 
+	"roadrunner/internal/campaign"
 	"roadrunner/internal/core"
 )
 
-// runOnce executes one small experiment and returns its canonical bytes.
-func runOnce(t *testing.T, seed uint64) []byte {
+// runOnce executes one small fedavg experiment with the given evaluation
+// worker count and returns its canonical bytes.
+func runOnce(t *testing.T, seed uint64, evalWorkers int) []byte {
 	t.Helper()
 	cfg := core.SmallConfig()
 	cfg.Seed = seed
-	strat, err := smallFedAvgFactory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := core.New(cfg, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run()
+	cfg.EvalWorkers = evalWorkers
+	spec := campaign.RunSpec{Name: "small", Strategy: campaign.StrategySpec{Kind: "fedavg", Rounds: 4}, Config: cfg}
+	res, err := spec.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +29,7 @@ func runOnce(t *testing.T, seed uint64) []byte {
 
 // firstDiff locates the first differing byte for a readable failure.
 func firstDiff(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
 			return i
@@ -49,52 +42,19 @@ func firstDiff(a, b []byte) int {
 // requirement 6: identical (config, seed) must reproduce the experiment
 // byte for byte. Any nondeterminism the roadlint analyzers guard against
 // — a stray math/rand draw, wall-clock coupling, unsorted map iteration
-// feeding simulation state — surfaces here as a byte mismatch.
+// feeding simulation state — surfaces here as a byte mismatch. The pool's
+// worker-count invariance is internal/campaign's
+// TestSchedulerWorkerCountInvariant.
 func TestSameSeedByteIdentical(t *testing.T) {
-	a := runOnce(t, 11)
-	b := runOnce(t, 11)
+	a := runOnce(t, 11, 0)
+	b := runOnce(t, 11, 0)
 	if !bytes.Equal(a, b) {
 		i := firstDiff(a, b)
 		t.Fatalf("same seed diverged at byte %d:\n...%q\nvs\n...%q",
 			i, clip(a, i), clip(b, i))
 	}
-	if other := runOnce(t, 12); bytes.Equal(a, other) {
+	if other := runOnce(t, 12, 0); bytes.Equal(a, other) {
 		t.Fatal("different seeds produced byte-identical results")
-	}
-}
-
-// TestRunParallelWorkerCountInvariant re-runs one sweep under different
-// worker counts and requires every job's canonical serialization to be
-// byte-identical: parallelism is across runs and must never leak into
-// any single run's results.
-func TestRunParallelWorkerCountInvariant(t *testing.T) {
-	seeds := []uint64{1, 2, 3, 4}
-	canonical := func(workers int) [][]byte {
-		jobs := SeedSweep("fedavg", core.SmallConfig(), seeds, smallFedAvgFactory)
-		results := RunParallel(workers, jobs)
-		out := make([][]byte, len(results))
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d job %s: %v", workers, r.Name, r.Err)
-			}
-			b, err := r.Result.CanonicalBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = b
-		}
-		return out
-	}
-	base := canonical(1)
-	for _, workers := range []int{2, 4} {
-		got := canonical(workers)
-		for i := range base {
-			if !bytes.Equal(base[i], got[i]) {
-				d := firstDiff(base[i], got[i])
-				t.Fatalf("seed %d differs between 1 and %d workers at byte %d:\n...%q\nvs\n...%q",
-					seeds[i], workers, d, clip(base[i], d), clip(got[i], d))
-			}
-		}
 	}
 }
 

@@ -4,44 +4,16 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-
-	"roadrunner/internal/core"
 )
-
-// runOnceEval executes one small experiment with the given evaluation
-// worker count and returns its canonical bytes.
-func runOnceEval(t *testing.T, seed uint64, evalWorkers int) []byte {
-	t.Helper()
-	cfg := core.SmallConfig()
-	cfg.Seed = seed
-	cfg.EvalWorkers = evalWorkers
-	strat, err := smallFedAvgFactory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := core.New(cfg, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := res.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
 
 // TestParallelEvalMatchesSerial requires that turning on shard-parallel
 // test-set evaluation changes nothing about an experiment's canonical
 // result: recorded accuracies are integer ratios over a fixed shard grid,
 // so EvalWorkers is a pure throughput knob.
 func TestParallelEvalMatchesSerial(t *testing.T) {
-	serial := runOnceEval(t, 11, 0)
+	serial := runOnce(t, 11, 0)
 	for _, workers := range []int{1, 2, 4} {
-		got := runOnceEval(t, 11, workers)
+		got := runOnce(t, 11, workers)
 		if !bytes.Equal(serial, got) {
 			i := firstDiff(serial, got)
 			t.Fatalf("EvalWorkers=%d diverged from serial at byte %d:\n...%q\nvs\n...%q",
@@ -61,7 +33,7 @@ func TestParallelEvalGOMAXPROCSInvariant(t *testing.T) {
 	var base []byte
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		got := runOnceEval(t, 13, 4)
+		got := runOnce(t, 13, 4)
 		if base == nil {
 			base = got
 			continue

@@ -1,94 +1,75 @@
 package repro
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
+	"roadrunner/internal/campaign"
 	"roadrunner/internal/core"
-	"roadrunner/internal/metrics"
-	"roadrunner/internal/strategy"
 )
 
-func smallFedAvgFactory() (strategy.Strategy, error) {
-	return strategy.NewFederatedAveraging(strategy.FedAvgConfig{
-		Rounds:           4,
-		VehiclesPerRound: 3,
-		RoundDuration:    30,
-		ServerOverhead:   10,
-	})
+// smallSeedSpecs is a laptop-scale fedavg seed sweep in run-spec form.
+func smallSeedSpecs(seeds ...uint64) []campaign.RunSpec {
+	specs := make([]campaign.RunSpec, len(seeds))
+	for i, seed := range seeds {
+		cfg := core.SmallConfig()
+		cfg.Seed = seed
+		specs[i] = campaign.RunSpec{
+			Name:     "fedavg",
+			Strategy: campaign.StrategySpec{Kind: "fedavg", Rounds: 4},
+			Config:   cfg,
+		}
+	}
+	return specs
 }
 
-func TestRunParallelMatchesSerial(t *testing.T) {
-	jobs := SeedSweep("fedavg", core.SmallConfig(), []uint64{1, 2, 3, 4}, smallFedAvgFactory)
+// executeCanonical runs specs through Execute under the given GOMAXPROCS,
+// which sizes Execute's pool, and returns each run's canonical bytes.
+func executeCanonical(t *testing.T, procs int, specs []campaign.RunSpec) [][]byte {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	results, err := Execute(specs...)
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+	}
+	out := make([][]byte, len(results))
+	for i, res := range results {
+		b, err := res.CanonicalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
 
-	serial := RunParallel(1, jobs)
-	parallel := RunParallel(4, jobs)
-
-	for i := range jobs {
-		if serial[i].Err != nil || parallel[i].Err != nil {
-			t.Fatalf("job %d errors: serial=%v parallel=%v", i, serial[i].Err, parallel[i].Err)
-		}
-		if serial[i].Name != parallel[i].Name {
-			t.Fatalf("job %d order scrambled: %q vs %q", i, serial[i].Name, parallel[i].Name)
-		}
-		sa := serial[i].Result.Metrics.Series(metrics.SeriesAccuracy)
-		pa := parallel[i].Result.Metrics.Series(metrics.SeriesAccuracy)
-		if sa.Len() != pa.Len() {
-			t.Fatalf("job %d: series lengths differ", i)
-		}
-		for j := range sa.Points {
-			if sa.Points[j] != pa.Points[j] {
-				t.Fatalf("job %d point %d differs between serial and parallel execution", i, j)
+// TestRunParallelWorkerCountInvariant re-runs one seed sweep through the
+// figures' runner on pools of 1, 2 and 4 workers and requires every run's
+// canonical serialization to be byte-identical: parallelism is across runs
+// and must never leak into any single run's results.
+func TestRunParallelWorkerCountInvariant(t *testing.T) {
+	seeds := []uint64{1, 2, 3, 4}
+	specs := smallSeedSpecs(seeds...)
+	base := executeCanonical(t, 1, specs)
+	for _, procs := range []int{2, 4} {
+		got := executeCanonical(t, procs, specs)
+		for i := range base {
+			if !bytes.Equal(base[i], got[i]) {
+				d := firstDiff(base[i], got[i])
+				t.Fatalf("seed %d differs between 1 and %d workers at byte %d:\n...%q\nvs\n...%q",
+					seeds[i], procs, d, clip(base[i], d), clip(got[i], d))
 			}
 		}
-		if serial[i].Result.Comm["v2c"] != parallel[i].Result.Comm["v2c"] {
-			t.Fatalf("job %d: comm stats differ between serial and parallel", i)
-		}
 	}
 }
 
+// TestRunParallelDistinctSeedsDiffer: two seeds run side by side on the
+// figures' runner must not collapse into the same run.
 func TestRunParallelDistinctSeedsDiffer(t *testing.T) {
-	jobs := SeedSweep("fedavg", core.SmallConfig(), []uint64{1, 2}, smallFedAvgFactory)
-	results := RunParallel(2, jobs)
-	a, b := results[0].Result, results[1].Result
-	if a == nil || b == nil {
-		t.Fatal("missing results")
-	}
-	if a.FinalAccuracy == b.FinalAccuracy && a.Comm["v2c"] == b.Comm["v2c"] {
-		t.Fatal("different seeds produced identical runs")
-	}
-}
-
-func TestRunParallelPropagatesErrors(t *testing.T) {
-	jobs := []Job{
-		{Name: "no-factory", Config: core.SmallConfig()},
-		{Name: "bad-strategy", Config: core.SmallConfig(), NewStrategy: func() (strategy.Strategy, error) {
-			return strategy.NewFederatedAveraging(strategy.FedAvgConfig{})
-		}},
-		{Name: "bad-config", Config: core.Config{}, NewStrategy: smallFedAvgFactory},
-	}
-	results := RunParallel(0, jobs)
-	for i, r := range results {
-		if r.Err == nil {
-			t.Errorf("job %d (%s): expected error", i, r.Name)
-		}
-	}
-}
-
-func TestRunParallelEmpty(t *testing.T) {
-	if got := RunParallel(4, nil); len(got) != 0 {
-		t.Fatalf("RunParallel(nil) = %v", got)
-	}
-}
-
-func TestSeedSweepNames(t *testing.T) {
-	jobs := SeedSweep("x", core.SmallConfig(), []uint64{7, 8}, smallFedAvgFactory)
-	if len(jobs) != 2 {
-		t.Fatalf("jobs = %d", len(jobs))
-	}
-	if jobs[0].Name != "x/seed=7" || jobs[1].Name != "x/seed=8" {
-		t.Fatalf("names = %q, %q", jobs[0].Name, jobs[1].Name)
-	}
-	if jobs[0].Config.Seed != 7 || jobs[1].Config.Seed != 8 {
-		t.Fatal("seeds not applied")
+	got := executeCanonical(t, 2, smallSeedSpecs(1, 2))
+	if bytes.Equal(got[0], got[1]) {
+		t.Fatal("different seeds produced byte-identical runs")
 	}
 }

@@ -1,8 +1,11 @@
 // Package repro contains the paper-reproduction harness: one entry point
 // per table/figure of the evaluation (§5.2), plus the ablation sweeps the
-// paper motivates verbally. cmd/figures renders these as CSV and terminal
-// charts; bench_test.go wraps them as benchmarks; the shape tests assert
-// the qualitative results (who wins, by roughly what factor).
+// paper motivates verbally. Each is a list of campaign.RunSpecs (Spec)
+// run on the library pool (Execute), so a figure cell is the same
+// content-addressed run a manifest describes. cmd/figures renders these as
+// CSV and terminal charts; bench_test.go wraps them as benchmarks; the
+// shape tests assert the qualitative results (who wins, by roughly what
+// factor).
 //
 // The experiment index lives in DESIGN.md; paper-vs-measured numbers are
 // recorded in EXPERIMENTS.md.
@@ -11,12 +14,12 @@ package repro
 import (
 	"fmt"
 
+	"roadrunner/internal/campaign"
 	"roadrunner/internal/core"
 	"roadrunner/internal/dataset"
 	"roadrunner/internal/faults"
 	"roadrunner/internal/metrics"
 	"roadrunner/internal/sim"
-	"roadrunner/internal/strategy"
 )
 
 // Fig4Output bundles everything the paper's Figure 4 reports: accuracy
@@ -43,20 +46,84 @@ type Fig4Output struct {
 	TimeRatio float64
 }
 
+// Spec describes one figure cell as a run spec: the paper's §5.2
+// environment at seed, the strategy, and edit applied to the configuration
+// (nil for none). Every figure and ablation is a list of these.
+func Spec(name string, seed uint64, strat campaign.StrategySpec, edit func(*core.Config)) campaign.RunSpec {
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	if edit != nil {
+		edit(&cfg)
+	}
+	return campaign.RunSpec{Name: name, Strategy: strat, Config: cfg}
+}
+
+// Execute runs specs on the library pool (campaign.Scheduler without a
+// store, one attempt each, GOMAXPROCS workers) and returns their results
+// in spec order. Each run is self-contained, so a result is the same on
+// one worker or many. A spec with rounds <= 0 is rejected (StrategySpec
+// reads 0 as its default of 10), and the first failing spec, in spec
+// order, fails the call.
+func Execute(specs ...campaign.RunSpec) ([]*core.Result, error) {
+	tasks := make([]campaign.Task, len(specs))
+	for i, spec := range specs {
+		if spec.Strategy.Rounds <= 0 {
+			return nil, fmt.Errorf("repro: %s: non-positive round count %d", spec.Name, spec.Strategy.Rounds)
+		}
+		task, err := campaign.TaskForSpec(spec)
+		if err != nil {
+			return nil, fmt.Errorf("repro: %s: %w", spec.Name, err)
+		}
+		tasks[i] = task
+	}
+	results := make([]*core.Result, len(specs))
+	for i, tr := range campaign.NewScheduler(campaign.Options{MaxAttempts: 1}).Execute(tasks) {
+		if tr.Err != nil {
+			return nil, fmt.Errorf("repro: %s: %w", tr.Name, tr.Err)
+		}
+		results[i] = tr.Result
+	}
+	return results, nil
+}
+
+// base and opp are the two strategies of Figure 4 at the paper's settings.
+func base(rounds int) campaign.StrategySpec {
+	return campaign.StrategySpec{Kind: "fedavg", Rounds: rounds}
+}
+
+func opp(rounds int) campaign.StrategySpec {
+	return campaign.StrategySpec{Kind: "opp", Rounds: rounds}
+}
+
+// labelled is a strategy with the label the figures print for it.
+type labelled struct {
+	name string
+	spec campaign.StrategySpec
+}
+
+func baseAndOpp(rounds int) []labelled {
+	return []labelled{{"BASE", base(rounds)}, {"OPP", opp(rounds)}}
+}
+
+// Fig4Specs are the two runs of Figure 4: BASE then OPP on the same
+// environment, fleet, data distribution and V2C budget.
+func Fig4Specs(rounds int, seed uint64) []campaign.RunSpec {
+	return []campaign.RunSpec{
+		Spec("fig4/BASE", seed, base(rounds), nil),
+		Spec("fig4/OPP", seed, opp(rounds), nil),
+	}
+}
+
 // Fig4 reproduces the paper's evaluation experiment: BASE (FL, 30 s rounds)
 // versus OPP (200 s rounds with V2X forwarding) on the same environment,
 // fleet, data distribution, and V2C budget. rounds scales the experiment
 // (the paper uses 75); seed fixes all randomness.
 func Fig4(rounds int, seed uint64) (*Fig4Output, error) {
-	baseRes, err := Fig4Base(rounds, seed)
+	results, err := Execute(Fig4Specs(rounds, seed)...)
 	if err != nil {
 		return nil, err
 	}
-	oppRes, err := Fig4Opp(rounds, seed)
-	if err != nil {
-		return nil, err
-	}
-
+	baseRes, oppRes := results[0], results[1]
 	out := &Fig4Output{
 		Base:         baseRes,
 		Opp:          oppRes,
@@ -75,54 +142,6 @@ func Fig4(rounds int, seed uint64) (*Fig4Output, error) {
 		out.TimeRatio = float64(out.OppEnd) / float64(out.BaseEnd)
 	}
 	return out, nil
-}
-
-// Fig4Base runs only the BASE (vanilla FL) side of Figure 4.
-func Fig4Base(rounds int, seed uint64) (*core.Result, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("repro: non-positive round count %d", rounds)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	fa := strategy.DefaultFedAvgConfig()
-	fa.Rounds = rounds
-	s, err := strategy.NewFederatedAveraging(fa)
-	if err != nil {
-		return nil, err
-	}
-	res, err := run(cfg, s)
-	if err != nil {
-		return nil, fmt.Errorf("repro: fig4 BASE: %w", err)
-	}
-	return res, nil
-}
-
-// Fig4Opp runs only the OPP side of Figure 4.
-func Fig4Opp(rounds int, seed uint64) (*core.Result, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("repro: non-positive round count %d", rounds)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	oc := strategy.DefaultOppConfig()
-	oc.Rounds = rounds
-	s, err := strategy.NewOpportunistic(oc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := run(cfg, s)
-	if err != nil {
-		return nil, fmt.Errorf("repro: fig4 OPP: %w", err)
-	}
-	return res, nil
-}
-
-func run(cfg core.Config, s strategy.Strategy) (*core.Result, error) {
-	exp, err := core.New(cfg, s)
-	if err != nil {
-		return nil, err
-	}
-	return exp.Run()
 }
 
 // LateAccuracy returns the mean of the last k accuracy points (the curves
@@ -173,76 +192,56 @@ func rowFrom(param string, res *core.Result) Row {
 	return r
 }
 
+// rows executes a one-strategy sweep whose spec names are the parameter
+// labels, and summarizes each run as a Row.
+func rows(ablation string, specs []campaign.RunSpec) ([]Row, error) {
+	results, err := Execute(specs...)
+	if err != nil {
+		return nil, fmt.Errorf("ablation %s: %w", ablation, err)
+	}
+	out := make([]Row, len(specs))
+	for i, res := range results {
+		out[i] = rowFrom(specs[i].Name, res)
+	}
+	return out, nil
+}
+
 // AblationRoundDuration sweeps OPP's round duration (paper §5.2: "a longer
 // round duration will give more opportunities for local aggregation of
 // weights ... [but] increase the duration of the whole learning process,
 // and increase the probability that a reporter vehicle is turned off").
 func AblationRoundDuration(rounds int, seed uint64, durations []sim.Duration) ([]Row, error) {
-	var rows []Row
-	for _, d := range durations {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		oc := strategy.DefaultOppConfig()
-		oc.Rounds = rounds
-		oc.RoundDuration = d
-		s, err := strategy.NewOpportunistic(oc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := run(cfg, s)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation A (duration %v): %w", d, err)
-		}
-		rows = append(rows, rowFrom(fmt.Sprintf("%.0fs", float64(d)), res))
+	specs := make([]campaign.RunSpec, len(durations))
+	for i, d := range durations {
+		s := opp(rounds)
+		s.RoundDurationS = float64(d)
+		specs[i] = Spec(fmt.Sprintf("%.0fs", float64(d)), seed, s, nil)
 	}
-	return rows, nil
+	return rows("A", specs)
 }
 
 // AblationReporters sweeps the per-round reporter count (the V2C budget
 // knob; the paper cites McMahan et al.: more participants per round can
 // raise accuracy, at proportional cellular cost).
 func AblationReporters(rounds int, seed uint64, counts []int) ([]Row, error) {
-	var rows []Row
-	for _, r := range counts {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		oc := strategy.DefaultOppConfig()
-		oc.Rounds = rounds
-		oc.Reporters = r
-		s, err := strategy.NewOpportunistic(oc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := run(cfg, s)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation B (reporters %d): %w", r, err)
-		}
-		rows = append(rows, rowFrom(fmt.Sprintf("R=%d", r), res))
+	specs := make([]campaign.RunSpec, len(counts))
+	for i, r := range counts {
+		s := opp(rounds)
+		s.Reporters = r
+		specs[i] = Spec(fmt.Sprintf("R=%d", r), seed, s, nil)
 	}
-	return rows, nil
+	return rows("B", specs)
 }
 
 // AblationV2XRange sweeps the V2X radio range (the vehicle-density proxy;
 // paper §5.2: OPP is "highly dependent on the density of vehicles").
 func AblationV2XRange(rounds int, seed uint64, ranges []float64) ([]Row, error) {
-	var rows []Row
-	for _, rangeM := range ranges {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.Comm.V2X.RangeM = rangeM
-		oc := strategy.DefaultOppConfig()
-		oc.Rounds = rounds
-		s, err := strategy.NewOpportunistic(oc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := run(cfg, s)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation C (range %v): %w", rangeM, err)
-		}
-		rows = append(rows, rowFrom(fmt.Sprintf("%.0fm", rangeM), res))
+	specs := make([]campaign.RunSpec, len(ranges))
+	for i, rangeM := range ranges {
+		specs[i] = Spec(fmt.Sprintf("%.0fm", rangeM), seed, opp(rounds),
+			func(c *core.Config) { c.Comm.V2X.RangeM = rangeM })
 	}
-	return rows, nil
+	return rows("C", specs)
 }
 
 // SkewPoint pairs BASE and OPP results under one data distribution.
@@ -257,47 +256,31 @@ type SkewPoint struct {
 // real-world scenario of highly personalized data"; this sweep shows what
 // that choice costs FL and how extra contributions mitigate it).
 func AblationSkew(rounds int, seed uint64, parts []dataset.PartitionConfig) ([]SkewPoint, error) {
-	var rows []SkewPoint
-	for _, pc := range parts {
-		label := pc.Scheme.String()
+	labels := make([]string, len(parts))
+	var specs []campaign.RunSpec
+	for i, pc := range parts {
+		labels[i] = pc.Scheme.String()
 		if pc.Scheme == dataset.SchemeShards {
-			label = fmt.Sprintf("shards=%d", pc.ShardsPerAgent)
+			labels[i] = fmt.Sprintf("shards=%d", pc.ShardsPerAgent)
 		}
-
-		baseCfg := core.DefaultConfig()
-		baseCfg.Seed = seed
-		baseCfg.Partition = pc
-		fa := strategy.DefaultFedAvgConfig()
-		fa.Rounds = rounds
-		fs, err := strategy.NewFederatedAveraging(fa)
-		if err != nil {
-			return nil, err
-		}
-		baseRes, err := run(baseCfg, fs)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation D BASE (%s): %w", label, err)
-		}
-
-		oppCfg := core.DefaultConfig()
-		oppCfg.Seed = seed
-		oppCfg.Partition = pc
-		oc := strategy.DefaultOppConfig()
-		oc.Rounds = rounds
-		os, err := strategy.NewOpportunistic(oc)
-		if err != nil {
-			return nil, err
-		}
-		oppRes, err := run(oppCfg, os)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation D OPP (%s): %w", label, err)
-		}
-		rows = append(rows, SkewPoint{
-			Param:   label,
-			BaseAcc: LateAccuracy(baseRes, 3),
-			OppAcc:  LateAccuracy(oppRes, 3),
-		})
+		edit := func(c *core.Config) { c.Partition = pc }
+		specs = append(specs,
+			Spec(labels[i]+"/BASE", seed, base(rounds), edit),
+			Spec(labels[i]+"/OPP", seed, opp(rounds), edit))
 	}
-	return rows, nil
+	results, err := Execute(specs...)
+	if err != nil {
+		return nil, fmt.Errorf("ablation D: %w", err)
+	}
+	points := make([]SkewPoint, len(parts))
+	for i, label := range labels {
+		points[i] = SkewPoint{
+			Param:   label,
+			BaseAcc: LateAccuracy(results[2*i], 3),
+			OppAcc:  LateAccuracy(results[2*i+1], 3),
+		}
+	}
+	return points, nil
 }
 
 // AblationChurn sweeps driver ignition churn (paper §5.2: a longer round
@@ -305,24 +288,12 @@ func AblationSkew(rounds int, seed uint64, parts []dataset.PartitionConfig) ([]S
 // driver before a round ends, effectively discarding the models collected
 // by this reporter").
 func AblationChurn(rounds int, seed uint64, offProbs []float64) ([]Row, error) {
-	var rows []Row
-	for _, p := range offProbs {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.Fleet.OffWhenParkedProb = p
-		oc := strategy.DefaultOppConfig()
-		oc.Rounds = rounds
-		s, err := strategy.NewOpportunistic(oc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := run(cfg, s)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation E (off prob %v): %w", p, err)
-		}
-		rows = append(rows, rowFrom(fmt.Sprintf("p_off=%.1f", p), res))
+	specs := make([]campaign.RunSpec, len(offProbs))
+	for i, p := range offProbs {
+		specs[i] = Spec(fmt.Sprintf("p_off=%.1f", p), seed, opp(rounds),
+			func(c *core.Config) { c.Fleet.OffWhenParkedProb = p })
 	}
-	return rows, nil
+	return rows("E", specs)
 }
 
 // DefaultSkewSweep is the ablation-D parameter set: pathological 1-shard
@@ -366,53 +337,36 @@ type FaultPoint struct {
 // fault-free span, so the faults land inside the learning process for both
 // the short BASE runs and the ~4.5x longer OPP runs.
 func AblationFaults(rounds int, seed uint64, scenarios []string) ([]FaultPoint, error) {
-	var points []FaultPoint
-	cases := []struct {
-		name string
-		run  func(plan *faults.Plan) (*core.Result, error)
-	}{
-		{"BASE", func(plan *faults.Plan) (*core.Result, error) {
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.Faults = plan
-			fa := strategy.DefaultFedAvgConfig()
-			fa.Rounds = rounds
-			s, err := strategy.NewFederatedAveraging(fa)
-			if err != nil {
-				return nil, err
-			}
-			return run(cfg, s)
-		}},
-		{"OPP", func(plan *faults.Plan) (*core.Result, error) {
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.Faults = plan
-			oc := strategy.DefaultOppConfig()
-			oc.Rounds = rounds
-			s, err := strategy.NewOpportunistic(oc)
-			if err != nil {
-				return nil, err
-			}
-			return run(cfg, s)
-		}},
+	strategies := baseAndOpp(rounds)
+	clean := make([]campaign.RunSpec, len(strategies))
+	for i, st := range strategies {
+		clean[i] = Spec(st.name+"/fault-free", seed, st.spec, nil)
 	}
-	for _, c := range cases {
-		clean, err := c.run(nil)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation G %s fault-free: %w", c.name, err)
-		}
-		points = append(points, faultPoint("fault-free", c.name, clean))
-		span := sim.Duration(clean.End)
+	cleanRes, err := Execute(clean...)
+	if err != nil {
+		return nil, fmt.Errorf("ablation G: %w", err)
+	}
+	var faulted []campaign.RunSpec
+	for i, st := range strategies {
+		span := sim.Duration(cleanRes[i].End)
 		for _, sc := range scenarios {
 			plan, err := faults.ScenarioPlan(sc, span)
 			if err != nil {
-				return nil, fmt.Errorf("repro: ablation G: %w", err)
+				return nil, fmt.Errorf("ablation G: %w", err)
 			}
-			res, err := c.run(&plan)
-			if err != nil {
-				return nil, fmt.Errorf("repro: ablation G %s/%s: %w", c.name, sc, err)
-			}
-			points = append(points, faultPoint(sc, c.name, res))
+			faulted = append(faulted, Spec(st.name+"/"+sc, seed, st.spec,
+				func(c *core.Config) { c.Faults = &plan }))
+		}
+	}
+	faultedRes, err := Execute(faulted...)
+	if err != nil {
+		return nil, fmt.Errorf("ablation G: %w", err)
+	}
+	var points []FaultPoint
+	for i, st := range strategies {
+		points = append(points, faultPoint("fault-free", st.name, cleanRes[i]))
+		for j, sc := range scenarios {
+			points = append(points, faultPoint(sc, st.name, faultedRes[i*len(scenarios)+j]))
 		}
 	}
 	return points, nil
@@ -440,22 +394,10 @@ func faultPoint(scenario, strategyName string, res *core.Result) FaultPoint {
 // RSUs mean more collection points — accuracy rises with deployment cost,
 // while the metered V2C channel stays at zero.
 func AblationRSUCount(rounds int, seed uint64, counts []int) ([]Row, error) {
-	var rows []Row
-	for _, n := range counts {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.RSUCount = n
-		rc := strategy.DefaultRSUAssistedConfig()
-		rc.Rounds = rounds
-		s, err := strategy.NewRSUAssisted(rc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := run(cfg, s)
-		if err != nil {
-			return nil, fmt.Errorf("repro: ablation F (%d RSUs): %w", n, err)
-		}
-		rows = append(rows, rowFrom(fmt.Sprintf("RSUs=%d", n), res))
+	specs := make([]campaign.RunSpec, len(counts))
+	for i, n := range counts {
+		specs[i] = Spec(fmt.Sprintf("RSUs=%d", n), seed, campaign.StrategySpec{Kind: "rsu", Rounds: rounds},
+			func(c *core.Config) { c.RSUCount = n })
 	}
-	return rows, nil
+	return rows("F", specs)
 }

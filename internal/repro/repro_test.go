@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"strings"
 	"testing"
 
+	"roadrunner/internal/campaign"
+	"roadrunner/internal/core"
 	"roadrunner/internal/metrics"
 	"roadrunner/internal/sim"
 )
@@ -137,6 +140,59 @@ func TestDefaultSkewSweep(t *testing.T) {
 	for i, pc := range sweep {
 		if err := pc.Validate(); err != nil {
 			t.Errorf("sweep point %d invalid: %v", i, err)
+		}
+	}
+}
+
+// TestExecutePropagatesErrors: a spec that cannot run fails the whole
+// call, named, and a round count the strategy spec would silently default
+// is rejected before anything runs.
+func TestExecutePropagatesErrors(t *testing.T) {
+	good := Spec("good", 1, base(1), nil)
+	for name, bad := range map[string]campaign.RunSpec{
+		"unknown-kind": Spec("unknown-kind", 1, campaign.StrategySpec{Kind: "nope", Rounds: 1}, nil),
+		"zero-rounds":  Spec("zero-rounds", 1, base(0), nil),
+		"bad-config":   {Name: "bad-config", Strategy: base(1), Config: core.Config{}},
+	} {
+		_, err := Execute(good, bad)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Execute error = %v, want one naming the spec", name, err)
+		}
+	}
+	if got, err := Execute(); err != nil || len(got) != 0 {
+		t.Fatalf("Execute() = %v, %v", got, err)
+	}
+}
+
+// TestFig4SpecKeysPinned holds Figure 4's 75-round specs on seed 1 to the
+// run keys a Figure-4 manifest expands to, recorded before the figures
+// became run specs: describing the same run another way must not move its
+// content address.
+func TestFig4SpecKeysPinned(t *testing.T) {
+	want := []string{
+		"77b109a15bb21a9c7487c710ea55cbc3ed5f23f35ba7f283d5e9a7e44c3335d3",
+		"c7c4b9955f4326ce8bc78af96bebdce23c4e19d4a4756c911a9d0adb2d0f3a2e",
+	}
+	m := campaign.Manifest{
+		Name:       "fig4",
+		Rounds:     75,
+		Strategies: []campaign.StrategySpec{{Kind: "fedavg"}, {Kind: "opp"}},
+		Seeds:      []uint64{1},
+	}
+	manifestSpecs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range Fig4Specs(75, 1) {
+		key, err := spec.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != want[i] {
+			t.Errorf("%s key = %s, want %s", spec.Name, key, want[i])
+		}
+		if mk, _ := manifestSpecs[i].Key(); mk != key {
+			t.Errorf("%s key %s differs from the manifest's %s", spec.Name, key, mk)
 		}
 	}
 }
