@@ -66,10 +66,13 @@ test:
 # batched forward kernels to their oracles bit for bit. The world line holds
 # what a run reads of its world — traces cut at its horizon, each vehicle's
 # data drawn on first read — to the eagerly built world and its goldens.
+# The conformance line holds every strategy to same-seed byte identity and
+# the collector strategies (OPP, RSU-assisted) to their digest golden.
 determinism:
 	$(GO) test ./internal/campaign/ ./internal/repro/ -run 'ByteIdentical|Invariant|MatchesSerial' -count=1
 	$(GO) test ./internal/ml/ -run 'BitIdentical' -count=1
 	$(GO) test ./internal/core/ ./internal/dataset/ ./internal/mobility/ ./internal/sim/ -run 'BitIdentical|MatchColdAndGolden' -count=1
+	$(GO) test ./internal/conformance/ -count=1
 
 race:
 	$(GO) test -race ./...

@@ -240,7 +240,8 @@ func (m Manifest) Validate() error {
 	if m.EvalWorkers < 0 {
 		return fmt.Errorf("campaign: manifest %q: negative eval workers %d", m.Name, m.EvalWorkers)
 	}
-	if _, err := m.baseConfig(); err != nil {
+	base, err := m.baseConfig()
+	if err != nil {
 		return err
 	}
 	for _, s := range m.Strategies {
@@ -265,7 +266,30 @@ func (m Manifest) Validate() error {
 			return fmt.Errorf("campaign: manifest %q: override %d needs a name", m.Name, i)
 		}
 	}
+	// An RSU-assisted run on an environment without RSUs could only fail
+	// on a worker; reject the manifest up front instead.
+	for _, s := range m.Strategies {
+		if s.Kind != "rsu" && s.Kind != "rsu-assisted" {
+			continue
+		}
+		for _, o := range m.overrides() {
+			cfg := base
+			o.apply(&cfg)
+			if cfg.RSUCount <= 0 {
+				return fmt.Errorf("campaign: manifest %q: strategy %q needs RSUs, but env %q with override %q has none",
+					m.Name, s.Kind, m.Env, o.Name)
+			}
+		}
+	}
 	return nil
+}
+
+// overrides returns the sweep points, the unmodified preset if none.
+func (m Manifest) overrides() []Override {
+	if len(m.Overrides) == 0 {
+		return []Override{{Name: "base"}}
+	}
+	return m.Overrides
 }
 
 func (m Manifest) scenarios() []string {
@@ -294,10 +318,6 @@ func (m Manifest) Expand() ([]RunSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	overrides := m.Overrides
-	if len(overrides) == 0 {
-		overrides = []Override{{Name: "base"}}
-	}
 	var specs []RunSpec
 	for _, strat := range m.Strategies {
 		spec := strat
@@ -306,7 +326,7 @@ func (m Manifest) Expand() ([]RunSpec, error) {
 		}
 		for _, seed := range m.Seeds {
 			for _, sc := range m.scenarios() {
-				for _, o := range overrides {
+				for _, o := range m.overrides() {
 					cfg := base
 					o.apply(&cfg)
 					cfg.Seed = seed

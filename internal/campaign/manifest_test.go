@@ -100,6 +100,18 @@ func TestManifestValidateRejects(t *testing.T) {
 			m.Overrides = []Override{{V2XRangeM: ptrF(100)}}
 		},
 		"negative eval workers": func(m *Manifest) { m.EvalWorkers = -2 },
+		"rsu on an env without RSUs": func(m *Manifest) {
+			m.Env = EnvSmall
+			m.Strategies = []StrategySpec{{Kind: "rsu"}}
+		},
+		"rsu-assisted on the default env": func(m *Manifest) {
+			m.Env = EnvDefault
+			m.Strategies = []StrategySpec{{Kind: "rsu-assisted"}}
+		},
+		"rsu with an override removing the RSUs": func(m *Manifest) {
+			m.Strategies = []StrategySpec{{Kind: "rsu"}}
+			m.Overrides = []Override{{Name: "two", RSUCount: ptrI(2)}, {Name: "none", RSUCount: ptrI(0)}}
+		},
 	}
 	for name, mutate := range cases {
 		m := tinyManifest()
@@ -111,6 +123,11 @@ func TestManifestValidateRejects(t *testing.T) {
 	good := tinyManifest()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
+	}
+	rsu := Manifest{Name: "rsu", Env: EnvSmall, Strategies: []StrategySpec{{Kind: "rsu"}}, Seeds: []uint64{1},
+		Overrides: []Override{{Name: "two", RSUCount: ptrI(2)}}}
+	if err := rsu.Validate(); err != nil {
+		t.Fatalf("rsu manifest whose override adds RSUs rejected: %v", err)
 	}
 }
 

@@ -211,6 +211,8 @@ func TestHTTPValidation(t *testing.T) {
 	}{
 		{"bad manifest json", "/v1/cluster/campaigns", "{", http.StatusBadRequest},
 		{"empty manifest", "/v1/cluster/campaigns", "{}", http.StatusBadRequest},
+		{"rsu manifest on an env without RSUs", "/v1/cluster/campaigns",
+			`{"name":"r","env":"small","strategies":[{"kind":"rsu"}],"seeds":[1]}`, http.StatusBadRequest},
 		{"register without node", "/v1/cluster/register", "{}", http.StatusBadRequest},
 		{"heartbeat unknown node", "/v1/cluster/heartbeat", `{"node":"ghost"}`, http.StatusNotFound},
 		{"claims unknown node", "/v1/cluster/claims", `{"node":"ghost"}`, http.StatusNotFound},

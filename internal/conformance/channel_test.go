@@ -257,3 +257,39 @@ func TestChannelRecordIsResultInvariant(t *testing.T) {
 		t.Error("channel trace recorded no delivered transfers")
 	}
 }
+
+// TestEmptyFaultPlanMatchesNil is a metamorphic cell: a run with an empty
+// fault plan is byte-identical to the same run with none, for every
+// strategy under every channel model. An empty plan must install nothing.
+func TestEmptyFaultPlanMatchesNil(t *testing.T) {
+	run := func(c Case, m ChannelModel, plan *faults.Plan) []byte {
+		t.Helper()
+		cfg := Config(matrixSeed)
+		cfg.Comm.Channel = m.Config
+		cfg.Faults = plan
+		strat, err := c.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := core.New(cfg, strat)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.Name, m.Name, err)
+		}
+		res, err := exp.Run()
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.Name, m.Name, err)
+		}
+		b, err := res.CanonicalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, c := range Cases() {
+		for _, m := range ChannelModels() {
+			if !bytes.Equal(run(c, m, nil), run(c, m, &faults.Plan{})) {
+				t.Errorf("%s/%s: an empty fault plan changed the run", c.Name, m.Name)
+			}
+		}
+	}
+}

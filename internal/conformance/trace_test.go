@@ -6,13 +6,23 @@ import (
 
 	"roadrunner/internal/core"
 	"roadrunner/internal/faults"
+	"roadrunner/internal/trace"
 )
+
+// rsuTraceSeed is the seed rsu's trace cells run at. At matrixSeed no
+// vehicle comes within V2X range of either RSU in the conformance world, so
+// the run has no exchange to trace; at this seed it has several.
+const rsuTraceSeed = 3
 
 // runTraceCell is runCell's observability sibling: one (strategy, scenario)
 // run with explicit tracing and evaluation-parallelism settings.
 func runTraceCell(t *testing.T, c Case, scenario string, traceOn bool, evalWorkers int) *core.Result {
 	t.Helper()
-	cfg := Config(matrixSeed)
+	seed := uint64(matrixSeed)
+	if c.Name == "rsu" {
+		seed = rsuTraceSeed
+	}
+	cfg := Config(seed)
 	cfg.Trace = traceOn
 	cfg.EvalWorkers = evalWorkers
 	if scenario != ScenarioFaultFree {
@@ -43,19 +53,40 @@ func runTraceCell(t *testing.T, c Case, scenario string, traceOn bool, evalWorke
 // traceCases is the subset of the matrix the trace cells run over: the
 // paper's two headline strategies, which together exercise every span kind
 // the tracer emits (rounds, training, evaluation, aggregation, encounter
-// exchanges, plus fault windows under a faulted scenario).
+// exchanges, plus fault windows under a faulted scenario), and RSU-assisted,
+// which runs OPP's collector protocol with road-side units as collectors.
 func traceCases(t *testing.T) []Case {
 	t.Helper()
 	var out []Case
 	for _, c := range Cases() {
-		if c.Name == "fedavg" || c.Name == "opportunistic" {
+		switch c.Name {
+		case "fedavg", "opportunistic", "rsu":
 			out = append(out, c)
 		}
 	}
-	if len(out) != 2 {
-		t.Fatalf("trace cells found %d of 2 headline strategies", len(out))
+	if len(out) != 3 {
+		t.Fatalf("trace cells found %d of their 3 strategies", len(out))
 	}
 	return out
+}
+
+// checkCollectorSpans asserts that a traced collector-strategy run (OPP or
+// RSU-assisted) marked its protocol phases: at least one round span and
+// at least one encounter-exchange span.
+func checkCollectorSpans(t *testing.T, c Case, res *core.Result) {
+	t.Helper()
+	if c.Name != "opportunistic" && c.Name != "rsu" {
+		return
+	}
+	kinds := map[string]int{}
+	for _, sp := range res.Trace.Spans {
+		kinds[sp.Kind]++
+	}
+	for _, k := range []string{trace.KindRound, trace.KindEncounterExchange} {
+		if kinds[k] == 0 {
+			t.Errorf("%s: traced run recorded no %q span", c.Name, k)
+		}
+	}
 }
 
 // TestTraceByteIdentityAcrossEvalWorkers is the observability cell of the
@@ -76,6 +107,7 @@ func TestTraceByteIdentityAcrossEvalWorkers(t *testing.T) {
 				if len(serial.Trace.Spans) == 0 {
 					t.Fatalf("%s: traced run recorded no spans", sc)
 				}
+				checkCollectorSpans(t, c, serial)
 				a, err := serial.Trace.CanonicalBytes()
 				if err != nil {
 					t.Fatalf("%s: canonical trace: %v", sc, err)
@@ -111,6 +143,7 @@ func TestTraceDisabledLeavesRunUntouched(t *testing.T) {
 			if on.Trace == nil || len(on.Trace.Spans) == 0 {
 				t.Fatal("traced run recorded no spans")
 			}
+			checkCollectorSpans(t, c, on)
 			a, err := off.CanonicalBytes()
 			if err != nil {
 				t.Fatal(err)

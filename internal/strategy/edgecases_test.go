@@ -37,12 +37,12 @@ func TestOppOfferSendFailureFreesSlot(t *testing.T) {
 
 	s.OnEncounter(env, r, peer)
 	offer := env.sendsWith(tagOffer)[0]
-	if s.reporters[r].pendingPeer != peer {
+	if s.collectors[r].pendingPeer != peer {
 		t.Fatal("slot not claimed")
 	}
 	// The offer dies in flight (peer left range).
 	env.failSend(s, offer, comm.ErrOutOfRange)
-	if s.reporters[r].pendingPeer != sim.NoAgent {
+	if s.collectors[r].pendingPeer != sim.NoAgent {
 		t.Fatal("offer failure did not free the exchange slot")
 	}
 	// The reporter may immediately engage another neighbor.
@@ -246,7 +246,7 @@ func TestRSUAssistedOfferFailureFreesSlot(t *testing.T) {
 	s.OnEncounter(env, rsu, vehicle)
 	offer := env.sendsWith(tagOffer)[0]
 	env.failSend(s, offer, comm.ErrOutOfRange)
-	if s.rsus[rsu].pendingPeer != sim.NoAgent {
+	if s.collectors[rsu].pendingPeer != sim.NoAgent {
 		t.Fatal("failed offer did not free the RSU's slot")
 	}
 }
@@ -270,7 +270,7 @@ func TestRSUAssistedBusyVehicleDeclines(t *testing.T) {
 		t.Fatalf("%d declines, want 1", len(declines))
 	}
 	env.deliver(s, declines[0])
-	if s.rsus[rsu].pendingPeer != sim.NoAgent {
+	if s.collectors[rsu].pendingPeer != sim.NoAgent {
 		t.Fatal("decline did not free the RSU slot")
 	}
 }
@@ -316,7 +316,7 @@ func TestRSUAssistedRetrainedReturnFailureDiscards(t *testing.T) {
 	if got := env.rec.Counter(metrics.CounterDiscardedModels); got != 1 {
 		t.Fatalf("discarded = %v", got)
 	}
-	if s.rsus[rsu].exchanges != 0 {
+	if s.collectors[rsu].exchanges != 0 {
 		t.Fatal("failed exchange counted")
 	}
 }

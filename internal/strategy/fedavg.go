@@ -15,9 +15,9 @@ import (
 const (
 	tagGlobal    = "global"    // server -> vehicle: current global model
 	tagUpdate    = "update"    // vehicle -> server: retrained model + data amount
-	tagOffer     = "offer"     // reporter -> non-reporter (V2X): forwarded global model
-	tagRetrained = "retrained" // non-reporter -> reporter (V2X): retrained model
-	tagDecline   = "decline"   // non-reporter -> reporter (V2X): cannot serve
+	tagOffer     = "offer"     // collector -> vehicle (V2X): forwarded global model
+	tagRetrained = "retrained" // vehicle -> collector (V2X): retrained model
+	tagDecline   = "decline"   // vehicle -> collector (V2X): cannot serve
 )
 
 // controlBytes is the wire size of a model-free control message.
@@ -265,17 +265,20 @@ func (f *FederatedAveraging) maybeAggregate(env Env) {
 	tr.End(f.roundSpan)
 	tr.SetScope(0)
 	f.roundSpan = 0
-	f.scheduleNextRound(env)
+	scheduleNextRound(env, "fedavg", f.roundStart, f.cfg.RoundDuration, f.cfg.ServerOverhead, func() { f.startRound(env) })
 }
 
-func (f *FederatedAveraging) scheduleNextRound(env Env) {
-	next := f.roundStart.Add(f.cfg.RoundDuration).Add(f.cfg.ServerOverhead)
+// scheduleNextRound starts the next round once the current one's window
+// and the server overhead have passed, or at once if collection already
+// ran past that instant.
+func scheduleNextRound(env Env, name string, roundStart sim.Time, roundDuration, serverOverhead sim.Duration, start func()) {
+	next := roundStart.Add(roundDuration).Add(serverOverhead)
 	delay := next.Sub(env.Now())
 	if delay < 0 {
 		delay = 0
 	}
-	if err := env.After(delay, func() { f.startRound(env) }); err != nil {
-		env.Logf("fedavg: schedule next round: %v", err)
+	if err := env.After(delay, start); err != nil {
+		env.Logf("%s: schedule next round: %v", name, err)
 		env.Stop()
 	}
 }

@@ -2,13 +2,9 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 
 	"roadrunner/internal/comm"
-	"roadrunner/internal/metrics"
-	"roadrunner/internal/ml"
 	"roadrunner/internal/sim"
-	"roadrunner/internal/trace"
 )
 
 // OppConfig parameterizes the paper's OPP strategy (§5.2): FL extended with
@@ -45,39 +41,19 @@ func DefaultOppConfig() OppConfig {
 
 // Validate reports whether the configuration is usable.
 func (c OppConfig) Validate() error {
-	switch {
-	case c.Rounds <= 0:
-		return fmt.Errorf("strategy: non-positive round count %d", c.Rounds)
-	case c.Reporters <= 0:
+	if c.Reporters <= 0 {
 		return fmt.Errorf("strategy: non-positive reporter count %d", c.Reporters)
-	case c.RoundDuration <= 0:
-		return fmt.Errorf("strategy: non-positive round duration %v", c.RoundDuration)
-	case c.ServerOverhead < 0:
-		return fmt.Errorf("strategy: negative server overhead %v", c.ServerOverhead)
-	case c.ExchangeTimeout <= 0:
-		return fmt.Errorf("strategy: non-positive exchange timeout %v", c.ExchangeTimeout)
-	default:
-		return nil
 	}
+	return c.timing().validate()
 }
 
-// reporterState tracks one reporter's progress within a round.
-type reporterState struct {
-	global      *ml.Snapshot  // the w received from the server, forwarded to peers
-	agg         *ml.Snapshot  // intermediate aggregate (own retrain ⊕ peer models)
-	weight      float64       // accumulated data amount behind agg
-	sources     []sim.AgentID // vehicles folded into agg (provenance)
-	retrainDone bool
-	contacted   map[sim.AgentID]bool // peers offered this round
-	pendingPeer sim.AgentID          // peer with an exchange in flight (NoAgent if none)
-	exchanges   int                  // successful V2X model collections
-	exchSpan    trace.SpanID         // trace span of the in-flight exchange (0 if none)
-}
-
-// servingState tracks a non-reporter retraining a forwarded model.
-type servingState struct {
-	reporter sim.AgentID
-	round    int
+func (c OppConfig) timing() collectorTiming {
+	return collectorTiming{
+		rounds:          c.Rounds,
+		roundDuration:   c.RoundDuration,
+		serverOverhead:  c.ServerOverhead,
+		exchangeTimeout: c.ExchangeTimeout,
+	}
 }
 
 // Opportunistic implements the paper's OPP strategy. Because Federated
@@ -86,22 +62,10 @@ type servingState struct {
 // model w over V2X, collects retrained models, and pre-aggregates them with
 // its own before uploading a single model (plus the summed data amount)
 // over V2C — multiplying model contributions without additional cellular
-// connections.
+// connections. The reporters run the shared collector protocol.
 type Opportunistic struct {
-	Base
+	collector
 	cfg OppConfig
-
-	round      int
-	roundStart sim.Time
-	roundEnded bool
-	roundSpan  trace.SpanID
-	reporters  map[sim.AgentID]*reporterState
-	serving    map[sim.AgentID]servingState
-	awaiting   int
-	collected  []*ml.Snapshot
-	weights    []float64
-	contribs   int
-	provenance map[sim.AgentID]bool
 }
 
 var _ Strategy = (*Opportunistic)(nil)
@@ -111,391 +75,18 @@ func NewOpportunistic(cfg OppConfig) (*Opportunistic, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Opportunistic{cfg: cfg}, nil
+	role := collectorRole{
+		name:         "opportunistic",
+		pick:         func(env Env) []sim.AgentID { return pickOnVehicles(env, cfg.Reporters) },
+		uplink:       comm.KindV2C,
+		retrainFirst: true,
+		provenance:   true,
+	}
+	return &Opportunistic{collector: collector{role: role, timing: cfg.timing()}, cfg: cfg}, nil
 }
 
 // Name implements Strategy.
-func (o *Opportunistic) Name() string { return "opportunistic" }
+func (o *Opportunistic) Name() string { return o.role.name }
 
 // Config returns the strategy's configuration.
 func (o *Opportunistic) Config() OppConfig { return o.cfg }
-
-// Start implements Strategy.
-func (o *Opportunistic) Start(env Env) error {
-	if env.Model(env.Server()) == nil {
-		return fmt.Errorf("strategy: opportunistic: server has no initial model")
-	}
-	o.provenance = make(map[sim.AgentID]bool)
-	o.startRound(env)
-	return nil
-}
-
-func (o *Opportunistic) startRound(env Env) {
-	if o.round >= o.cfg.Rounds {
-		env.Logf("opp: %d rounds complete at %v", o.round, env.Now())
-		env.Stop()
-		return
-	}
-	o.round++
-	o.roundStart = env.Now()
-	o.roundEnded = false
-	o.reporters = make(map[sim.AgentID]*reporterState, o.cfg.Reporters)
-	o.serving = make(map[sim.AgentID]servingState)
-	o.awaiting = 0
-	o.collected = o.collected[:0]
-	o.weights = o.weights[:0]
-	o.contribs = 0
-
-	// See FederatedAveraging.startRound: the round span scopes every
-	// transfer, train, eval, and exchange the round causes.
-	tr := env.Tracer()
-	o.roundSpan = tr.BeginRoot(trace.KindRound, "round")
-	tr.AttrInt(o.roundSpan, "round", int64(o.round))
-	tr.Attr(o.roundSpan, "strategy", "opportunistic")
-	tr.SetScope(o.roundSpan)
-
-	global := env.Model(env.Server())
-	for _, v := range pickOnVehicles(env, o.cfg.Reporters) {
-		p := Payload{Tag: tagGlobal, Round: o.round, Model: global}
-		if _, err := env.Send(env.Server(), v, comm.KindV2C, p); err != nil {
-			env.Logf("opp: round %d: send global to %v: %v", o.round, v, err)
-			continue
-		}
-		o.reporters[v] = &reporterState{
-			global:      global,
-			contacted:   make(map[sim.AgentID]bool),
-			pendingPeer: sim.NoAgent,
-		}
-	}
-	round := o.round
-	if err := env.After(o.cfg.RoundDuration, func() { o.endRound(env, round) }); err != nil {
-		env.Logf("opp: schedule round end: %v", err)
-		env.Stop()
-	}
-}
-
-// OnDeliver implements Strategy.
-func (o *Opportunistic) OnDeliver(env Env, msg *comm.Message, p Payload) {
-	switch p.Tag {
-	case tagGlobal:
-		// Reporter receives w from the server: retrain it locally.
-		st, ok := o.reporters[msg.To]
-		if !ok || p.Round != o.round || o.roundEnded {
-			return
-		}
-		if err := env.Train(msg.To, p.Model); err != nil {
-			env.Logf("opp: round %d: reporter %v train: %v", o.round, msg.To, err)
-		}
-		_ = st
-	case tagOffer:
-		o.handleOffer(env, msg, p)
-	case tagRetrained:
-		o.handleRetrained(env, msg, p)
-	case tagDecline:
-		if st, ok := o.reporters[msg.To]; ok && p.Round == o.round && st.pendingPeer == msg.From {
-			st.pendingPeer = sim.NoAgent
-			env.Tracer().EndWith(st.exchSpan, "status", "declined")
-			st.exchSpan = 0
-			o.tryExchanges(env, msg.To, st)
-		}
-	case tagUpdate:
-		if msg.To != env.Server() || p.Round != o.round {
-			return
-		}
-		o.awaiting--
-		o.collected = append(o.collected, p.Model)
-		o.weights = append(o.weights, p.DataAmount)
-		if p.Contributions > 0 {
-			o.contribs += p.Contributions
-		} else {
-			o.contribs++
-		}
-		for _, v := range p.Provenance {
-			o.provenance[v] = true
-		}
-		o.maybeAggregate(env)
-	}
-}
-
-// handleOffer runs on a non-reporter receiving a forwarded global model.
-func (o *Opportunistic) handleOffer(env Env, msg *comm.Message, p Payload) {
-	v := msg.To
-	if p.Round != o.round || o.roundEnded || o.reporters[v] != nil {
-		o.decline(env, v, msg.From, p.Round)
-		return
-	}
-	if _, busy := o.serving[v]; busy || env.IsBusy(v) || env.DataAmount(v) == 0 {
-		o.decline(env, v, msg.From, p.Round)
-		return
-	}
-	if err := env.Train(v, p.Model); err != nil {
-		o.decline(env, v, msg.From, p.Round)
-		return
-	}
-	o.serving[v] = servingState{reporter: msg.From, round: p.Round}
-}
-
-func (o *Opportunistic) decline(env Env, from, to sim.AgentID, round int) {
-	p := Payload{Tag: tagDecline, Round: round}
-	if _, err := env.Send(from, to, comm.KindV2X, p); err != nil {
-		// Reporter's exchange timeout will free the slot.
-		env.Logf("opp: decline %v -> %v: %v", from, to, err)
-	}
-}
-
-// handleRetrained runs on a reporter receiving a peer's retrained model:
-// the intermediate aggregation step of Figure 3.
-func (o *Opportunistic) handleRetrained(env Env, msg *comm.Message, p Payload) {
-	st, ok := o.reporters[msg.To]
-	if !ok || p.Round != o.round {
-		return
-	}
-	if st.pendingPeer == msg.From {
-		st.pendingPeer = sim.NoAgent
-		env.Tracer().EndWith(st.exchSpan, "status", "collected")
-		st.exchSpan = 0
-	}
-	if !st.retrainDone {
-		// Own retraining unfinished (should not happen: offers are only
-		// sent after retrainDone); fold the peer model in directly.
-		st.agg = p.Model
-		st.weight = p.DataAmount
-		st.exchanges++
-		return
-	}
-	agg, err := env.Aggregate([]*ml.Snapshot{st.agg, p.Model}, []float64{st.weight, p.DataAmount})
-	if err != nil {
-		env.Logf("opp: round %d: reporter %v aggregate: %v", o.round, msg.To, err)
-		return
-	}
-	st.agg = agg
-	st.weight += p.DataAmount
-	st.sources = append(st.sources, msg.From)
-	st.exchanges++
-	if !o.roundEnded {
-		o.tryExchanges(env, msg.To, st)
-	}
-}
-
-// OnSendFailed implements Strategy.
-func (o *Opportunistic) OnSendFailed(env Env, msg *comm.Message, p Payload, reason error) {
-	switch p.Tag {
-	case tagGlobal:
-		env.Logf("opp: round %d: global to %v failed: %v", p.Round, msg.To, reason)
-	case tagOffer:
-		if st, ok := o.reporters[msg.From]; ok && p.Round == o.round && st.pendingPeer == msg.To {
-			st.pendingPeer = sim.NoAgent
-			env.Tracer().EndWith(st.exchSpan, "status", "offer-failed")
-			st.exchSpan = 0
-			if !o.roundEnded {
-				o.tryExchanges(env, msg.From, st)
-			}
-		}
-	case tagRetrained:
-		// Peer left range or reporter gone: the retrained model is
-		// discarded (paper: "Else, discard w").
-		env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-	case tagUpdate:
-		if p.Round != o.round {
-			return
-		}
-		o.awaiting--
-		env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-		o.maybeAggregate(env)
-	}
-}
-
-// OnTrainDone implements Strategy.
-func (o *Opportunistic) OnTrainDone(env Env, id sim.AgentID, trained *ml.Snapshot, loss float64) {
-	if st, ok := o.reporters[id]; ok {
-		if st.retrainDone {
-			return
-		}
-		st.retrainDone = true
-		// The reporter's own retrain joins the aggregate with its local
-		// data amount. Peer models collected before this point (possible
-		// only in degenerate schedules) were stored in agg already.
-		own := pendingUpdate{model: trained, weight: float64(env.DataAmount(id))}
-		st.sources = append(st.sources, id)
-		if st.agg == nil {
-			st.agg = own.model
-			st.weight = own.weight
-		} else {
-			agg, err := env.Aggregate([]*ml.Snapshot{st.agg, own.model}, []float64{st.weight, own.weight})
-			if err == nil {
-				st.agg = agg
-				st.weight += own.weight
-			}
-		}
-		if !o.roundEnded {
-			o.tryExchanges(env, id, st)
-		}
-		return
-	}
-	if sv, ok := o.serving[id]; ok {
-		delete(o.serving, id)
-		if sv.round != o.round || o.roundEnded {
-			env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-			return
-		}
-		// Send the retrained model back "if reporter is still in range.
-		// Else, discard w."
-		p := Payload{Tag: tagRetrained, Round: sv.round, Model: trained, DataAmount: float64(env.DataAmount(id))}
-		if _, err := env.Send(id, sv.reporter, comm.KindV2X, p); err != nil {
-			env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-		}
-	}
-}
-
-// OnTrainAborted implements Strategy.
-func (o *Opportunistic) OnTrainAborted(env Env, id sim.AgentID) {
-	if _, ok := o.serving[id]; ok {
-		delete(o.serving, id)
-		env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-	}
-}
-
-// OnEncounter implements Strategy.
-func (o *Opportunistic) OnEncounter(env Env, a, b sim.AgentID) {
-	if o.roundEnded {
-		return
-	}
-	o.maybeOffer(env, a, b)
-	o.maybeOffer(env, b, a)
-}
-
-// tryExchanges scans a reporter's current neighborhood for fresh peers
-// (encounters that began while the reporter was busy training would
-// otherwise be missed).
-func (o *Opportunistic) tryExchanges(env Env, r sim.AgentID, st *reporterState) {
-	if st.pendingPeer != sim.NoAgent || !st.retrainDone {
-		return
-	}
-	for _, peer := range env.Neighbors(r) {
-		o.maybeOffer(env, r, peer)
-		if st.pendingPeer != sim.NoAgent {
-			return
-		}
-	}
-}
-
-// maybeOffer forwards the global model from reporter r to peer over V2X if
-// all of OPP's preconditions hold.
-func (o *Opportunistic) maybeOffer(env Env, r, peer sim.AgentID) {
-	st, ok := o.reporters[r]
-	if !ok || !st.retrainDone || st.pendingPeer != sim.NoAgent {
-		return
-	}
-	if o.reporters[peer] != nil { // reporters don't pair with each other
-		return
-	}
-	if st.contacted[peer] || env.Kind(peer) != sim.KindVehicle {
-		return
-	}
-	if !env.IsOn(r) || !env.IsOn(peer) || env.IsBusy(peer) {
-		return
-	}
-	p := Payload{Tag: tagOffer, Round: o.round, Model: st.global}
-	if _, err := env.Send(r, peer, comm.KindV2X, p); err != nil {
-		return
-	}
-	st.contacted[peer] = true
-	st.pendingPeer = peer
-	// The exchange span covers the whole offer -> retrained/decline/timeout
-	// conversation and nests under the round via the tracer scope.
-	tr := env.Tracer()
-	st.exchSpan = tr.Begin(trace.KindEncounterExchange, "exchange")
-	tr.AttrUint(st.exchSpan, "reporter", uint64(r))
-	tr.AttrUint(st.exchSpan, "peer", uint64(peer))
-	round := o.round
-	if err := env.After(o.cfg.ExchangeTimeout, func() {
-		if round == o.round && st.pendingPeer == peer {
-			st.pendingPeer = sim.NoAgent
-			env.Tracer().EndWith(st.exchSpan, "status", "timeout")
-			st.exchSpan = 0
-			if !o.roundEnded {
-				o.tryExchanges(env, r, st)
-			}
-		}
-	}); err != nil {
-		env.Logf("opp: schedule exchange timeout: %v", err)
-	}
-}
-
-func (o *Opportunistic) endRound(env Env, round int) {
-	if round != o.round || o.roundEnded {
-		return
-	}
-	o.roundEnded = true
-
-	exchanges := 0
-	reporterIDs := make([]sim.AgentID, 0, len(o.reporters))
-	for r := range o.reporters {
-		reporterIDs = append(reporterIDs, r)
-	}
-	sort.Slice(reporterIDs, func(i, j int) bool { return reporterIDs[i] < reporterIDs[j] })
-	for _, r := range reporterIDs {
-		st := o.reporters[r]
-		exchanges += st.exchanges
-		if !st.retrainDone || st.agg == nil {
-			continue
-		}
-		if !env.IsOn(r) {
-			// Reporter turned off before the round ended: everything it
-			// collected is discarded (the churn cost the paper calls out).
-			env.Metrics().Add(metrics.CounterDiscardedModels, 1+float64(st.exchanges))
-			continue
-		}
-		p := Payload{
-			Tag:           tagUpdate,
-			Round:         round,
-			Model:         st.agg,
-			DataAmount:    st.weight,
-			Contributions: 1 + st.exchanges,
-			Provenance:    st.sources,
-		}
-		if _, err := env.Send(r, env.Server(), comm.KindV2C, p); err != nil {
-			env.Metrics().Add(metrics.CounterDiscardedModels, 1+float64(st.exchanges))
-			continue
-		}
-		o.awaiting++
-	}
-	if err := env.Metrics().Record(metrics.SeriesRoundExchanges, env.Now(), float64(exchanges)); err != nil {
-		env.Logf("metrics: %v", err)
-	}
-	o.maybeAggregate(env)
-}
-
-func (o *Opportunistic) maybeAggregate(env Env) {
-	if !o.roundEnded || o.awaiting > 0 {
-		return
-	}
-	tr := env.Tracer()
-	if len(o.collected) > 0 {
-		aggSpan := tr.Begin(trace.KindRound, "aggregate")
-		tr.AttrInt(aggSpan, "models", int64(len(o.collected)))
-		global, err := env.Aggregate(o.collected, o.weights)
-		if err != nil {
-			env.Logf("opp: round %d: aggregate: %v", o.round, err)
-			tr.EndWith(aggSpan, "status", "error")
-		} else {
-			env.SetModel(env.Server(), global)
-			tr.End(aggSpan)
-		}
-	}
-	recordGlobalAccuracy(env, o.round, o.contribs)
-	recordProvenance(env, len(o.provenance))
-	tr.AttrInt(o.roundSpan, "collected", int64(len(o.collected)))
-	tr.End(o.roundSpan)
-	tr.SetScope(0)
-	o.roundSpan = 0
-	next := o.roundStart.Add(o.cfg.RoundDuration).Add(o.cfg.ServerOverhead)
-	delay := next.Sub(env.Now())
-	if delay < 0 {
-		delay = 0
-	}
-	if err := env.After(delay, func() { o.startRound(env) }); err != nil {
-		env.Logf("opp: schedule next round: %v", err)
-		env.Stop()
-	}
-}

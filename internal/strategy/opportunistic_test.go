@@ -112,7 +112,7 @@ func TestOppFullExchangeAggregatesPeerModel(t *testing.T) {
 	env.deliver(s, retrained[0])
 
 	// The reporter's aggregate now carries both data amounts.
-	st := s.reporters[r]
+	st := s.collectors[r]
 	if st.exchanges != 1 {
 		t.Fatalf("exchanges = %d, want 1", st.exchanges)
 	}
@@ -187,7 +187,7 @@ func TestOppBusyPeerDeclines(t *testing.T) {
 	}
 	env.deliver(s, declines[0])
 	// The reporter's exchange slot must be free again.
-	if s.reporters[r].pendingPeer != sim.NoAgent {
+	if s.collectors[r].pendingPeer != sim.NoAgent {
 		t.Fatal("decline did not free the reporter's exchange slot")
 	}
 }
@@ -216,12 +216,12 @@ func TestOppExchangeTimeoutFreesSlot(t *testing.T) {
 	peer := pickNonReporter(env, reporters)
 
 	s.OnEncounter(env, r, peer)
-	if s.reporters[r].pendingPeer != peer {
+	if s.collectors[r].pendingPeer != peer {
 		t.Fatal("exchange slot not claimed")
 	}
 	// Peer never answers; the timeout must clear the slot.
 	env.advance(env.now.Add(61))
-	if s.reporters[r].pendingPeer != sim.NoAgent {
+	if s.collectors[r].pendingPeer != sim.NoAgent {
 		t.Fatal("exchange slot still held after timeout")
 	}
 }
@@ -241,7 +241,7 @@ func TestOppPeerOutOfRangeDiscardsModel(t *testing.T) {
 	if got := env.rec.Counter(metrics.CounterDiscardedModels); got != 1 {
 		t.Fatalf("discarded = %v, want 1 (paper: 'Else, discard w')", got)
 	}
-	if s.reporters[r].exchanges != 0 {
+	if s.collectors[r].exchanges != 0 {
 		t.Fatal("failed exchange counted")
 	}
 }

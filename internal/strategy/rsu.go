@@ -2,11 +2,8 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 
 	"roadrunner/internal/comm"
-	"roadrunner/internal/metrics"
-	"roadrunner/internal/ml"
 	"roadrunner/internal/sim"
 )
 
@@ -42,49 +39,26 @@ func DefaultRSUAssistedConfig() RSUAssistedConfig {
 }
 
 // Validate reports whether the configuration is usable.
-func (c RSUAssistedConfig) Validate() error {
-	switch {
-	case c.Rounds <= 0:
-		return fmt.Errorf("strategy: non-positive round count %d", c.Rounds)
-	case c.RoundDuration <= 0:
-		return fmt.Errorf("strategy: non-positive round duration %v", c.RoundDuration)
-	case c.ServerOverhead < 0:
-		return fmt.Errorf("strategy: negative server overhead %v", c.ServerOverhead)
-	case c.ExchangeTimeout <= 0:
-		return fmt.Errorf("strategy: non-positive exchange timeout %v", c.ExchangeTimeout)
-	default:
-		return nil
-	}
-}
+func (c RSUAssistedConfig) Validate() error { return c.timing().validate() }
 
-// rsuState tracks one RSU's collection progress within a round.
-type rsuState struct {
-	global      *ml.Snapshot
-	agg         *ml.Snapshot
-	weight      float64
-	exchanges   int
-	contacted   map[sim.AgentID]bool
-	pendingPeer sim.AgentID
+func (c RSUAssistedConfig) timing() collectorTiming {
+	return collectorTiming{
+		rounds:          c.Rounds,
+		roundDuration:   c.RoundDuration,
+		serverOverhead:  c.ServerOverhead,
+		exchangeTimeout: c.ExchangeTimeout,
+	}
 }
 
 // RSUAssisted implements FL where stationary road-side units collect the
 // contributions: the server distributes the global model to every RSU over
 // the wired backhaul, passing vehicles retrain it via V2X exchanges, RSUs
 // pre-aggregate (Federated Averaging is associative), and at round end the
-// aggregates return over the wire. Requires Config.RSUCount > 0.
+// aggregates return over the wire. It is OPP's collector protocol with RSUs
+// as collectors that do not retrain themselves. Requires Config.RSUCount > 0.
 type RSUAssisted struct {
-	Base
+	collector
 	cfg RSUAssistedConfig
-
-	round      int
-	roundStart sim.Time
-	roundEnded bool
-	rsus       map[sim.AgentID]*rsuState
-	serving    map[sim.AgentID]servingState
-	awaiting   int
-	collected  []*ml.Snapshot
-	weights    []float64
-	contribs   int
 }
 
 var _ Strategy = (*RSUAssisted)(nil)
@@ -94,303 +68,26 @@ func NewRSUAssisted(cfg RSUAssistedConfig) (*RSUAssisted, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &RSUAssisted{cfg: cfg}, nil
+	// RSU results have never carried distinct_contributors; recording it
+	// now would change their bytes under unchanged run keys.
+	role := collectorRole{
+		name:   "rsu-assisted",
+		pick:   Env.RSUs,
+		uplink: comm.KindWired,
+	}
+	return &RSUAssisted{collector: collector{role: role, timing: cfg.timing()}, cfg: cfg}, nil
 }
 
 // Name implements Strategy.
-func (r *RSUAssisted) Name() string { return "rsu-assisted" }
+func (r *RSUAssisted) Name() string { return r.role.name }
 
 // Config returns the strategy's configuration.
 func (r *RSUAssisted) Config() RSUAssistedConfig { return r.cfg }
 
 // Start implements Strategy.
 func (r *RSUAssisted) Start(env Env) error {
-	if env.Model(env.Server()) == nil {
-		return fmt.Errorf("strategy: rsu-assisted: server has no initial model")
-	}
 	if len(env.RSUs()) == 0 {
 		return fmt.Errorf("strategy: rsu-assisted: experiment has no RSUs (set Config.RSUCount)")
 	}
-	r.startRound(env)
-	return nil
-}
-
-func (r *RSUAssisted) startRound(env Env) {
-	if r.round >= r.cfg.Rounds {
-		env.Logf("rsu: %d rounds complete at %v", r.round, env.Now())
-		env.Stop()
-		return
-	}
-	r.round++
-	r.roundStart = env.Now()
-	r.roundEnded = false
-	r.rsus = make(map[sim.AgentID]*rsuState, len(env.RSUs()))
-	r.serving = make(map[sim.AgentID]servingState)
-	r.awaiting = 0
-	r.collected = r.collected[:0]
-	r.weights = r.weights[:0]
-	r.contribs = 0
-
-	global := env.Model(env.Server())
-	for _, rsu := range env.RSUs() {
-		p := Payload{Tag: tagGlobal, Round: r.round, Model: global}
-		if _, err := env.Send(env.Server(), rsu, comm.KindWired, p); err != nil {
-			env.Logf("rsu: round %d: distribute to %v: %v", r.round, rsu, err)
-			continue
-		}
-		r.rsus[rsu] = &rsuState{
-			global:      global,
-			contacted:   make(map[sim.AgentID]bool),
-			pendingPeer: sim.NoAgent,
-		}
-	}
-	round := r.round
-	if err := env.After(r.cfg.RoundDuration, func() { r.endRound(env, round) }); err != nil {
-		env.Logf("rsu: schedule round end: %v", err)
-		env.Stop()
-	}
-}
-
-// OnDeliver implements Strategy.
-func (r *RSUAssisted) OnDeliver(env Env, msg *comm.Message, p Payload) {
-	switch p.Tag {
-	case tagGlobal:
-		// The RSU now holds the round's model; engage vehicles already in
-		// range.
-		if st, ok := r.rsus[msg.To]; ok && p.Round == r.round && !r.roundEnded {
-			r.tryVehicles(env, msg.To, st)
-		}
-	case tagOffer:
-		r.handleOffer(env, msg, p)
-	case tagRetrained:
-		r.handleRetrained(env, msg, p)
-	case tagDecline:
-		if st, ok := r.rsus[msg.To]; ok && p.Round == r.round && st.pendingPeer == msg.From {
-			st.pendingPeer = sim.NoAgent
-			if !r.roundEnded {
-				r.tryVehicles(env, msg.To, st)
-			}
-		}
-	case tagUpdate:
-		if msg.To != env.Server() || p.Round != r.round {
-			return
-		}
-		r.awaiting--
-		r.collected = append(r.collected, p.Model)
-		r.weights = append(r.weights, p.DataAmount)
-		if p.Contributions > 0 {
-			r.contribs += p.Contributions
-		}
-		r.maybeAggregate(env)
-	}
-}
-
-func (r *RSUAssisted) handleOffer(env Env, msg *comm.Message, p Payload) {
-	v := msg.To
-	if p.Round != r.round || r.roundEnded {
-		r.decline(env, v, msg.From, p.Round)
-		return
-	}
-	if _, busy := r.serving[v]; busy || env.IsBusy(v) || env.DataAmount(v) == 0 {
-		r.decline(env, v, msg.From, p.Round)
-		return
-	}
-	if err := env.Train(v, p.Model); err != nil {
-		r.decline(env, v, msg.From, p.Round)
-		return
-	}
-	r.serving[v] = servingState{reporter: msg.From, round: p.Round}
-}
-
-func (r *RSUAssisted) decline(env Env, from, to sim.AgentID, round int) {
-	p := Payload{Tag: tagDecline, Round: round}
-	if _, err := env.Send(from, to, comm.KindV2X, p); err != nil {
-		env.Logf("rsu: decline %v -> %v: %v", from, to, err)
-	}
-}
-
-func (r *RSUAssisted) handleRetrained(env Env, msg *comm.Message, p Payload) {
-	st, ok := r.rsus[msg.To]
-	if !ok || p.Round != r.round {
-		return
-	}
-	if st.pendingPeer == msg.From {
-		st.pendingPeer = sim.NoAgent
-	}
-	if st.agg == nil {
-		st.agg = p.Model
-		st.weight = p.DataAmount
-	} else {
-		agg, err := env.Aggregate([]*ml.Snapshot{st.agg, p.Model}, []float64{st.weight, p.DataAmount})
-		if err != nil {
-			env.Logf("rsu: round %d: aggregate at %v: %v", r.round, msg.To, err)
-			return
-		}
-		st.agg = agg
-		st.weight += p.DataAmount
-	}
-	st.exchanges++
-	if !r.roundEnded {
-		r.tryVehicles(env, msg.To, st)
-	}
-}
-
-// OnSendFailed implements Strategy.
-func (r *RSUAssisted) OnSendFailed(env Env, msg *comm.Message, p Payload, reason error) {
-	switch p.Tag {
-	case tagOffer:
-		if st, ok := r.rsus[msg.From]; ok && p.Round == r.round && st.pendingPeer == msg.To {
-			st.pendingPeer = sim.NoAgent
-			if !r.roundEnded {
-				r.tryVehicles(env, msg.From, st)
-			}
-		}
-	case tagRetrained:
-		env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-	case tagUpdate:
-		if p.Round != r.round {
-			return
-		}
-		r.awaiting--
-		env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-		r.maybeAggregate(env)
-	}
-}
-
-// OnTrainDone implements Strategy.
-func (r *RSUAssisted) OnTrainDone(env Env, id sim.AgentID, trained *ml.Snapshot, loss float64) {
-	sv, ok := r.serving[id]
-	if !ok {
-		return
-	}
-	delete(r.serving, id)
-	if sv.round != r.round || r.roundEnded {
-		env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-		return
-	}
-	p := Payload{Tag: tagRetrained, Round: sv.round, Model: trained, DataAmount: float64(env.DataAmount(id))}
-	if _, err := env.Send(id, sv.reporter, comm.KindV2X, p); err != nil {
-		env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-	}
-}
-
-// OnTrainAborted implements Strategy.
-func (r *RSUAssisted) OnTrainAborted(env Env, id sim.AgentID) {
-	if _, ok := r.serving[id]; ok {
-		delete(r.serving, id)
-		env.Metrics().Add(metrics.CounterDiscardedModels, 1)
-	}
-}
-
-// OnEncounter implements Strategy.
-func (r *RSUAssisted) OnEncounter(env Env, a, b sim.AgentID) {
-	if r.roundEnded {
-		return
-	}
-	r.maybeOffer(env, a, b)
-	r.maybeOffer(env, b, a)
-}
-
-// tryVehicles scans an RSU's neighborhood for vehicles to engage.
-func (r *RSUAssisted) tryVehicles(env Env, rsu sim.AgentID, st *rsuState) {
-	if st.pendingPeer != sim.NoAgent {
-		return
-	}
-	for _, peer := range env.Neighbors(rsu) {
-		r.maybeOffer(env, rsu, peer)
-		if st.pendingPeer != sim.NoAgent {
-			return
-		}
-	}
-}
-
-func (r *RSUAssisted) maybeOffer(env Env, rsu, peer sim.AgentID) {
-	st, ok := r.rsus[rsu]
-	if !ok || st.pendingPeer != sim.NoAgent {
-		return
-	}
-	if env.Kind(peer) != sim.KindVehicle || st.contacted[peer] {
-		return
-	}
-	if !env.IsOn(rsu) || !env.IsOn(peer) || env.IsBusy(peer) {
-		return
-	}
-	p := Payload{Tag: tagOffer, Round: r.round, Model: st.global}
-	if _, err := env.Send(rsu, peer, comm.KindV2X, p); err != nil {
-		return
-	}
-	st.contacted[peer] = true
-	st.pendingPeer = peer
-	round := r.round
-	if err := env.After(r.cfg.ExchangeTimeout, func() {
-		if round == r.round && st.pendingPeer == peer {
-			st.pendingPeer = sim.NoAgent
-			if !r.roundEnded {
-				r.tryVehicles(env, rsu, st)
-			}
-		}
-	}); err != nil {
-		env.Logf("rsu: schedule exchange timeout: %v", err)
-	}
-}
-
-func (r *RSUAssisted) endRound(env Env, round int) {
-	if round != r.round || r.roundEnded {
-		return
-	}
-	r.roundEnded = true
-
-	exchanges := 0
-	ids := make([]sim.AgentID, 0, len(r.rsus))
-	for id := range r.rsus {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st := r.rsus[id]
-		exchanges += st.exchanges
-		if st.agg == nil {
-			continue
-		}
-		p := Payload{
-			Tag:           tagUpdate,
-			Round:         round,
-			Model:         st.agg,
-			DataAmount:    st.weight,
-			Contributions: st.exchanges,
-		}
-		if _, err := env.Send(id, env.Server(), comm.KindWired, p); err != nil {
-			env.Metrics().Add(metrics.CounterDiscardedModels, float64(st.exchanges))
-			continue
-		}
-		r.awaiting++
-	}
-	if err := env.Metrics().Record(metrics.SeriesRoundExchanges, env.Now(), float64(exchanges)); err != nil {
-		env.Logf("metrics: %v", err)
-	}
-	r.maybeAggregate(env)
-}
-
-func (r *RSUAssisted) maybeAggregate(env Env) {
-	if !r.roundEnded || r.awaiting > 0 {
-		return
-	}
-	if len(r.collected) > 0 {
-		global, err := env.Aggregate(r.collected, r.weights)
-		if err != nil {
-			env.Logf("rsu: round %d: aggregate: %v", r.round, err)
-		} else {
-			env.SetModel(env.Server(), global)
-		}
-	}
-	recordGlobalAccuracy(env, r.round, r.contribs)
-	next := r.roundStart.Add(r.cfg.RoundDuration).Add(r.cfg.ServerOverhead)
-	delay := next.Sub(env.Now())
-	if delay < 0 {
-		delay = 0
-	}
-	if err := env.After(delay, func() { r.startRound(env) }); err != nil {
-		env.Logf("rsu: schedule next round: %v", err)
-		env.Stop()
-	}
+	return r.collector.Start(env)
 }

@@ -29,8 +29,8 @@ import "roadrunner/internal/sim"
 // the byte-identity contract and must not be renamed casually.
 const (
 	// KindRound covers one strategy round from announcement to
-	// aggregation (fedavg, opportunistic). Children: the phase's
-	// trains, transfers, and exchanges.
+	// aggregation (fedavg, opportunistic, rsu-assisted). Children: the
+	// phase's trains, transfers, and exchanges.
 	KindRound = "round"
 	// KindTrain covers one on-vehicle training occupation, from
 	// TrainOnData acceptance to completion or abort.
@@ -40,8 +40,8 @@ const (
 	// KindTransfer covers one network message from Send to delivery
 	// or failure, including conditions-induced drops.
 	KindTransfer = "transfer"
-	// KindEncounterExchange covers one opportunistic offer→retrain→
-	// collect exchange between a reporter and a peer.
+	// KindEncounterExchange covers one offer→retrain→collect exchange
+	// between a collector (an OPP reporter or an RSU) and a peer.
 	KindEncounterExchange = "encounter-exchange"
 	// KindFaultWindow covers one scheduled fault activation, from its
 	// start event to its end event.
