@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"roadrunner/internal/faults"
@@ -48,14 +49,26 @@ func TestRunKeyIgnoresLabelsAndEvalWorkers(t *testing.T) {
 	if rk != base {
 		t.Fatal("run label changed the content address")
 	}
-	parallel := tinySpec(1)
-	parallel.Config.EvalWorkers = 8
-	pk, err := parallel.Key()
+	// A spec journaled before the eval_workers knob was deleted still
+	// carries it in its config; decoded today it keys to the same run.
+	data, err := json.Marshal(tinySpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pk != base {
-		t.Fatal("eval worker count changed the content address despite being result-invariant")
+	old := bytes.Replace(data, []byte(`"seed":1,`), []byte(`"seed":1,"eval_workers":8,`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("the spec JSON has no seed field to splice eval_workers beside")
+	}
+	var decoded RunSpec
+	if err := json.Unmarshal(old, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	dk, err := decoded.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dk != base {
+		t.Fatal("a spec carrying eval_workers decoded to a different content address")
 	}
 }
 

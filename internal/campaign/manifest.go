@@ -186,10 +186,6 @@ type Manifest struct {
 	// Overrides lists configuration sweep points. Empty means one run per
 	// (strategy, seed, scenario) on the unmodified preset.
 	Overrides []Override `json:"overrides,omitempty"`
-	// EvalWorkers enables shard-deterministic parallel test-set evaluation
-	// for every run. It changes throughput, not results, and is excluded
-	// from run keys.
-	EvalWorkers int `json:"eval_workers,omitempty"`
 }
 
 // baseConfig resolves the environment preset.
@@ -236,9 +232,6 @@ func (m Manifest) Validate() error {
 	}
 	if m.ScenarioSpanS < 0 {
 		return fmt.Errorf("campaign: manifest %q: negative scenario span %v", m.Name, m.ScenarioSpanS)
-	}
-	if m.EvalWorkers < 0 {
-		return fmt.Errorf("campaign: manifest %q: negative eval workers %d", m.Name, m.EvalWorkers)
 	}
 	base, err := m.baseConfig()
 	if err != nil {
@@ -330,7 +323,6 @@ func (m Manifest) Expand() ([]RunSpec, error) {
 					cfg := base
 					o.apply(&cfg)
 					cfg.Seed = seed
-					cfg.EvalWorkers = m.EvalWorkers
 					if sc != ScenarioFaultFree {
 						plan, err := faults.ScenarioPlan(sc, m.scenarioSpan())
 						if err != nil {

@@ -99,7 +99,6 @@ func TestManifestValidateRejects(t *testing.T) {
 		"unnamed override": func(m *Manifest) {
 			m.Overrides = []Override{{V2XRangeM: ptrF(100)}}
 		},
-		"negative eval workers": func(m *Manifest) { m.EvalWorkers = -2 },
 		"rsu on an env without RSUs": func(m *Manifest) {
 			m.Env = EnvSmall
 			m.Strategies = []StrategySpec{{Kind: "rsu"}}

@@ -201,33 +201,43 @@ func TestHTTPResultGatedUntilDone(t *testing.T) {
 }
 
 // TestHTTPValidation: malformed or incomplete requests get 4xx, unknown
-// campaigns 404.
+// campaigns 404. A submitted manifest is decoded strictly, so a field the
+// manifest no longer has (eval_workers) is refused by name rather than
+// silently dropped.
 func TestHTTPValidation(t *testing.T) {
 	co := newTestCoordinator(t, t.TempDir())
 	ts := newTestServer(t, co)
 	for _, tc := range []struct {
 		name, path, body string
 		want             int
+		names            string // the error body must contain it
 	}{
-		{"bad manifest json", "/v1/cluster/campaigns", "{", http.StatusBadRequest},
-		{"empty manifest", "/v1/cluster/campaigns", "{}", http.StatusBadRequest},
+		{"bad manifest json", "/v1/cluster/campaigns", "{", http.StatusBadRequest, ""},
+		{"empty manifest", "/v1/cluster/campaigns", "{}", http.StatusBadRequest, ""},
+		{"manifest with eval_workers", "/v1/cluster/campaigns",
+			`{"name":"e","env":"tiny","strategies":[{"kind":"fedavg"}],"seeds":[1],"eval_workers":2}`, http.StatusBadRequest, `"eval_workers"`},
 		{"rsu manifest on an env without RSUs", "/v1/cluster/campaigns",
-			`{"name":"r","env":"small","strategies":[{"kind":"rsu"}],"seeds":[1]}`, http.StatusBadRequest},
-		{"register without node", "/v1/cluster/register", "{}", http.StatusBadRequest},
-		{"heartbeat unknown node", "/v1/cluster/heartbeat", `{"node":"ghost"}`, http.StatusNotFound},
-		{"claims unknown node", "/v1/cluster/claims", `{"node":"ghost"}`, http.StatusNotFound},
-		{"complete without outcome", "/v1/cluster/complete", `{"node":"w1","lease":1}`, http.StatusBadRequest},
-		{"complete slot without outcome", "/v1/cluster/complete", `{"node":"w1","completes":[{"lease":1}]}`, http.StatusBadRequest},
-		{"single-lease start envelope", "/v1/cluster/starts", `{"node":"w1","lease":1}`, http.StatusBadRequest},
-		{"start without leases", "/v1/cluster/starts", `{"node":"w1"}`, http.StatusBadRequest},
+			`{"name":"r","env":"small","strategies":[{"kind":"rsu"}],"seeds":[1]}`, http.StatusBadRequest, ""},
+		{"register without node", "/v1/cluster/register", "{}", http.StatusBadRequest, ""},
+		{"heartbeat unknown node", "/v1/cluster/heartbeat", `{"node":"ghost"}`, http.StatusNotFound, ""},
+		{"claims unknown node", "/v1/cluster/claims", `{"node":"ghost"}`, http.StatusNotFound, ""},
+		{"complete without outcome", "/v1/cluster/complete", `{"node":"w1","lease":1}`, http.StatusBadRequest, ""},
+		{"complete slot without outcome", "/v1/cluster/complete", `{"node":"w1","completes":[{"lease":1}]}`, http.StatusBadRequest, ""},
+		{"single-lease start envelope", "/v1/cluster/starts", `{"node":"w1","lease":1}`, http.StatusBadRequest, ""},
+		{"start without leases", "/v1/cluster/starts", `{"node":"w1"}`, http.StatusBadRequest, ""},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var reply struct{ Error string }
+		decodeErr := json.NewDecoder(resp.Body).Decode(&reply)
 		_ = resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if decodeErr != nil || !strings.Contains(reply.Error, tc.names) {
+			t.Errorf("%s: error %q (%v) does not name %s", tc.name, reply.Error, decodeErr, tc.names)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/cluster/campaigns/c9999-none")

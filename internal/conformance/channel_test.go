@@ -16,7 +16,7 @@ import (
 func runChannelCell(t *testing.T, c Case, m ChannelModel) []byte {
 	t.Helper()
 	canonical := func(label string) []byte {
-		res, err := RunChannel(c, m, ScenarioFaultFree, matrixSeed, 0)
+		res, err := RunChannel(c, m, ScenarioFaultFree, matrixSeed)
 		if err != nil {
 			t.Fatalf("%s/%s%s: %v", c.Name, m.Name, label, err)
 		}
@@ -88,34 +88,42 @@ func TestChannelModelMatrix(t *testing.T) {
 	}
 }
 
-// TestChannelWorkerInvariance asserts that parallel evaluation stays
-// result-invariant under every channel model: EvalWorkers 1 and 4 must
-// produce byte-identical results, or the channel streams have leaked into
-// a worker-count-dependent order.
-func TestChannelWorkerInvariance(t *testing.T) {
-	for _, c := range channelCases(t) {
-		if c.Name == "gossip" {
-			continue // fedavg + opportunistic cover serial and parallel eval paths
+// TestWorldCacheHitMatchesColdBuild is the metamorphic cell for the world
+// slot (core/world.go): in every strategy × channel-model cell, a run that
+// attaches to the retained world records the bytes of the run that built
+// it. Each cell first evicts the slot with a run at another seed, and the
+// slot's counters show the cold run missed and the second run hit, so the
+// comparison cannot pass with both runs on the same side. It is not
+// parallel: the counters are process-wide.
+func TestWorldCacheHitMatchesColdBuild(t *testing.T) {
+	canonical := func(c Case, m ChannelModel, seed uint64) []byte {
+		t.Helper()
+		res, err := RunChannel(c, m, ScenarioFaultFree, seed)
+		if err != nil {
+			t.Fatalf("%s/%s seed %d: %v", c.Name, m.Name, seed, err)
 		}
+		b, err := res.CanonicalBytes()
+		if err != nil {
+			t.Fatalf("%s/%s seed %d: canonical encode: %v", c.Name, m.Name, seed, err)
+		}
+		return b
+	}
+	for _, c := range Cases() {
 		for _, m := range ChannelModels() {
-			serial, err := RunChannel(c, m, ScenarioFaultFree, matrixSeed, 1)
-			if err != nil {
-				t.Fatalf("%s/%s workers=1: %v", c.Name, m.Name, err)
+			canonical(c, m, matrixSeed+1)
+			before := core.WorldCacheStats()
+			cold := canonical(c, m, matrixSeed)
+			mid := core.WorldCacheStats()
+			warm := canonical(c, m, matrixSeed)
+			after := core.WorldCacheStats()
+			if h, miss := mid.Hits-before.Hits, mid.Misses-before.Misses; h != 0 || miss != 1 {
+				t.Fatalf("%s/%s: cold run took %d hits, %d misses, want 0, 1", c.Name, m.Name, h, miss)
 			}
-			parallel, err := RunChannel(c, m, ScenarioFaultFree, matrixSeed, 4)
-			if err != nil {
-				t.Fatalf("%s/%s workers=4: %v", c.Name, m.Name, err)
+			if h, miss := after.Hits-mid.Hits, after.Misses-mid.Misses; h != 1 || miss != 0 {
+				t.Fatalf("%s/%s: second run took %d hits, %d misses, want 1, 0", c.Name, m.Name, h, miss)
 			}
-			a, err := serial.CanonicalBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := parallel.CanonicalBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Errorf("%s/%s: EvalWorkers 1 vs 4 diverge under this channel model", c.Name, m.Name)
+			if !bytes.Equal(cold, warm) {
+				t.Errorf("%s/%s: a world-cache hit diverges from the cold build", c.Name, m.Name)
 			}
 		}
 	}
@@ -137,7 +145,7 @@ func TestChannelModelComposesWithFaults(t *testing.T) {
 		t.Fatalf("expected radio at axis slot 1, got %s", m.Name)
 	}
 	run := func(scenario string) []byte {
-		res, err := RunChannel(c, m, scenario, matrixSeed, 0)
+		res, err := RunChannel(c, m, scenario, matrixSeed)
 		if err != nil {
 			t.Fatalf("%s/%s/%s: %v", c.Name, scenario, m.Name, err)
 		}

@@ -33,7 +33,7 @@ func TestCollectorCellsGolden(t *testing.T) {
 		for _, m := range ChannelModels() {
 			for _, sc := range Scenarios() {
 				for seed := uint64(1); seed <= collectorSeeds; seed++ {
-					res, err := RunChannel(c, m, sc, seed, 0)
+					res, err := RunChannel(c, m, sc, seed)
 					if err != nil {
 						t.Fatal(err)
 					}

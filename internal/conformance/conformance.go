@@ -181,12 +181,10 @@ func ChannelModels() []ChannelModel {
 }
 
 // RunChannel executes one cell of the channel axis: the cased strategy
-// under the named fault scenario with the given channel model, evaluated
-// with evalWorkers goroutines (0 means serial).
-func RunChannel(c Case, m ChannelModel, scenario string, seed uint64, evalWorkers int) (*core.Result, error) {
+// under the named fault scenario with the given channel model.
+func RunChannel(c Case, m ChannelModel, scenario string, seed uint64) (*core.Result, error) {
 	cfg := Config(seed)
 	cfg.Comm.Channel = m.Config
-	cfg.EvalWorkers = evalWorkers
 	if scenario != ScenarioFaultFree {
 		plan, err := faults.ScenarioPlan(scenario, ScenarioHorizon)
 		if err != nil {

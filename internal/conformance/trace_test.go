@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"roadrunner/internal/core"
@@ -15,8 +16,8 @@ import (
 const rsuTraceSeed = 3
 
 // runTraceCell is runCell's observability sibling: one (strategy, scenario)
-// run with explicit tracing and evaluation-parallelism settings.
-func runTraceCell(t *testing.T, c Case, scenario string, traceOn bool, evalWorkers int) *core.Result {
+// run with tracing on or off.
+func runTraceCell(t *testing.T, c Case, scenario string, traceOn bool) *core.Result {
 	t.Helper()
 	seed := uint64(matrixSeed)
 	if c.Name == "rsu" {
@@ -24,7 +25,6 @@ func runTraceCell(t *testing.T, c Case, scenario string, traceOn bool, evalWorke
 	}
 	cfg := Config(seed)
 	cfg.Trace = traceOn
-	cfg.EvalWorkers = evalWorkers
 	if scenario != ScenarioFaultFree {
 		plan, err := faults.ScenarioPlan(scenario, ScenarioHorizon)
 		if err != nil {
@@ -89,35 +89,39 @@ func checkCollectorSpans(t *testing.T, c Case, res *core.Result) {
 	}
 }
 
-// TestTraceByteIdentityAcrossEvalWorkers is the observability cell of the
+// TestTraceByteIdentityAcrossGOMAXPROCS is the observability cell of the
 // conformance matrix: the span trace is part of the reproducibility
 // contract, so the same (config, seed, plan) triple must yield a
-// byte-identical canonical trace at any evaluation worker count — tracing
+// byte-identical canonical trace under GOMAXPROCS 1 and 4 — tracing
 // observes the virtual clock, not the host's scheduling.
-func TestTraceByteIdentityAcrossEvalWorkers(t *testing.T) {
+func TestTraceByteIdentityAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
 	for _, c := range traceCases(t) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			for _, sc := range []string{ScenarioFaultFree, faults.ScenarioMixed} {
-				serial := runTraceCell(t, c, sc, true, 1)
-				parallel := runTraceCell(t, c, sc, true, 4)
-				if serial.Trace == nil || parallel.Trace == nil {
+				runtime.GOMAXPROCS(1)
+				one := runTraceCell(t, c, sc, true)
+				runtime.GOMAXPROCS(4)
+				four := runTraceCell(t, c, sc, true)
+				if one.Trace == nil || four.Trace == nil {
 					t.Fatalf("%s: traced run returned nil trace", sc)
 				}
-				if len(serial.Trace.Spans) == 0 {
+				if len(one.Trace.Spans) == 0 {
 					t.Fatalf("%s: traced run recorded no spans", sc)
 				}
-				checkCollectorSpans(t, c, serial)
-				a, err := serial.Trace.CanonicalBytes()
+				checkCollectorSpans(t, c, one)
+				a, err := one.Trace.CanonicalBytes()
 				if err != nil {
 					t.Fatalf("%s: canonical trace: %v", sc, err)
 				}
-				b, err := parallel.Trace.CanonicalBytes()
+				b, err := four.Trace.CanonicalBytes()
 				if err != nil {
 					t.Fatalf("%s: canonical trace: %v", sc, err)
 				}
 				if !bytes.Equal(a, b) {
-					t.Fatalf("%s: trace differs between EvalWorkers=1 and 4 (%d vs %d bytes)",
+					t.Fatalf("%s: trace differs between GOMAXPROCS 1 and 4 (%d vs %d bytes)",
 						sc, len(a), len(b))
 				}
 			}
@@ -135,11 +139,11 @@ func TestTraceDisabledLeavesRunUntouched(t *testing.T) {
 	for _, c := range traceCases(t) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			off := runTraceCell(t, c, faults.ScenarioMixed, false, 0)
+			off := runTraceCell(t, c, faults.ScenarioMixed, false)
 			if off.Trace != nil {
 				t.Fatalf("untraced run carries a trace with %d spans", len(off.Trace.Spans))
 			}
-			on := runTraceCell(t, c, faults.ScenarioMixed, true, 0)
+			on := runTraceCell(t, c, faults.ScenarioMixed, true)
 			if on.Trace == nil || len(on.Trace.Spans) == 0 {
 				t.Fatal("traced run recorded no spans")
 			}

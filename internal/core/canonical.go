@@ -75,10 +75,8 @@ func (r *Result) CanonicalBytes() ([]byte, error) {
 // struct fields in declaration order and the Config tree contains no maps,
 // so the encoding is deterministic across processes and hosts; fields that
 // are result-invariant by construction are normalized away — LogWriter is
-// excluded from JSON entirely, EvalWorkers is zeroed because the
-// shard-deterministic parallel evaluator records bit-identical values at
-// any worker count, and Trace is zeroed because the span tracer observes a
-// run on the virtual clock without perturbing any random stream or
+// excluded from JSON entirely, and Trace is zeroed because the span tracer
+// observes a run on the virtual clock without perturbing any random stream or
 // recorded metric. Content-addressed run caching (internal/campaign) hashes
 // this encoding: two configs with equal CanonicalConfigJSON produce
 // byte-identical Result.CanonicalBytes for the same strategy.
@@ -87,7 +85,6 @@ func (r *Result) CanonicalBytes() ([]byte, error) {
 // *model* selection, Comm.Channel, is NOT normalized away — it changes
 // transfer durations and therefore results.)
 func CanonicalConfigJSON(cfg Config) ([]byte, error) {
-	cfg.EvalWorkers = 0
 	cfg.Trace = false
 	cfg.ChannelRecord = false
 	cfg.LogWriter = nil

@@ -71,7 +71,8 @@ func TestCanonicalSortsCountersAndComm(t *testing.T) {
 func TestCanonicalConfigJSONNormalizesInvariantFields(t *testing.T) {
 	a := SmallConfig()
 	b := SmallConfig()
-	b.EvalWorkers = 8
+	b.Trace = true
+	b.ChannelRecord = true
 	b.LogWriter = &bytes.Buffer{}
 	aj, err := CanonicalConfigJSON(a)
 	if err != nil {

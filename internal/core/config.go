@@ -65,19 +65,13 @@ type Config struct {
 	Model ml.Spec        `json:"model"`
 	Train ml.TrainConfig `json:"train"`
 
-	// EvalWorkers sets the goroutine count for held-out test-set
-	// evaluation. Values above 1 enable ml.EvaluateParallel, whose shard
-	// decomposition keeps recorded accuracies identical to serial
-	// evaluation at any worker count; 0 or 1 evaluates serially.
-	EvalWorkers int `json:"eval_workers,omitempty"`
-
 	// Trace enables the simulated-time span tracer (internal/trace):
 	// round/train/eval/transfer/encounter-exchange/fault-window spans
-	// collected on the virtual clock and returned in Result.Trace. Like
-	// EvalWorkers it is result-invariant — tracing observes the run
-	// without perturbing any random stream or recorded metric — so it is
-	// normalized away by CanonicalConfigJSON. Disabled tracing costs one
-	// nil check per emission point and zero allocations.
+	// collected on the virtual clock and returned in Result.Trace. It is
+	// result-invariant — tracing observes the run without perturbing any
+	// random stream or recorded metric — so it is normalized away by
+	// CanonicalConfigJSON. Disabled tracing costs one nil check per
+	// emission point and zero allocations.
 	Trace bool `json:"trace,omitempty"`
 
 	// ChannelRecord enables the channel-trace recorder: every transfer's
@@ -179,9 +173,6 @@ func (c Config) Validate() error {
 	}
 	if c.TestSamples <= 0 {
 		return fmt.Errorf("core: non-positive test sample count %d", c.TestSamples)
-	}
-	if c.EvalWorkers < 0 {
-		return fmt.Errorf("core: negative eval worker count %d", c.EvalWorkers)
 	}
 	if err := c.Model.Validate(); err != nil {
 		return fmt.Errorf("core: model: %w", err)

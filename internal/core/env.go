@@ -233,26 +233,15 @@ func (e *Experiment) TestAccuracy(m *ml.Snapshot) (float64, error) {
 		return acc, nil
 	}
 	// Evaluation consumes no simulated time (an analyst-side measurement),
-	// so the span is an instant. Worker count must not appear: traces are
-	// byte-identical at any EvalWorkers.
+	// so the span is an instant.
 	span := e.tracer.Begin(trace.KindEval, "eval")
 	e.tracer.AttrInt(span, "samples", int64(len(e.testSet)))
-	var acc float64
-	var err error
-	if e.cfg.EvalWorkers > 1 {
-		// Shard-deterministic parallel evaluation: the accuracy is a ratio
-		// of integers over a worker-count-independent shard grid, so the
-		// value is identical to the serial path bit for bit.
-		acc, _, err = ml.EvaluateParallel(m, e.testSet, e.cfg.EvalWorkers)
-	} else {
-		var net *ml.Network
-		net, err = e.loadModel(m)
-		if err != nil {
-			e.tracer.EndWith(span, "status", "error")
-			return 0, err
-		}
-		acc, _, err = net.Evaluate(e.testSet)
+	net, err := e.loadModel(m)
+	if err != nil {
+		e.tracer.EndWith(span, "status", "error")
+		return 0, err
 	}
+	acc, _, err := net.Evaluate(e.testSet)
 	if err != nil {
 		e.tracer.EndWith(span, "status", "error")
 		return 0, err

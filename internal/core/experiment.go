@@ -146,9 +146,7 @@ func New(cfg Config, strat strategy.Strategy) (*Experiment, error) {
 	if cfg.Trace {
 		// The tracer reads the engine's virtual clock and consumes no
 		// randomness, so traced and untraced runs are byte-identical in
-		// every recorded result. Metadata is limited to run identity —
-		// result-invariant knobs like EvalWorkers must not appear, or
-		// trace byte-identity across worker counts would break.
+		// every recorded result. Metadata is limited to run identity.
 		e.tracer = trace.New(e.engine,
 			trace.Attr{Key: "seed", Value: fmt.Sprintf("%d", cfg.Seed)},
 			trace.Attr{Key: "strategy", Value: strat.Name()})

@@ -285,7 +285,6 @@ func TestWorldSharedAcrossPerRunFields(t *testing.T) {
 		"Horizon at Fleet's":   func(c *core.Config) { c.Horizon = c.Fleet.Horizon },
 		"Horizon past Fleet's": func(c *core.Config) { c.Horizon = 2 * c.Fleet.Horizon },
 		"TickInterval":         func(c *core.Config) { c.TickInterval = 2 },
-		"EvalWorkers":          func(c *core.Config) { c.EvalWorkers = 3 },
 		"Trace":                func(c *core.Config) { c.Trace = true },
 		"ChannelRecord":        func(c *core.Config) { c.ChannelRecord = true },
 		"RSUCount":             func(c *core.Config) { c.RSUCount = 5 }, // still forks "rsu" once

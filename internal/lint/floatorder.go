@@ -35,7 +35,7 @@ func floatOrderInScope(pkg *Package) bool {
 //   - range over a channel: values arrive in worker completion order, so
 //     merging per-worker float partials as they arrive groups the sum by
 //     scheduler timing. Collect partials into an indexed slice and fold in
-//     ascending index order instead (the EvaluateParallel pattern).
+//     ascending index order instead.
 //
 // Integer accumulation is exempt everywhere: it is associative and
 // commutative, which is exactly why maporder sanctions it too.

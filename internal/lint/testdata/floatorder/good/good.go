@@ -38,8 +38,8 @@ func countMap(weights map[string]float64) int {
 	return n
 }
 
-// indexedPartials is the EvaluateParallel pattern: workers fill disjoint
-// slots, the fold runs in ascending index order after the loop.
+// indexedPartials is the sanctioned pattern: workers fill disjoint slots,
+// the fold runs in ascending index order after the loop.
 func indexedPartials(partials []float64) float64 {
 	total := 0.0
 	for i := 0; i < len(partials); i++ {

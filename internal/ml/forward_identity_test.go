@@ -343,7 +343,7 @@ func TestBatchedForwardBitIdentical(t *testing.T) {
 // TestPaperCNNDigestBitIdentical pins the bits of training and evaluating
 // the paper CNN (and an MLP) to digests recorded with the one-example
 // forward pass, before batching: three Train calls on 80 examples, then
-// Evaluate and EvaluateParallel on 100 more, hashed as raw bits.
+// Evaluate and shardedEvaluate on 100 more, hashed as raw bits.
 func TestPaperCNNDigestBitIdentical(t *testing.T) {
 	diverging := DefaultTrainConfig()
 	diverging.LR, diverging.ClipNorm = 1e4, 0
@@ -412,10 +412,33 @@ func trainEvalDigest(t *testing.T, spec Spec, cfg TrainConfig) string {
 	}
 	put(math.Float64bits(acc))
 	put(math.Float64bits(loss))
-	if acc, loss, err = EvaluateParallel(snap, test, 3); err != nil {
-		t.Fatal(err)
-	}
+	acc, loss = shardedEvaluate(t, snap, test)
 	put(math.Float64bits(acc))
 	put(math.Float64bits(loss))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// shardedEvaluate is the evaluation fold the digests were recorded with:
+// a network loaded from the snapshot scores 64-example shards, each in
+// example order, and the shard sums are folded in ascending shard order.
+// The grouping of the loss additions differs from Evaluate's single pass,
+// so the digest also pins the loaded network and the per-shard sums.
+func shardedEvaluate(t *testing.T, s *Snapshot, examples []Example) (accuracy, loss float64) {
+	t.Helper()
+	const shard = 64
+	net, err := LoadSnapshot(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	correct := 0
+	for lo := 0; lo < len(examples); lo += shard {
+		c, l, err := net.score(examples[lo:min(lo+shard, len(examples))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		correct += c
+		loss += l
+	}
+	n := float64(len(examples))
+	return float64(correct) / n, loss / n
 }

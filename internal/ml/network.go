@@ -37,7 +37,7 @@ type Network struct {
 }
 
 // defaultMaxBatch is Network.maxBatch unless a test lowers it: the paper's
-// mini-batch size, and a quarter of an EvaluateParallel shard.
+// mini-batch size.
 const defaultMaxBatch = 16
 
 // NewNetwork builds a network from spec with He-initialized weights drawn

@@ -9,9 +9,9 @@
 // sim.Time from the experiment's own virtual clock (never wall time),
 // span IDs are assigned in event-execution order, and attributes are
 // ordered key/value pairs — so the same (config, seed, plan) triple
-// emits byte-identical trace output at any EvalWorkers or GOMAXPROCS
-// setting. Exporters (Chrome trace_event JSON, compact CSV, canonical
-// bytes) live in export.go.
+// emits byte-identical trace output at any GOMAXPROCS setting.
+// Exporters (Chrome trace_event JSON, compact CSV, canonical bytes) live
+// in export.go.
 //
 // Tracing is opt-in per experiment (core.Config.Trace). The disabled
 // state is a nil *Tracer: every method is nil-receiver-safe and returns
