@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test determinism race race-cluster lint lint-baseline golden bench bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
+.PHONY: build vet fmt-check test fuzz-smoke determinism race race-cluster lint lint-baseline golden bench bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
 
 # COVER_FLOOR is the minimum total statement coverage; measured at 79.7%
 # when the floor was introduced, with a small margin for platform noise.
@@ -57,6 +57,17 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# fuzz-smoke runs every fuzz target for FUZZTIME of generated input beyond
+# its seed corpus (which `make test` already runs). `go test -fuzz` takes
+# one target of one package per invocation, hence one line each.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzQueueLogReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzQueueSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/channel/ -run '^$$' -fuzz '^FuzzParseChannelTrace$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lint/ -run '^$$' -fuzz '^FuzzParseAllow$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mobility/ -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME)
 
 # determinism re-runs the reproducibility tests on their own, so a
 # regression fails CI under an unambiguous step name. The first line holds
@@ -123,4 +134,4 @@ e2e:
 e2e-cluster:
 	./scripts/e2e_cluster.sh
 
-ci: build vet fmt-check test determinism race lint golden cover e2e
+ci: build vet fmt-check test fuzz-smoke determinism race lint golden cover e2e

@@ -86,11 +86,11 @@ type Lease struct {
 // writes a batched verb carrying per-ref entries — enqueue-batch,
 // claim-batch, start-batch, complete-batch, expire-batch — a single-ref
 // steal or retry, the log generation marker gen, or a snapshot line
-// (snap-begin, snap-ref, snap-end). The single-ref enqueue, claim, start,
-// complete and expire records of earlier builds are read-only history:
-// replay still applies them, nothing writes them. The log is both the
-// queue's recovery source and the evidence trail the chaos property
-// tests replay.
+// (snap-begin, snap-spec, snap-ref, snap-end). The single-ref enqueue,
+// claim, start, complete and expire records of earlier builds, and their
+// snap-ref rows with an inline spec, are read-only history: replay still
+// applies them, nothing writes them. The log is both the queue's recovery
+// source and the evidence trail the chaos property tests replay.
 type QueueRecord struct {
 	Op    string       `json:"op"`
 	Ref   string       `json:"ref,omitempty"`
@@ -109,6 +109,11 @@ type QueueRecord struct {
 	// Count is the number of refs a snapshot carries (snap-begin and
 	// snap-end records), the torn-snapshot tripwire.
 	Count int `json:"count,omitempty"`
+	// Tmpl, Seed and Name are a snap-ref row's spec: the Tmpl-th snap-spec
+	// template of its snapshot with Config.Seed and Name filled in.
+	Tmpl *int   `json:"tmpl,omitempty"`
+	Seed uint64 `json:"seed,omitempty"`
+	Name string `json:"name,omitempty"`
 }
 
 // BatchEntry is one ref's slot inside a batched log record.

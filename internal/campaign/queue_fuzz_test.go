@@ -164,6 +164,10 @@ func FuzzQueueSnapshot(f *testing.F) {
 	f.Add([]byte(`{"op":"snap-begin","gen":1}` + "\n" + `{"op":"snap-ref","ref":"r","key":"k","state":"done","spec":{}}` + "\n" +
 		`{"op":"snap-ref","ref":"r","key":"k2","spec":{}}` + "\n" + `{"op":"snap-end","count":2}` + "\n"))
 	f.Add([]byte(`{"op":"snap-end"}` + "\n"))
+	f.Add([]byte(templateSnapshot))
+	for _, tc := range hostileSnapshots {
+		f.Add([]byte(tc.data))
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -27,6 +27,19 @@ import (
 // steps 1 and 2, the stale log is wholly contained in the snapshot, and
 // recovery finishes the rotation; log ahead (or rotated log without its
 // snapshot) is real corruption and refuses to open.
+//
+// A snapshot stores each spec once. The spec of a ref with its two
+// per-seed fields cleared (Name and Config.Seed) is its template; refs
+// whose templates marshal to the same JSON share one, so a manifest's
+// templates are its strategy × scenario × override cells. Each distinct
+// template is written once as a snap-spec record just before the first
+// snap-ref row that uses it, and a row carries only ref, key, state, the
+// template's index among the snapshot's snap-spec records, seed and name.
+// Reading rebuilds the spec as template + seed + name, so the rebuilt
+// specs of one template share its reference-typed fields (Config.Faults,
+// Config.Comm.Channel, Config.Model.Layers) — read-only, as the specs of
+// one Expand already share Layers. Rows of earlier builds that inline
+// their spec are still read.
 
 // QueueSnapshot is a parsed queue compaction snapshot.
 type QueueSnapshot struct {
@@ -45,20 +58,26 @@ type QueueSnapshot struct {
 
 // ReadQueueSnapshot parses a queue snapshot file. Unlike the log, a
 // snapshot is published atomically, so *any* malformation — a bad record,
-// a missing snap-end trailer, a ref-count mismatch — is corruption and
-// errors: the torn-tail rule can only ever forgive the final record, and
-// a snapshot that loses its final record has no snap-end. A missing file
-// returns an error wrapping os.ErrNotExist.
+// a missing snap-end trailer, a ref-count mismatch, a whole record after
+// the trailer — is corruption and errors: the torn-tail rule can only ever
+// forgive an unparseable final line, and a snapshot that loses its final
+// record has no snap-end. A missing file returns an error wrapping
+// os.ErrNotExist.
 func ReadQueueSnapshot(path string) (*QueueSnapshot, error) {
 	snap := &QueueSnapshot{Done: make(map[string]RunState)}
 	var begun, ended bool
+	var tmpls []RunSpec // snap-spec templates in file order
+	var afterEnd error  // a whole record followed snap-end
 	err := wal.Read(path, func(line []byte) error {
-		if ended {
-			return fmt.Errorf("record after snap-end")
-		}
 		var rec QueueRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
+		}
+		if ended {
+			// wal.Read forgives a rejected final record as a torn write;
+			// a whole record after the trailer is none, so it stays an error.
+			afterEnd = fmt.Errorf("%s record after snap-end", rec.Op)
+			return afterEnd
 		}
 		// snap-begin comes first and exactly once.
 		if begun == (rec.Op == "snap-begin") {
@@ -69,11 +88,17 @@ func ReadQueueSnapshot(path string) (*QueueSnapshot, error) {
 			begun = true
 			snap.Gen = rec.Gen
 			snap.Next = rec.Next
-		case "snap-ref":
+		case "snap-spec":
 			if rec.Spec == nil {
-				return fmt.Errorf("snap-ref without spec")
+				return fmt.Errorf("snap-spec without spec")
 			}
-			snap.Items = append(snap.Items, QueueItem{Ref: rec.Ref, Key: rec.Key, Spec: *rec.Spec})
+			tmpls = append(tmpls, *rec.Spec)
+		case "snap-ref":
+			spec, err := rowSpec(&rec, tmpls)
+			if err != nil {
+				return err
+			}
+			snap.Items = append(snap.Items, QueueItem{Ref: rec.Ref, Key: rec.Key, Spec: spec})
 			if rec.State != "" {
 				snap.Done[rec.Ref] = rec.State
 			}
@@ -87,6 +112,9 @@ func ReadQueueSnapshot(path string) (*QueueSnapshot, error) {
 		}
 		return nil
 	})
+	if err == nil {
+		err = afterEnd
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -94,6 +122,29 @@ func ReadQueueSnapshot(path string) (*QueueSnapshot, error) {
 		return nil, fmt.Errorf("snapshot is truncated (begin=%v end=%v)", begun, ended)
 	}
 	return snap, nil
+}
+
+// rowSpec resolves a snap-ref row's spec: the inline spec an earlier
+// build wrote, or template + seed + name over a snap-spec read before the
+// row.
+func rowSpec(rec *QueueRecord, tmpls []RunSpec) (RunSpec, error) {
+	if rec.Spec != nil {
+		if rec.Tmpl != nil || rec.Seed != 0 || rec.Name != "" {
+			return RunSpec{}, fmt.Errorf("snap-ref carries both an inline spec and template fields")
+		}
+		return *rec.Spec, nil
+	}
+	if rec.Tmpl == nil {
+		return RunSpec{}, fmt.Errorf("snap-ref without spec or template")
+	}
+	i := *rec.Tmpl
+	if i < 0 || i >= len(tmpls) {
+		return RunSpec{}, fmt.Errorf("snap-ref names template %d, %d read before it", i, len(tmpls))
+	}
+	spec := tmpls[i]
+	spec.Name = rec.Name
+	spec.Config.Seed = rec.Seed
+	return spec, nil
 }
 
 // applySnapshot seeds recovery state from a parsed snapshot.
@@ -161,7 +212,8 @@ func (q *Queue) compactLocked() error {
 	return nil
 }
 
-// writeSnapshotLocked atomically publishes a snapshot at gen.
+// writeSnapshotLocked atomically publishes a snapshot at gen, each
+// distinct spec template once (see the format note at the top).
 func (q *Queue) writeSnapshotLocked(gen uint64) error {
 	live := 0
 	for _, ref := range q.knownOrder {
@@ -180,12 +232,29 @@ func (q *Queue) writeSnapshotLocked(gen uint64) error {
 		if err := putRec(QueueRecord{Op: "snap-begin", Gen: gen, Next: q.next, Count: live}); err != nil {
 			return err
 		}
+		tmplIdx := make(map[string]int) // template JSON -> index
 		for _, ref := range q.knownOrder {
 			if ref == "" {
 				continue
 			}
 			it := q.itemOf[ref]
-			if err := putRec(QueueRecord{Op: "snap-ref", Ref: it.Ref, Key: it.Key, State: q.done[ref], Spec: &it.Spec}); err != nil {
+			tmpl := it.Spec
+			tmpl.Name, tmpl.Config.Seed = "", 0
+			data, err := json.Marshal(tmpl)
+			if err != nil {
+				return err
+			}
+			idx, seen := tmplIdx[string(data)]
+			if !seen {
+				idx = len(tmplIdx)
+				tmplIdx[string(data)] = idx
+				if err := putRec(QueueRecord{Op: "snap-spec", Spec: &tmpl}); err != nil {
+					return err
+				}
+			}
+			row := QueueRecord{Op: "snap-ref", Ref: it.Ref, Key: it.Key, State: q.done[ref],
+				Tmpl: &idx, Seed: it.Spec.Config.Seed, Name: it.Spec.Name}
+			if err := putRec(row); err != nil {
 				return err
 			}
 		}

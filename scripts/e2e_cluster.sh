@@ -15,10 +15,13 @@
 # afterwards.
 #
 # A second coordinator then goes through crash recovery itself: it is
-# SIGKILLed mid-campaign, a half-written record is appended to its queue
-# log (the artifact of dying inside an append), and it is restarted with
-# -cluster -resume — twice — under a worker that lives through both
-# restarts and re-joins each new coordinator on its own. The first restart
+# SIGKILLed mid-campaign (its worker is frozen with SIGSTOP from its first
+# completed run until the restarted coordinator answers, so the kill
+# cannot come after the last run), a half-written record is appended to
+# its queue log (the artifact of dying inside an append), and it is
+# restarted with -cluster -resume — twice — under a worker that lives
+# through both restarts and re-joins each new coordinator on its own. The
+# first restart
 # must re-register the campaign (served under both prefixes, executed by
 # nothing in the coordinator process) and finish it with zero failures;
 # the second must open the log the first one appended to, and the merged
@@ -39,7 +42,9 @@ CO_BASE="http://$CO_ADDR"
 REC_BASE="http://$REC_ADDR"
 WORK="$(mktemp -d)"
 PIDS=()
-trap 'for p in "${PIDS[@]:-}"; do kill "$p" 2>/dev/null || true; done; rm -rf "$WORK"' EXIT
+# SIGCONT after SIGTERM: a worker frozen with SIGSTOP only acts on the
+# TERM once it runs again.
+trap 'for p in "${PIDS[@]:-}"; do kill "$p" 2>/dev/null || true; kill -CONT "$p" 2>/dev/null || true; done; rm -rf "$WORK"' EXIT
 
 fail() { echo "e2e-cluster: FAIL: $*" >&2; exit 1; }
 
@@ -209,10 +214,14 @@ start_recovery_coordinator "$WORK/rec1.log"
 R1_PID="$(start_recovery_worker r1)"; PIDS+=("$R1_PID") # the $(...) subshell's PIDS+= is lost, and r1 outlives both coordinators
 RID="$("$WORK/roadctl" -addr "$REC_BASE" submit -f <(printf '%s' "$MANIFEST") | extract_id)"
 [ -n "$RID" ] || fail "recovery submission returned no campaign id"
-for _ in $(seq 1 200); do
+# r1 is frozen (SIGSTOP) as soon as it logs its first completed run, so it
+# cannot finish the eight runs before the coordinator is killed; it is
+# thawed once the restarted coordinator answers.
+for _ in $(seq 1 1000); do
     grep -q "worker r1: done" "$WORK/r1.log" && break
-    sleep 0.05
+    sleep 0.01
 done
+kill -STOP "$R1_PID"
 grep -q "worker r1: done" "$WORK/r1.log" || { cat "$WORK/r1.log" >&2; fail "worker r1 never completed a run"; }
 
 # The coordinator dies mid-campaign, inside an append: its log ends in
@@ -231,6 +240,7 @@ grep -q '"done": *false' "$WORK/rec.json" \
     || { cat "$WORK/rec.json" >&2; fail "coordinator was not killed mid-campaign (or the resumed campaign ran without a worker)"; }
 CODE="$(curl -s -o /dev/null -w '%{http_code}' "$REC_BASE/v1/campaigns/$RID")"
 [ "$CODE" = "200" ] || fail "resumed campaign is not served under /v1/campaigns as well (HTTP $CODE)"
+kill -CONT "$R1_PID"
 
 # r1 finds the new coordinator answering 404 to its claims, re-registers,
 # and finishes the campaign; no new worker is started.
