@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test fuzz-smoke determinism race race-cluster lint lint-baseline golden bench bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
+.PHONY: build vet fmt-check test fuzz-smoke determinism race race-cluster lint golden bench bench-smoke trace-demo ablation-h cover e2e e2e-cluster ci
 
 # COVER_FLOOR is the minimum total statement coverage; measured at 79.7%
 # when the floor was introduced, with a small margin for platform noise.
@@ -93,23 +93,15 @@ race:
 race-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/campaign/ ./cmd/roadrunnerd/
 
-# lint runs the whole determinism suite against the tracked baseline; the
-# intended steady state is an empty lint.baseline, so any finding is new.
-# CI sets LINT_FLAGS="-format sarif -out roadlint.sarif".
-LINT_FLAGS ?=
+# lint runs the whole determinism suite; any finding fails it.
 lint:
-	$(GO) run ./cmd/roadlint $(LINT_FLAGS) -baseline lint.baseline ./...
+	$(GO) run ./cmd/roadlint ./...
 
 # golden checks the published CSV layouts (Figure 4, ablations G and H)
 # and what every figure computes (Figure 4 and ablations A–H at 2 rounds,
 # seed 1) against their golden files; -update must have been committed.
 golden:
 	$(GO) test ./cmd/figures/ -run 'Golden' -count=1
-
-# lint-baseline re-captures current findings as accepted debt. Use it only
-# mid-cleanup: the baseline is a ratchet, not a dumping ground.
-lint-baseline:
-	$(GO) run ./cmd/roadlint -baseline lint.baseline -update-baseline ./...
 
 # cover writes coverage.out and fails if total statement coverage drops
 # below COVER_FLOOR.

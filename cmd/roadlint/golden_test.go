@@ -34,34 +34,18 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// goldenRun lints the detrand and wallclock bad fixtures in the given
-// format and returns stdout. The fixture set and rule subset are fixed so
-// the byte output only changes when the report format itself does; the
-// SARIF rule table still covers the full registry, pinning every rule's
-// descriptor.
-func goldenRun(t *testing.T, format string) []byte {
-	t.Helper()
+// TestTextGolden lints the detrand and wallclock bad fixtures and pins
+// stdout byte for byte. The fixture set and rule subset are fixed so the
+// output only changes when the report line itself does.
+func TestTextGolden(t *testing.T) {
 	var out, errOut strings.Builder
 	args := []string{
 		"-rules", "detrand,wallclock",
-		"-format", format,
 		fixtures + "/detrand/bad",
 		fixtures + "/wallclock/bad",
 	}
 	if code := run(args, &out, &errOut); code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr:\n%s", code, errOut.String())
 	}
-	return []byte(out.String())
-}
-
-func TestTextGolden(t *testing.T) {
-	checkGolden(t, "report.golden.txt", goldenRun(t, "text"))
-}
-
-func TestJSONGolden(t *testing.T) {
-	checkGolden(t, "report.golden.json", goldenRun(t, "json"))
-}
-
-func TestSARIFGolden(t *testing.T) {
-	checkGolden(t, "report.golden.sarif", goldenRun(t, "sarif"))
+	checkGolden(t, "report.golden.txt", []byte(out.String()))
 }

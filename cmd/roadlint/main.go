@@ -1,27 +1,23 @@
 // Command roadlint runs the project's determinism-and-concurrency static
-// analyzers over Go packages and exits non-zero on error-severity
-// findings, so it can gate CI next to go vet and the race detector.
+// analyzers over Go packages and exits non-zero on any finding, so it can
+// gate CI next to go vet and the race detector.
 //
 // Usage:
 //
-//	roadlint [-rules r1,r2] [-list] [-format text|json|sarif] [-out file]
-//	         [-baseline file [-update-baseline]] [-severity rule=warn,...]
-//	         [patterns...]
+//	roadlint [-rules r1,r2] [-list] [patterns...]
 //
 // Patterns are directories, .go files, or go-tool-style "dir/..." trees;
 // the default is "./...". Packages inside a Go module are type-checked
 // against the whole module graph, so rules see resolved cross-package
-// types. Findings are reported as
+// types. Findings are printed to stdout as
 //
 //	file:line:col: rule: message
 //
-// in text form, or as machine-readable JSON / SARIF 2.1.0 with -format.
 // Findings are suppressed per line with "//roadlint:allow <rule>
 // [justification]" on the offending line or the line directly above it;
 // the suppressaudit rule flags directives that no longer suppress
-// anything. A -baseline file absorbs accepted pre-existing findings
-// (regenerate it with -update-baseline); the exit gate fires only on
-// unbaselined error-severity findings.
+// anything. Exit status: 2 on a usage or load error, 1 on any finding,
+// 0 otherwise.
 package main
 
 import (
@@ -44,13 +40,8 @@ func run(args []string, out, errOut io.Writer) int {
 	fs.SetOutput(errOut)
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := fs.Bool("list", false, "list available rules and exit")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
-	outPath := fs.String("out", "", "write findings to this file instead of stdout")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings to filter out")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit 0")
-	severitySpec := fs.String("severity", "", "per-rule severity overrides, e.g. maporder=warn,suppressaudit=error")
 	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: roadlint [-rules r1,r2] [-list] [-format text|json|sarif] [-out file] [-baseline file [-update-baseline]] [-severity rule=level,...] [patterns...]")
+		fmt.Fprintln(errOut, "usage: roadlint [-rules r1,r2] [-list] [patterns...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -72,19 +63,6 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		analyzers = selected
 	}
-	severities := lint.DefaultSeverities()
-	if err := lint.ParseSeverityOverrides(*severitySpec, severities); err != nil {
-		fmt.Fprintln(errOut, "roadlint:", err)
-		return 2
-	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(errOut, "roadlint: unknown format %q (want text, json, or sarif)\n", *format)
-		return 2
-	}
-	if *updateBaseline && *baselinePath == "" {
-		fmt.Fprintln(errOut, "roadlint: -update-baseline needs -baseline")
-		return 2
-	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -96,85 +74,15 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 	diags := lint.Run(pkgs, analyzers)
-	rel := repoRelFunc()
-
-	if *updateBaseline {
-		b := lint.NewBaseline(diags, rel)
-		if err := lint.WriteBaseline(*baselinePath, b); err != nil {
-			fmt.Fprintln(errOut, "roadlint:", err)
-			return 2
-		}
-		fmt.Fprintf(errOut, "roadlint: baseline %s updated with %d finding(s)\n", *baselinePath, len(diags))
+	if len(diags) == 0 {
 		return 0
 	}
-
-	absorbed := 0
-	if *baselinePath != "" {
-		b, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(errOut, "roadlint:", err)
-			return 2
-		}
-		var stale []lint.BaselineEntry
-		diags, absorbed, stale = b.Filter(diags, rel)
-		for _, e := range stale {
-			fmt.Fprintf(errOut, "roadlint: stale baseline entry (fixed debt, drop it): %s: %s: %s\n", e.File, e.Rule, e.Message)
-		}
-	}
-
-	// Machine formats carry repo-relative paths so artifacts are
-	// host-independent; text keeps working-directory-relative paths for
-	// clickable terminal output.
-	for i := range diags {
-		if *format == "text" {
-			diags[i].Pos.Filename = relPath(diags[i].Pos.Filename)
-		} else {
-			diags[i].Pos.Filename = rel(diags[i].Pos.Filename)
-		}
-	}
-
-	w := out
-	if *outPath != "" {
-		file, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(errOut, "roadlint:", err)
-			return 2
-		}
-		defer file.Close()
-		w = file
-	}
-	switch *format {
-	case "text":
-		err = lint.WriteText(w, diags)
-	case "json":
-		err = lint.WriteJSON(w, diags, severities)
-	case "sarif":
-		err = lint.WriteSARIF(w, diags, lint.Analyzers(), severities)
-	}
-	if err != nil {
-		fmt.Fprintln(errOut, "roadlint:", err)
-		return 2
-	}
-
-	errors, warnings := 0, 0
 	for _, d := range diags {
-		if sev, ok := severities[d.Rule]; ok && sev == lint.SeverityWarning {
-			warnings++
-		} else {
-			errors++
-		}
+		d.Pos.Filename = relPath(d.Pos.Filename)
+		fmt.Fprintln(out, d)
 	}
-	if len(diags) > 0 || absorbed > 0 {
-		summary := fmt.Sprintf("roadlint: %d finding(s): %d error(s), %d warning(s)", len(diags), errors, warnings)
-		if absorbed > 0 {
-			summary += fmt.Sprintf("; %d baselined", absorbed)
-		}
-		fmt.Fprintln(errOut, summary)
-	}
-	if errors > 0 {
-		return 1
-	}
-	return 0
+	fmt.Fprintf(errOut, "roadlint: %d finding(s)\n", len(diags))
+	return 1
 }
 
 func selectRules(all []lint.Analyzer, spec string) ([]lint.Analyzer, error) {
@@ -206,38 +114,4 @@ func relPath(path string) string {
 		return path
 	}
 	return rel
-}
-
-// repoRelFunc returns a mapper from diagnostic paths to slash-separated
-// paths relative to the enclosing module root (found by walking up from
-// the working directory), falling back to the path unchanged.
-func repoRelFunc() func(string) string {
-	wd, err := os.Getwd()
-	if err != nil {
-		return func(p string) string { return filepath.ToSlash(p) }
-	}
-	root := wd
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			root = ""
-			break
-		}
-		root = parent
-	}
-	return func(p string) string {
-		abs, err := filepath.Abs(p)
-		if err != nil {
-			return filepath.ToSlash(p)
-		}
-		if root != "" {
-			if rel, err := filepath.Rel(root, abs); err == nil && !strings.HasPrefix(rel, "..") {
-				return filepath.ToSlash(rel)
-			}
-		}
-		return filepath.ToSlash(p)
-	}
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,7 +8,7 @@ import (
 const fixtures = "../../internal/lint/testdata"
 
 func TestExitNonZeroOnFindings(t *testing.T) {
-	for _, rule := range []string{"detrand", "wallclock", "maporder", "forklabel", "forkflow", "goroutinejoin", "floatorder"} {
+	for _, rule := range []string{"detrand", "wallclock", "maporder", "forklabel", "forkflow", "goroutinejoin", "floatorder", "suppressaudit"} {
 		t.Run(rule, func(t *testing.T) {
 			var out, errOut strings.Builder
 			code := run([]string{fixtures + "/" + rule + "/bad"}, &out, &errOut)
@@ -67,89 +65,13 @@ func TestListRules(t *testing.T) {
 	}
 }
 
-// TestSuppressAuditSeverity checks the severity pipeline end to end:
-// suppressaudit findings are warnings by default (exit 0) and can be
-// promoted to errors with -severity.
-func TestSuppressAuditSeverity(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-rules", "detrand,suppressaudit", fixtures + "/suppressaudit/bad"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 for warning-severity findings\n%s%s", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "2 warning(s)") {
-		t.Fatalf("summary should count 2 warnings:\n%s", errOut.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	code = run([]string{"-rules", "detrand,suppressaudit", "-severity", "suppressaudit=error", fixtures + "/suppressaudit/bad"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 with suppressaudit promoted to error\n%s", code, errOut.String())
-	}
-}
-
-func TestUnknownFormat(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-format", "xml"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown format") {
-		t.Fatalf("missing error: %s", errOut.String())
-	}
-}
-
-func TestSeveritySpecErrors(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-severity", "detrand=shrug"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit = %d, want 2\n%s", code, errOut.String())
-	}
-}
-
-func TestUpdateBaselineNeedsBaseline(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-update-baseline"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-update-baseline needs -baseline") {
-		t.Fatalf("missing error: %s", errOut.String())
-	}
-}
-
-// TestBaselineLifecycle drives the debt workflow end to end:
-// -update-baseline captures current findings, a rerun absorbs them and
-// exits 0, and once the debt is fixed the entries are reported stale.
-func TestBaselineLifecycle(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "lint.baseline")
-	target := fixtures + "/detrand/bad"
-
-	var out, errOut strings.Builder
-	if code := run([]string{"-rules", "detrand", "-baseline", base, "-update-baseline", target}, &out, &errOut); code != 0 {
-		t.Fatalf("update-baseline exit = %d, want 0\n%s", code, errOut.String())
-	}
-	if _, err := os.Stat(base); err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-rules", "detrand", "-baseline", base, target}, &out, &errOut); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
-	}
-	if out.Len() != 0 {
-		t.Fatalf("baselined findings still reported:\n%s", out.String())
-	}
-	if !strings.Contains(errOut.String(), "baselined") {
-		t.Fatalf("summary should mention absorbed findings:\n%s", errOut.String())
-	}
-
-	// Linting a clean tree against the same baseline flags every entry as
-	// paid debt.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-rules", "detrand", "-baseline", base, fixtures + "/wallclock/good"}, &out, &errOut); code != 0 {
-		t.Fatalf("clean run exit = %d, want 0\n%s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "stale baseline entry") {
-		t.Fatalf("stale entries not reported:\n%s", errOut.String())
+// TestNoOtherFlags pins the command line to -rules and -list: any other
+// flag is a usage error.
+func TestNoOtherFlags(t *testing.T) {
+	for _, flag := range []string{"-format", "-out", "-baseline", "-update-baseline", "-severity"} {
+		var out, errOut strings.Builder
+		if code := run([]string{flag, "x"}, &out, &errOut); code != 2 {
+			t.Errorf("%s: exit = %d, want 2", flag, code)
+		}
 	}
 }

@@ -30,7 +30,7 @@ const e2eManifest = `{
 
 func postCampaign(t *testing.T, ts *daemon, manifest string) campaign.Status {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(manifest))
+	resp, err := http.Post(ts.URL+"/v1/cluster/campaigns", "application/json", strings.NewReader(manifest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func pollDone(t *testing.T, ts *daemon, id string) campaign.Status {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		var st campaign.Status
-		if code := getJSON(t, ts.URL+"/v1/campaigns/"+id, &st); code != http.StatusOK {
+		if code := getJSON(t, ts.URL+"/v1/cluster/campaigns/"+id, &st); code != http.StatusOK {
 			t.Fatalf("status poll for %s returned %d", id, code)
 		}
 		if st.Done {
@@ -282,7 +282,7 @@ func TestEndToEndEventStream(t *testing.T) {
 	st := postCampaign(t, ts, e2eManifest)
 	pollDone(t, ts, st.ID)
 
-	resp, err := http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/cluster/campaigns/" + st.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,11 +388,9 @@ func TestClusterResumeReRegistersWithCoordinator(t *testing.T) {
 		t.Fatalf("unreadable journal skipped without its reason: %q", log)
 	}
 	for _, cid := range []string{id, "local-7"} {
-		for _, prefix := range []string{"/v1/campaigns/", "/v1/cluster/campaigns/"} {
-			var st campaign.Status
-			if code := getJSON(t, d.URL+prefix+cid, &st); code != http.StatusOK || st.ID != cid || st.Done || st.Total != 2 || st.Queued != 2 {
-				t.Fatalf("resumed campaign under %s%s: status %d, %+v", prefix, cid, code, st)
-			}
+		var st campaign.Status
+		if code := getJSON(t, d.URL+"/v1/cluster/campaigns/"+cid, &st); code != http.StatusOK || st.ID != cid || st.Done || st.Total != 2 || st.Queued != 2 {
+			t.Fatalf("resumed campaign %s: status %d, %+v", cid, code, st)
 		}
 	}
 	// Nothing executed: both campaigns wait in the queue for a node.
@@ -420,7 +418,7 @@ func campaignKeys(t *testing.T, m campaign.Manifest) []string {
 
 func mergedResult(t *testing.T, d *daemon, id string) []byte {
 	t.Helper()
-	code, body := fetch(t, d.URL+"/v1/campaigns/"+id+"/result")
+	code, body := fetch(t, d.URL+"/v1/cluster/campaigns/"+id+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("result of %s: status %d: %s", id, code, body)
 	}
@@ -478,7 +476,7 @@ func TestShutdownStopsAfterTheBatchInFlight(t *testing.T) {
 	id := postCampaign(t, first, manifest).ID
 	waitFor(t, func() bool {
 		var st campaign.Status
-		getJSON(t, first.URL+"/v1/campaigns/"+id, &st)
+		getJSON(t, first.URL+"/v1/cluster/campaigns/"+id, &st)
 		return st.Completed > 0
 	})
 	first.stop()

@@ -25,20 +25,19 @@
 // (cluster.Worker); -resume re-registers every journaled campaign with
 // the coordinator, whose queue still holds their unfinished runs.
 //
-// Endpoints (the campaign routes answer identically under /v1/campaigns
-// and /v1/cluster/campaigns):
+// Endpoints:
 //
-//	POST /v1/campaigns             submit a manifest, returns 202 + status
-//	GET  /v1/campaigns             list submitted campaigns
-//	GET  /v1/campaigns/{id}        campaign status snapshot
-//	GET  /v1/campaigns/{id}/events SSE progress stream
-//	GET  /v1/campaigns/{id}/result merged canonical artifact
-//	     /v1/cluster/...           fleet view and worker verbs (see
-//	                               cluster.Coordinator.Routes)
-//	GET  /v1/runs/{key}            verified canonical result bytes (?view=meta|spec)
-//	GET  /v1/runs/{key}/trace      simulated-time span trace (?format=json|csv)
-//	GET  /metrics                  Prometheus-style coordinator/executor/store gauges
-//	GET  /healthz                  liveness probe
+//	POST /v1/cluster/campaigns             submit a manifest, returns 202 + status
+//	GET  /v1/cluster/campaigns             list submitted campaigns
+//	GET  /v1/cluster/campaigns/{id}        campaign status snapshot
+//	GET  /v1/cluster/campaigns/{id}/events SSE progress stream
+//	GET  /v1/cluster/campaigns/{id}/result merged canonical artifact
+//	     /v1/cluster/...                   fleet view and worker verbs (see
+//	                                       cluster.Coordinator.Routes)
+//	GET  /v1/runs/{key}                    verified canonical result bytes (?view=meta|spec)
+//	GET  /v1/runs/{key}/trace              simulated-time span trace (?format=json|csv)
+//	GET  /metrics                          Prometheus-style coordinator/executor/store gauges
+//	GET  /healthz                          liveness probe
 //
 // The -pprof flag additionally mounts net/http/pprof under /debug/pprof/.
 package main

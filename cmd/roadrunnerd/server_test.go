@@ -110,7 +110,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		"no seeds":         `{"name":"x","strategies":[{"kind":"fedavg"}]}`,
 	}
 	for name, body := range cases {
-		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/cluster/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	var listing struct {
 		Campaigns []campaign.Status `json:"campaigns"`
 	}
-	if code := getJSON(t, ts.URL+"/v1/campaigns", &listing); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/cluster/campaigns", &listing); code != http.StatusOK {
 		t.Fatalf("list status %d", code)
 	}
 	if len(listing.Campaigns) != 0 {
@@ -132,15 +132,17 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 
 func TestServerUnknownResourcesAre404(t *testing.T) {
 	ts := newTestServer(t)
-	if code := getJSON(t, ts.URL+"/v1/campaigns/c9999-missing", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown campaign status %d", code)
-	}
-	key := strings.Repeat("ab", 32)
-	if code := getJSON(t, ts.URL+"/v1/runs/"+key, nil); code != http.StatusNotFound {
-		t.Fatalf("unknown run status %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/v1/runs/not-a-key", nil); code != http.StatusNotFound {
-		t.Fatalf("malformed run key status %d", code)
+	for _, path := range []string{
+		"/v1/cluster/campaigns/c9999-missing",
+		"/v1/cluster/campaigns/c9999-missing/result",
+		"/v1/cluster/campaigns/c9999-missing/events",
+		"/v1/runs/" + strings.Repeat("ab", 32),
+		"/v1/runs/not-a-key",
+		"/v1/campaigns", // the campaign API has one prefix
+	} {
+		if code, body := fetch(t, ts.URL+path); code != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404: %s", path, code, body)
+		}
 	}
 }
 
@@ -196,49 +198,6 @@ func fetch(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestBothPrefixesServeOneCampaignAPI: /v1/campaigns and
-// /v1/cluster/campaigns are the same five handlers over the same
-// registry — a campaign submitted under either prefix reads back with
-// equal status codes and equal bodies under both.
-func TestBothPrefixesServeOneCampaignAPI(t *testing.T) {
-	ts := newTestServer(t)
-	prefixes := []string{"/v1/campaigns", "/v1/cluster/campaigns"}
-	var ids []string
-	for _, prefix := range prefixes {
-		resp, err := http.Post(ts.URL+prefix, "application/json", strings.NewReader(e2eManifest))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st campaign.Status
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		_ = resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusAccepted || st.Total != 2 {
-			t.Fatalf("submit under %s: status %d, %+v, %v", prefix, resp.StatusCode, st, err)
-		}
-		ids = append(ids, st.ID)
-	}
-	for _, id := range ids {
-		pollDone(t, ts, id)
-	}
-	paths := []string{"", "/" + ids[0], "/" + ids[1], "/" + ids[0] + "/result", "/" + ids[1] + "/events", "/c9999-missing", "/c9999-missing/result", "/c9999-missing/events"}
-	for _, path := range paths {
-		codeA, bodyA := fetch(t, ts.URL+prefixes[0]+path)
-		codeB, bodyB := fetch(t, ts.URL+prefixes[1]+path)
-		if codeA != codeB || bodyA != bodyB {
-			t.Fatalf("GET %s differs by prefix: %d vs %d\n%s\n--- vs ---\n%s", path, codeA, codeB, bodyA, bodyB)
-		}
-		if wantMissing := strings.Contains(path, "missing"); wantMissing != (codeA == http.StatusNotFound) {
-			t.Fatalf("GET %s: status %d", path, codeA)
-		}
-	}
-	var listing struct {
-		Campaigns []campaign.Status `json:"campaigns"`
-	}
-	if getJSON(t, ts.URL+prefixes[0], &listing); len(listing.Campaigns) != 2 {
-		t.Fatalf("listing holds %d campaigns, want both submissions", len(listing.Campaigns))
-	}
-}
-
 // fleet reads the daemon's /v1/cluster/nodes.
 func fleet(t *testing.T, d *daemon) []cluster.NodeStatus {
 	t.Helper()
@@ -262,7 +221,7 @@ func TestClusterFlagStartsNoLocalNode(t *testing.T) {
 		t.Fatalf("-cluster daemon registered nodes: %+v", nodes)
 	}
 	var now campaign.Status
-	getJSON(t, d.URL+"/v1/campaigns/"+st.ID, &now)
+	getJSON(t, d.URL+"/v1/cluster/campaigns/"+st.ID, &now)
 	if now.Done || now.Queued != 2 {
 		t.Fatalf("-cluster daemon touched the campaign without a worker: %+v", now)
 	}

@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 
 	"roadrunner/internal/wal"
 )
@@ -58,26 +60,24 @@ type QueueSnapshot struct {
 
 // ReadQueueSnapshot parses a queue snapshot file. Unlike the log, a
 // snapshot is published atomically, so *any* malformation — a bad record,
-// a missing snap-end trailer, a ref-count mismatch, a whole record after
-// the trailer — is corruption and errors: the torn-tail rule can only ever
-// forgive an unparseable final line, and a snapshot that loses its final
-// record has no snap-end. A missing file returns an error wrapping
+// a missing snap-end trailer, a ref-count mismatch, any byte after the
+// trailer — is corruption and errors. The torn-tail pardon wal.Read grants
+// a log's final record can forgive nothing here: a snapshot that loses its
+// final record has no snap-end, and one with bytes after snap-end fails
+// the trailer check. A missing file returns an error wrapping
 // os.ErrNotExist.
 func ReadQueueSnapshot(path string) (*QueueSnapshot, error) {
 	snap := &QueueSnapshot{Done: make(map[string]RunState)}
-	var begun, ended bool
+	var begun bool
+	var trailer []byte  // the snap-end line and its newline, once read
 	var tmpls []RunSpec // snap-spec templates in file order
-	var afterEnd error  // a whole record followed snap-end
 	err := wal.Read(path, func(line []byte) error {
+		if trailer != nil {
+			return fmt.Errorf("record after snap-end")
+		}
 		var rec QueueRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
-		}
-		if ended {
-			// wal.Read forgives a rejected final record as a torn write;
-			// a whole record after the trailer is none, so it stays an error.
-			afterEnd = fmt.Errorf("%s record after snap-end", rec.Op)
-			return afterEnd
 		}
 		// snap-begin comes first and exactly once.
 		if begun == (rec.Op == "snap-begin") {
@@ -106,22 +106,49 @@ func ReadQueueSnapshot(path string) (*QueueSnapshot, error) {
 			if rec.Count != len(snap.Items) {
 				return fmt.Errorf("snapshot trailer counts %d refs, read %d", rec.Count, len(snap.Items))
 			}
-			ended = true
+			trailer = append(append([]byte(nil), line...), '\n')
 		default:
 			return fmt.Errorf("unexpected op %q", rec.Op)
 		}
 		return nil
 	})
-	if err == nil {
-		err = afterEnd
-	}
 	if err != nil {
 		return nil, err
 	}
-	if !begun || !ended {
-		return nil, fmt.Errorf("snapshot is truncated (begin=%v end=%v)", begun, ended)
+	if !begun || trailer == nil {
+		return nil, fmt.Errorf("snapshot is truncated (begin=%v end=%v)", begun, trailer != nil)
+	}
+	if err := endsWith(path, trailer); err != nil {
+		return nil, err
 	}
 	return snap, nil
+}
+
+// endsWith checks that the file at path ends with tail. Every record
+// after snap-end makes the decoder fail, so only a tail wal.Read pardons
+// (a rejected final record, blank lines, an unterminated fragment) can
+// follow the trailer of a snapshot that decoded, and each of those moves
+// the file's last bytes off the trailer line.
+func endsWith(path string, tail []byte) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = f.Close() }()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, len(tail))
+	if fi.Size() >= int64(len(tail)) {
+		if _, err := f.ReadAt(buf, fi.Size()-int64(len(tail))); err != nil {
+			return err
+		}
+	}
+	if !bytes.Equal(buf, tail) {
+		return fmt.Errorf("bytes follow snap-end")
+	}
+	return nil
 }
 
 // rowSpec resolves a snap-ref row's spec: the inline spec an earlier

@@ -14,22 +14,19 @@ import (
 // maxBodyBytes bounds every decoded request body.
 const maxBodyBytes = 1 << 20
 
-// Routes mounts the coordinator's HTTP API on mux. The five campaign
-// routes answer under two prefixes with the same handlers — /v1/campaigns
-// and /v1/cluster/campaigns (the second is the one roadctl and the
-// benchmark were written against):
+// Routes mounts the coordinator's HTTP API on mux:
 //
-//	POST {prefix}                submit a manifest
-//	GET  {prefix}                list campaign statuses
-//	GET  {prefix}/{id}           one campaign's status
-//	GET  {prefix}/{id}/events    merged SSE progress stream
-//	GET  {prefix}/{id}/result    merged canonical artifact (409 while running)
-//	GET  /v1/cluster/nodes       fleet status
-//	POST /v1/cluster/register    worker join
-//	POST /v1/cluster/heartbeat   worker liveness
-//	POST /v1/cluster/claims      worker work request (batched: one call grants many)
-//	POST /v1/cluster/starts      execution gate for a batch of leases
-//	POST /v1/cluster/complete    outcome report for a batch of leases
+//	POST /v1/cluster/campaigns               submit a manifest
+//	GET  /v1/cluster/campaigns               list campaign statuses
+//	GET  /v1/cluster/campaigns/{id}          one campaign's status
+//	GET  /v1/cluster/campaigns/{id}/events   merged SSE progress stream
+//	GET  /v1/cluster/campaigns/{id}/result   merged canonical artifact (409 while running)
+//	GET  /v1/cluster/nodes                   fleet status
+//	POST /v1/cluster/register                worker join
+//	POST /v1/cluster/heartbeat               worker liveness
+//	POST /v1/cluster/claims                  worker work request (batched: one call grants many)
+//	POST /v1/cluster/starts                  execution gate for a batch of leases
+//	POST /v1/cluster/complete                outcome report for a batch of leases
 //
 // starts takes {"node","leases":[...]} and complete takes
 // {"node","completes":[{"lease","outcome"},...]}; a node with one lease
@@ -38,13 +35,11 @@ const maxBodyBytes = 1 << 20
 // siblings. Submissions rejected by admission backpressure answer 429
 // with a Retry-After hint.
 func (co *Coordinator) Routes(mux *http.ServeMux) {
-	for _, prefix := range []string{"/v1/campaigns", "/v1/cluster/campaigns"} {
-		mux.HandleFunc("POST "+prefix, co.handleSubmit)
-		mux.HandleFunc("GET "+prefix, co.handleList)
-		mux.HandleFunc("GET "+prefix+"/{id}", co.handleStatus)
-		mux.HandleFunc("GET "+prefix+"/{id}/events", co.handleEvents)
-		mux.HandleFunc("GET "+prefix+"/{id}/result", co.handleResult)
-	}
+	mux.HandleFunc("POST /v1/cluster/campaigns", co.handleSubmit)
+	mux.HandleFunc("GET /v1/cluster/campaigns", co.handleList)
+	mux.HandleFunc("GET /v1/cluster/campaigns/{id}", co.handleStatus)
+	mux.HandleFunc("GET /v1/cluster/campaigns/{id}/events", co.handleEvents)
+	mux.HandleFunc("GET /v1/cluster/campaigns/{id}/result", co.handleResult)
 	mux.HandleFunc("GET /v1/cluster/nodes", co.handleNodes)
 	mux.HandleFunc("POST /v1/cluster/register", co.handleRegister)
 	mux.HandleFunc("POST /v1/cluster/heartbeat", co.handleHeartbeat)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -247,6 +248,148 @@ func TestHTTPValidation(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown campaign status: %d, want 404", resp.StatusCode)
+	}
+}
+
+// postStatus posts body to url and returns the reply's status code.
+func postStatus(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	return resp.StatusCode
+}
+
+// startedRun submits the tiny manifest, lets node w1 claim and start one
+// run and executes it, returning the lease, its outcome and the campaign.
+func startedRun(t *testing.T, co *Coordinator, dir string) (campaign.LeaseID, Outcome, string) {
+	t.Helper()
+	co.RegisterNode("w1", 1)
+	id, err := co.Submit(tinyClusterManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	asgs, err := co.RequestWork("w1", 1)
+	if err != nil || len(asgs) != 1 {
+		t.Fatalf("claim: %v %v", asgs, err)
+	}
+	if err := startRun(co, "w1", asgs[0].Lease); err != nil {
+		t.Fatal(err)
+	}
+	store, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return asgs[0].Lease, NewRunner(store, 1, 2, func(int) {}).Run(asgs[0]), id
+}
+
+// completed returns how many of campaign id's runs have completed.
+func completed(t *testing.T, co *Coordinator, id string) int {
+	t.Helper()
+	c, err := co.Campaign(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Status().Completed
+}
+
+// TestHTTPOversizedBodiesChangeNothing: a submit and a complete whose
+// bodies exceed maxBodyBytes get a 4xx and leave the queue as it was.
+// Each body is a valid request padded with whitespace, and the complete
+// is accepted once unpadded, so the size alone is what is refused.
+func TestHTTPOversizedBodiesChangeNothing(t *testing.T) {
+	dir := t.TempDir()
+	co := newTestCoordinator(t, dir)
+	ts := newTestServer(t, co)
+	pad := func(body []byte) []byte {
+		return append(append([]byte("{"), strings.Repeat(" ", maxBodyBytes)...), body[1:]...)
+	}
+
+	manifest, err := json.Marshal(tinyClusterManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postStatus(t, ts.URL+"/v1/cluster/campaigns", pad(manifest)); code/100 != 4 {
+		t.Fatalf("oversized submit: status %d, want 4xx", code)
+	}
+	if n := len(co.Campaigns()); n != 0 {
+		t.Fatalf("oversized submit registered %d campaign(s)", n)
+	}
+	if p, l := co.queue.Depth(); p != 0 || l != 0 {
+		t.Fatalf("oversized submit enqueued: pending=%d leased=%d", p, l)
+	}
+
+	lease, out, id := startedRun(t, co, dir)
+	complete, err := json.Marshal(leaseRequest{Node: "w1", Completes: []completionWire{{Lease: lease, Outcome: &out}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postStatus(t, ts.URL+"/v1/cluster/complete", pad(complete)); code/100 != 4 {
+		t.Fatalf("oversized complete: status %d, want 4xx", code)
+	}
+	if held, ok := co.queue.LeaseByID(lease); !ok || !held.Started || completed(t, co, id) != 0 {
+		t.Fatalf("oversized complete changed the lease (%+v, %v) or completed a run", held, ok)
+	}
+	if code := postStatus(t, ts.URL+"/v1/cluster/complete", complete); code != http.StatusOK || completed(t, co, id) != 1 {
+		t.Fatalf("the same complete unpadded: status %d, %d run(s) completed", code, completed(t, co, id))
+	}
+}
+
+// TestHTTPCompleteBatchNamingALeaseTwice: the first slot completes the
+// lease, the second finds it completed earlier in the batch and is
+// flagged stale on its own.
+func TestHTTPCompleteBatchNamingALeaseTwice(t *testing.T) {
+	dir := t.TempDir()
+	co := newTestCoordinator(t, dir)
+	ts := newTestServer(t, co)
+	lease, out, id := startedRun(t, co, dir)
+
+	errs, err := NewClient(ts.URL, "w1").CompleteBatch([]CompletionReport{{Lease: lease, Outcome: out}, {Lease: lease, Outcome: out}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs[0] != nil || !errors.Is(errs[1], campaign.ErrStaleLease) {
+		t.Fatalf("slots = %v, want the first completed and the second stale", errs)
+	}
+	if n := completed(t, co, id); n != 1 {
+		t.Fatalf("%d run(s) completed, want 1", n)
+	}
+	if nodes := co.Nodes(); nodes[0].Executed != 1 {
+		t.Fatalf("node executed %d run(s), want 1", nodes[0].Executed)
+	}
+}
+
+// TestHTTPUnregisteredNodeCompletesNothing: starts and completes from a
+// node name that never registered — naming a live lease another node
+// holds, or no lease at all — are stale in every slot and change nothing.
+func TestHTTPUnregisteredNodeCompletesNothing(t *testing.T) {
+	dir := t.TempDir()
+	co := newTestCoordinator(t, dir)
+	ts := newTestServer(t, co)
+	lease, out, id := startedRun(t, co, dir)
+	ghost := NewClient(ts.URL, "ghost")
+	ids := []campaign.LeaseID{lease, lease + 100}
+
+	starts, err := ghost.StartBatch(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completes, err := ghost.CompleteBatch([]CompletionReport{{Lease: ids[0], Outcome: out}, {Lease: ids[1], Outcome: out}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ids {
+		if !errors.Is(starts[i], campaign.ErrStaleLease) || !errors.Is(completes[i], campaign.ErrStaleLease) {
+			t.Fatalf("lease %d: start %v, complete %v, want both stale", ids[i], starts[i], completes[i])
+		}
+	}
+	if held, ok := co.queue.LeaseByID(lease); !ok || held.Node != "w1" || completed(t, co, id) != 0 {
+		t.Fatalf("ghost changed the lease (%+v, %v) or completed a run", held, ok)
+	}
+	if nodes := co.Nodes(); len(nodes) != 1 || nodes[0].Name != "w1" {
+		t.Fatalf("fleet after ghost verbs: %+v", nodes)
 	}
 }
 

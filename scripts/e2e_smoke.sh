@@ -32,7 +32,7 @@ MANIFEST='{"name":"ci-smoke","env":"tiny","rounds":2,"strategies":[{"kind":"feda
 
 # submit_campaign BODY -> campaign id on stdout
 submit_campaign() {
-    curl -fsS -X POST -H 'Content-Type: application/json' -d "$1" "$BASE/v1/campaigns" \
+    curl -fsS -X POST -H 'Content-Type: application/json' -d "$1" "$BASE/v1/cluster/campaigns" \
         | grep -o '"id": *"[^"]*"' | head -1 | sed 's/.*"id": *"\([^"]*\)".*/\1/'
 }
 
@@ -41,7 +41,7 @@ submit_campaign() {
 poll_done() {
     local id="$1" out="$2"
     for _ in $(seq 1 300); do
-        curl -fsS "$BASE/v1/campaigns/$id" >"$out"
+        curl -fsS "$BASE/v1/cluster/campaigns/$id" >"$out"
         grep -q '"done": *true' "$out" && return 0
         sleep 0.2
     done
@@ -92,8 +92,7 @@ done
 echo "e2e: OK — cold pass executed $EXECUTED runs ($SIM_EVENTS sim events), warm pass served both from cache byte-identically"
 
 # --- roadctl against the same daemon. --------------------------------------
-# One API, two prefixes: roadctl drives /v1/cluster/campaigns, the curls
-# above drove /v1/campaigns, and both see the same campaigns.
+# roadctl drives the same /v1/cluster/campaigns API the curls above did.
 go build -o "$WORK/roadctl" ./cmd/roadctl
 CTL_MANIFEST='{"name":"ci-roadctl","env":"tiny","rounds":2,"strategies":[{"kind":"fedavg"},{"kind":"opp"}],"seeds":[2]}'
 CTL_ID="$("$WORK/roadctl" -addr "$BASE" submit -f <(printf '%s' "$CTL_MANIFEST") \
@@ -107,8 +106,8 @@ done
 grep -q '"completed": *2' "$WORK/ctl.json" || { cat "$WORK/ctl.json" >&2; fail "roadctl campaign did not complete 2 runs"; }
 "$WORK/roadctl" -addr "$BASE" result -o "$WORK/ctl.bytes" "$CTL_ID"
 [ -s "$WORK/ctl.bytes" ] || fail "roadctl result is empty"
-curl -fsS "$BASE/v1/campaigns/$CTL_ID/result" | cmp -s - "$WORK/ctl.bytes" \
-    || fail "roadctl result differs from GET /v1/campaigns/$CTL_ID/result"
+curl -fsS "$BASE/v1/cluster/campaigns/$CTL_ID/result" | cmp -s - "$WORK/ctl.bytes" \
+    || fail "roadctl result differs from GET /v1/cluster/campaigns/$CTL_ID/result"
 "$WORK/roadctl" -addr "$BASE" nodes | grep -q '"name": *"local"' \
     || fail "the in-process node is missing from the fleet view"
 echo "e2e: OK — roadctl submit/status/result/nodes against the default-mode daemon"
