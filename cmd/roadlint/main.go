@@ -6,10 +6,11 @@
 //
 //	roadlint [-rules r1,r2] [-list] [patterns...]
 //
-// Patterns are directories, .go files, or go-tool-style "dir/..." trees;
-// the default is "./...". Packages inside a Go module are type-checked
-// against the whole module graph, so rules see resolved cross-package
-// types. Findings are printed to stdout as
+// Patterns are package directories or go-tool-style "dir/..." trees inside
+// a Go module; the default is "./...". A .go file or a directory outside
+// any module is a load error. Packages are type-checked against the whole
+// module graph, so rules see resolved cross-package types. Findings are
+// printed to stdout as
 //
 //	file:line:col: rule: message
 //

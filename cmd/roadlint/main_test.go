@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -73,5 +75,31 @@ func TestNoOtherFlags(t *testing.T) {
 		if code := run([]string{flag, "x"}, &out, &errOut); code != 2 {
 			t.Errorf("%s: exit = %d, want 2", flag, code)
 		}
+	}
+}
+
+// TestLoadErrorsExitTwo: roadlint loads packages through the module graph
+// only, so a pattern outside any Go module, a single .go file and a
+// missing directory are load errors (exit 2), not findings.
+func TestLoadErrorsExitTwo(t *testing.T) {
+	outside := t.TempDir()
+	if err := os.WriteFile(filepath.Join(outside, "x.go"), []byte("package x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, pattern, want string }{
+		{"outside any module", outside, "outside any Go module"},
+		{"outside any module, recursive", outside + "/...", "outside any Go module"},
+		{"single .go file", fixtures + "/wallclock/bad/bad.go", "not a directory"},
+		{"missing directory", fixtures + "/nope", "no such file"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut strings.Builder
+			if code := run([]string{c.pattern}, &out, &errOut); code != 2 {
+				t.Fatalf("exit = %d, want 2\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+			}
+			if !strings.Contains(errOut.String(), c.want) {
+				t.Fatalf("stderr %q does not say %q", errOut.String(), c.want)
+			}
+		})
 	}
 }

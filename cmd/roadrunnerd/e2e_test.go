@@ -297,7 +297,7 @@ func TestEndToEndEventStream(t *testing.T) {
 		if !ok {
 			continue
 		}
-		var ev campaign.Event
+		var ev cluster.Event
 		if err := json.Unmarshal([]byte(data), &ev); err != nil {
 			t.Fatalf("bad SSE payload %q: %v", data, err)
 		}

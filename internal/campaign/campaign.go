@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -56,47 +55,20 @@ type Status struct {
 	Runs []RunStatus `json:"runs"`
 }
 
-// Event is one progress notification on a campaign's subscription stream
-// (served over SSE by internal/cluster). Type "run" carries the updated
-// run; type "campaign" carries the final status snapshot.
-type Event struct {
-	Type     string     `json:"type"`
-	Campaign string     `json:"campaign"`
-	Run      *RunStatus `json:"run,omitempty"`
-	Status   *Status    `json:"status,omitempty"`
-}
-
 // Campaign is one submitted manifest in flight (or finished): its expanded
-// specs, per-run status, and a broadcast channel of progress events. All
-// methods are safe for concurrent use.
+// specs and per-run status. All methods are safe for concurrent use; the
+// cluster coordinator drives every transition and publishes the progress
+// events.
 type Campaign struct {
 	id       string
 	manifest Manifest
 	specs    []RunSpec
 
-	mu      sync.Mutex
-	runs    []RunStatus
-	done    bool
-	doneCh  chan struct{}
-	subs    map[int]*subscriber
-	nextSub int
+	mu     sync.Mutex
+	runs   []RunStatus
+	done   bool
+	doneCh chan struct{}
 }
-
-// subscriber is one progress listener. Broadcasts never block the
-// coordinator, so a stalled listener can drop intermediate events; lossy
-// records that a drop happened, and the next broadcast with buffer space
-// re-synchronizes the listener with a full status snapshot before any
-// further incremental events.
-type subscriber struct {
-	ch    chan Event
-	lossy bool
-}
-
-// subscriberBuffer is each listener's channel capacity. It only needs to
-// absorb short bursts: a listener that stalls past it is healed by the
-// snapshot-resync path, and the terminal event is delivered
-// unconditionally, so correctness never depends on the buffer size.
-const subscriberBuffer = 32
 
 // NewCampaign validates and expands the manifest and derives every run's
 // content address up front, so a submission error surfaces before any
@@ -115,7 +87,6 @@ func NewCampaign(id string, m Manifest) (*Campaign, error) {
 		specs:    specs,
 		runs:     make([]RunStatus, len(specs)),
 		doneCh:   make(chan struct{}),
-		subs:     make(map[int]*subscriber),
 	}
 	for i, spec := range specs {
 		key, err := spec.Key()
@@ -183,91 +154,6 @@ func (c *Campaign) statusLocked() Status {
 	return st
 }
 
-// Subscribe registers a progress listener. The returned channel receives
-// subsequent events, buffered so broadcasts never block the coordinator. A
-// listener that stalls long enough to overflow the buffer loses
-// intermediate events, but never silently: once it drains, the next event
-// it receives is a full "campaign" status snapshot covering everything it
-// missed (including resume-driven state transitions), and the terminal
-// event is always delivered. The channel is closed by cancel or when the
-// campaign finishes after its final event.
-func (c *Campaign) Subscribe() (<-chan Event, func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan Event, subscriberBuffer)
-	if c.done {
-		// Late subscribers still observe the terminal event.
-		ch <- Event{Type: "campaign", Campaign: c.id, Status: ptr(c.statusLocked())}
-		close(ch)
-		return ch, func() {}
-	}
-	id := c.nextSub
-	c.nextSub++
-	c.subs[id] = &subscriber{ch: ch}
-	cancel := func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if sub, ok := c.subs[id]; ok {
-			delete(c.subs, id)
-			close(sub.ch)
-		}
-	}
-	return ch, cancel
-}
-
-func ptr[T any](v T) *T { return &v }
-
-// broadcastLocked fans an event out to all subscribers without blocking,
-// in subscription order. A subscriber that previously dropped an event is
-// sent a status snapshot first, so incremental events downstream of a gap
-// are never interpreted against stale state.
-func (c *Campaign) broadcastLocked(ev Event) {
-	for _, id := range c.subIDsLocked() {
-		sub := c.subs[id]
-		if sub.lossy {
-			select {
-			case sub.ch <- Event{Type: "campaign", Campaign: c.id, Status: ptr(c.statusLocked())}:
-				sub.lossy = false
-			default:
-				// Still stalled; stay lossy and keep the gap open.
-			}
-		}
-		select {
-		case sub.ch <- ev:
-		default:
-			sub.lossy = true
-		}
-	}
-}
-
-// deliverLocked sends the terminal event unconditionally: if the
-// subscriber's buffer is full, buffered intermediate events are evicted
-// oldest-first until the event fits. The terminal snapshot supersedes
-// everything it displaces, and broadcasts only happen under c.mu, so the
-// eviction loop cannot race another sender.
-func (c *Campaign) deliverLocked(sub *subscriber, ev Event) {
-	for {
-		select {
-		case sub.ch <- ev:
-			return
-		default:
-		}
-		select {
-		case <-sub.ch:
-		default:
-		}
-	}
-}
-
-func (c *Campaign) subIDsLocked() []int {
-	ids := make([]int, 0, len(c.subs))
-	for id := range c.subs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // RunUpdate carries the completion detail an external driver attaches to
 // a run transition.
 type RunUpdate struct {
@@ -277,10 +163,10 @@ type RunUpdate struct {
 	Error         string
 }
 
-// Transition applies a lifecycle change to run i and broadcasts it —
-// the hook the cluster coordinator drives every execution through. upd
-// may be nil for a bare state change (started, re-queued after a lease
-// expiry).
+// Transition applies a lifecycle change to run i and returns the run's
+// new status — the hook the cluster coordinator drives every execution
+// through. upd may be nil for a bare state change (started, re-queued
+// after a lease expiry).
 func (c *Campaign) Transition(i int, state RunState, upd *RunUpdate) RunStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -292,14 +178,12 @@ func (c *Campaign) Transition(i int, state RunState, upd *RunUpdate) RunStatus {
 		run.EndS = upd.EndS
 		run.Error = upd.Error
 	}
-	snapshot := *run
-	c.broadcastLocked(Event{Type: "run", Campaign: c.id, Run: ptr(snapshot)})
-	return snapshot
+	return *run
 }
 
-// Finish marks the campaign done, emits the terminal event, and closes
-// every subscription. It is idempotent; the coordinator calls it once
-// the last run reaches a terminal state.
+// Finish marks the campaign done and closes its Done channel. It is
+// idempotent; the coordinator calls it once the last run reaches a
+// terminal state.
 func (c *Campaign) Finish() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -307,15 +191,5 @@ func (c *Campaign) Finish() {
 		return
 	}
 	c.done = true
-	terminal := Event{Type: "campaign", Campaign: c.id, Status: ptr(c.statusLocked())}
-	for _, id := range c.subIDsLocked() {
-		sub := c.subs[id]
-		// The terminal event is delivered even to stalled subscribers — a
-		// dropped intermediate event must never cost a client the final
-		// campaign snapshot.
-		c.deliverLocked(sub, terminal)
-		close(sub.ch)
-		delete(c.subs, id)
-	}
 	close(c.doneCh)
 }

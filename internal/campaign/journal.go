@@ -12,17 +12,19 @@ import (
 	"roadrunner/internal/wal"
 )
 
-// The campaign journal is the resume protocol's source of truth: an
-// append-only JSONL file under <store>/campaigns/<id>.jsonl whose first
-// record is the submitted manifest and whose subsequent records are
-// terminal run states, each fsync'd before the coordinator reports the run
-// finished. A campaign killed mid-flight therefore leaves (a) a manifest
-// that re-expands to the identical spec list and keys, and (b) a store
-// holding every run that completed. Resuming re-submits the journaled
-// manifest under its original ID (cluster.Coordinator.Resume): completed
-// runs are store hits served byte-identically without execution,
-// unfinished ones are still in the durable queue — so the resumed
-// campaign's final output is byte-identical to an uninterrupted one's.
+// The campaign journal is the resume protocol's manifest record: a JSONL
+// file under <store>/campaigns/<id>.jsonl whose one record is the
+// submitted manifest, written and fsync'd before any of the campaign's
+// work enters the queue. A campaign killed mid-flight therefore leaves (a)
+// a manifest that re-expands to the identical spec list and keys, (b) a
+// store holding every run that completed, and (c) a queue log holding the
+// rest. Resuming re-submits the journaled manifest under its original ID
+// (cluster.Coordinator.Resume): completed runs are store hits served
+// byte-identically without execution, unfinished ones are still in the
+// durable queue — so the resumed campaign's final output is
+// byte-identical to an uninterrupted one's. Journals written by earlier
+// builds also hold one "run" record per terminal run; they are read and
+// ignored.
 
 // journalRecord is one line of the journal file.
 type journalRecord struct {
@@ -57,9 +59,9 @@ func (s *Store) JournaledCampaignIDs() ([]string, error) {
 	return ids, nil
 }
 
-// Journal appends records for one running campaign. The coordinator
-// obtains one via Store.OpenJournal and records terminal run states
-// through it.
+// Journal is an open campaign journal. The coordinator opens one via
+// Store.OpenJournal, which writes the manifest record, and closes it
+// again before enqueueing the campaign's work.
 type Journal struct {
 	mu  sync.Mutex
 	log *wal.Log
@@ -131,10 +133,10 @@ func (j *Journal) append(rec journalRecord) error {
 	return nil
 }
 
-// RecordRun journals a terminal run state. Journal write failures must not
-// take down the campaign — the journal is an acceleration of resume, the
-// store itself remains the ground truth — so errors are swallowed after
-// best effort.
+// RecordRun appends a terminal run state. No coordinator path writes one:
+// resume reads only the manifest, and the store and the queue log hold
+// every run's outcome. It stays for benchmark/, which times the journal's
+// fsync'd append. Errors are swallowed after best effort.
 func (j *Journal) RecordRun(run RunStatus) {
 	_ = j.append(journalRecord{Type: "run", Run: &run})
 }
@@ -143,8 +145,8 @@ func (j *Journal) RecordRun(run RunStatus) {
 func (j *Journal) Close() { _ = j.log.Close() }
 
 // ReadJournal parses a campaign journal, returning the submitted manifest
-// and the terminal run states that were recorded before the process
-// stopped. A partially written trailing record — the crash case — is
+// and any terminal run states it holds (journals of earlier builds, or
+// RecordRun). A partially written trailing record — the crash case — is
 // ignored; an unreadable record with records after it is corruption and
 // an error, the same rule the journal is opened under.
 func ReadJournal(path string) (Manifest, map[string]RunStatus, error) {

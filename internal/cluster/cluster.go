@@ -11,15 +11,22 @@
 //   - run results are content-addressed, so two nodes publishing the same
 //     run converge on identical bytes and a re-issued claim after a node
 //     death becomes a store hit rather than a divergent re-execution;
-//   - campaign journals and the queue log are append-only fsync'd JSONL,
-//     so a coordinator or worker crash leaves the campaign resumable and
-//     the final merged artifact byte-identical on any fleet.
+//   - a campaign's journal (its manifest record, written once at submit)
+//     and the queue log are fsync'd JSONL, so a coordinator or worker
+//     crash leaves the campaign resumable and the final merged artifact
+//     byte-identical on any fleet.
+//
+// The coordinator is the only source of progress events: every protocol
+// step and every run transition is one Event, published to subscribers
+// (Coordinator.Subscribe, served as SSE) in the order the coordinator
+// applied it, and to observers (Coordinator.Observe) after its lock is
+// released.
 //
 // All lease timing runs on the queue's logical Tick clock, advanced by
 // Coordinator.Advance. Production drives Advance from a service-edge
 // timer in cmd/roadrunnerd; the chaos harness (chaostest) drives it from
 // its deterministic round loop. Nothing in this package but Worker's
-// pacing reads the host clock.
+// pacing and the HTTP body read deadline reads the host clock.
 package cluster
 
 import (
@@ -46,20 +53,26 @@ type Outcome struct {
 	Error         string            `json:"error,omitempty"`
 }
 
-// Event is one entry on the coordinator's merged progress stream. The
-// chaos harness keys its fault schedule off these, and the coordinator's
-// SSE endpoint interleaves them with per-campaign run events.
+// Event is one entry on the coordinator's progress stream. The chaos
+// harness keys its fault schedule off these, and the coordinator's SSE
+// endpoint serves them.
 //
 // Types: submit, node-join, node-dead, node-revived, claim, steal,
-// start, complete, stale-complete, lease-expired, campaign-done.
+// start, complete, stale-complete, lease-expired; run, carrying one
+// run's new status (Run); and campaign, carrying the campaign's status
+// (Status) — the terminal event once Status.Done, a resync snapshot for
+// a subscriber that dropped events otherwise. A subscription opens with a
+// snapshot event, which also carries Status.
 type Event struct {
-	Type     string        `json:"type"`
-	Node     string        `json:"node,omitempty"`
-	Campaign string        `json:"campaign,omitempty"`
-	Ref      string        `json:"ref,omitempty"`
-	Key      string        `json:"key,omitempty"`
-	Tick     campaign.Tick `json:"tick"`
-	Detail   string        `json:"detail,omitempty"`
+	Type     string              `json:"type"`
+	Node     string              `json:"node,omitempty"`
+	Campaign string              `json:"campaign,omitempty"`
+	Ref      string              `json:"ref,omitempty"`
+	Key      string              `json:"key,omitempty"`
+	Tick     campaign.Tick       `json:"tick"`
+	Detail   string              `json:"detail,omitempty"`
+	Run      *campaign.RunStatus `json:"run,omitempty"`
+	Status   *campaign.Status    `json:"status,omitempty"`
 }
 
 // NodeStatus is the externally visible state of one registered worker.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,11 +68,9 @@ type node struct {
 	groups   map[string]bool
 }
 
-// runningCampaign binds a submitted campaign to its journal and its
-// outstanding work.
+// runningCampaign binds a submitted campaign to its outstanding work.
 type runningCampaign struct {
-	c       *campaign.Campaign
-	journal *campaign.Journal
+	c *campaign.Campaign
 	// byRef maps each queue ref to the campaign run indices it resolves
 	// (duplicate specs inside one manifest share a ref).
 	byRef map[string][]int
@@ -82,10 +81,12 @@ type runningCampaign struct {
 }
 
 // Coordinator owns the cluster's control plane: the durable queue,
-// campaign journals, node liveness, routing, and the merged event
-// stream. All methods are safe for concurrent use. Mutations collect
-// events under the lock and emit them after releasing it, so observers
-// (the chaos harness) may call back into the coordinator.
+// campaign journals, node liveness, routing, and the event stream. All
+// methods are safe for concurrent use. Mutations collect events under the
+// lock and hand them to subscribers before releasing it, so every
+// subscription sees them in lock order; observers run after the lock is
+// released, so they (the chaos harness) may call back into the
+// coordinator.
 type Coordinator struct {
 	store          *campaign.Store
 	queue          *campaign.Queue
@@ -104,9 +105,25 @@ type Coordinator struct {
 	executed, cached, failed uint64
 
 	observers []func(Event)
-	subs      map[int]chan Event
-	nextSub   int
+	subs      []*subscriber
 }
+
+// subscriber is one campaign's progress listener. Sends never block the
+// coordinator, so a stalled listener can drop intermediate events; lossy
+// records that a drop happened, and the next event with buffer space is
+// preceded by a full "campaign" status snapshot covering everything the
+// listener missed.
+type subscriber struct {
+	rc    *runningCampaign
+	ch    chan Event
+	lossy bool
+}
+
+// subscriberBuffer is each listener's channel capacity. It only needs to
+// absorb short bursts: a listener that stalls past it is healed by the
+// snapshot resync, and the terminal event is delivered unconditionally,
+// so correctness never depends on the buffer size.
+const subscriberBuffer = 256
 
 // NewCoordinator opens (or recovers) the coordinator state rooted in the
 // store: the durable queue log is replayed, so a restarted coordinator
@@ -155,20 +172,13 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		seq:            seq,
 		nodes:          make(map[string]*node),
 		campaigns:      make(map[string]*runningCampaign),
-		subs:           make(map[int]chan Event),
 	}, nil
 }
 
-// Close releases the queue log and every open campaign journal.
+// Close releases the queue log.
 func (co *Coordinator) Close() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for _, rc := range co.campaigns {
-		if rc.journal != nil {
-			rc.journal.Close()
-			rc.journal = nil
-		}
-	}
 	_ = co.queue.Close()
 }
 
@@ -190,25 +200,49 @@ func (co *Coordinator) Now() campaign.Tick {
 	return co.now
 }
 
-// Subscribe registers a cluster-event listener. Sends never block the
-// coordinator: a listener that stalls past the buffer loses events (the
-// SSE layer resynchronizes clients from status snapshots).
-func (co *Coordinator) Subscribe() (<-chan Event, func()) {
+// Subscribe registers a listener for campaign id. The channel opens with
+// a "snapshot" event carrying the campaign's status and then receives,
+// in the order the coordinator applied them, the campaign's events and
+// every campaign-less node event. A listener that stalls past the buffer
+// loses intermediate events, but never silently: once it drains, the
+// next event it receives is a "campaign" status snapshot covering
+// everything it missed. The terminal "campaign" event (Status.Done) is
+// always delivered, evicting buffered events oldest-first if it must,
+// and then the channel closes; a subscriber to a finished campaign gets
+// the snapshot and the terminal event on a closed channel. cancel
+// unsubscribes and is safe to call after the close.
+func (co *Coordinator) Subscribe(id string) (<-chan Event, func(), error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	ch := make(chan Event, 256)
-	id := co.nextSub
-	co.nextSub++
-	co.subs[id] = ch
+	rc, ok := co.campaigns[id]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownCampaign, id)
+	}
+	sub := &subscriber{rc: rc, ch: make(chan Event, subscriberBuffer)}
+	st := rc.c.Status()
+	sub.ch <- Event{Type: "snapshot", Campaign: id, Tick: co.now, Status: &st}
+	if st.Done {
+		sub.ch <- co.statusEventLocked(rc)
+		close(sub.ch)
+		return sub.ch, func() {}, nil
+	}
+	co.subs = append(co.subs, sub)
 	cancel := func() {
 		co.mu.Lock()
 		defer co.mu.Unlock()
-		if sub, ok := co.subs[id]; ok {
-			delete(co.subs, id)
-			close(sub)
+		if i := slices.Index(co.subs, sub); i >= 0 {
+			co.subs = slices.Delete(co.subs, i, i+1)
+			close(sub.ch)
 		}
 	}
-	return ch, cancel
+	return sub.ch, cancel, nil
+}
+
+// statusEventLocked is the "campaign" event carrying rc's status: the
+// terminal event once the campaign is done, a resync snapshot before.
+func (co *Coordinator) statusEventLocked(rc *runningCampaign) Event {
+	st := rc.c.Status()
+	return Event{Type: "campaign", Campaign: st.ID, Tick: co.now, Status: &st}
 }
 
 // Observe attaches a synchronous event callback, invoked in order after
@@ -220,33 +254,61 @@ func (co *Coordinator) Observe(fn func(Event)) {
 	co.observers = append(co.observers, fn)
 }
 
-// emit delivers events after the coordinator lock is released.
-func (co *Coordinator) emit(events []Event) {
-	if len(events) == 0 {
-		return
+// unlockEmit publishes events to the subscribers under the lock,
+// releases it, and then runs the observers. Every mutation ends here.
+func (co *Coordinator) unlockEmit(events []Event) {
+	for _, ev := range events {
+		co.publishLocked(ev)
 	}
-	co.mu.Lock()
-	obs := append(make([]func(Event), 0, len(co.observers)), co.observers...)
-	subIDs := make([]int, 0, len(co.subs))
-	for id := range co.subs {
-		subIDs = append(subIDs, id)
-	}
-	sort.Ints(subIDs)
-	chans := make([]chan Event, len(subIDs))
-	for i, id := range subIDs {
-		chans[i] = co.subs[id]
-	}
+	obs := co.observers
 	co.mu.Unlock()
 	for _, ev := range events {
-		for _, ch := range chans {
-			select {
-			case ch <- ev:
-			default:
-			}
-		}
 		for _, fn := range obs {
 			fn(ev)
 		}
+	}
+}
+
+// publishLocked hands one event to every subscriber it concerns without
+// blocking, in subscription order. A terminal "campaign" event is
+// delivered even to a stalled subscriber — buffered events are evicted
+// oldest-first until it fits, which cannot race another sender because
+// every send happens under co.mu — and closes the subscription.
+func (co *Coordinator) publishLocked(ev Event) {
+	kept := co.subs[:0]
+	for _, sub := range co.subs {
+		if ev.Campaign != "" && ev.Campaign != sub.rc.c.ID() {
+			kept = append(kept, sub)
+			continue
+		}
+		if ev.Type == "campaign" {
+			for !trySend(sub.ch, ev) {
+				select {
+				case <-sub.ch:
+				default:
+				}
+			}
+			close(sub.ch)
+			continue
+		}
+		kept = append(kept, sub)
+		if sub.lossy && trySend(sub.ch, co.statusEventLocked(sub.rc)) {
+			sub.lossy = false
+		}
+		if sub.lossy || !trySend(sub.ch, ev) {
+			sub.lossy = true
+		}
+	}
+	clear(co.subs[len(kept):])
+	co.subs = kept
+}
+
+func trySend(ch chan Event, ev Event) bool {
+	select {
+	case ch <- ev:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -271,9 +333,9 @@ func (co *Coordinator) Submit(m campaign.Manifest) (string, error) {
 }
 
 // Resume re-registers a journaled campaign under its original ID: the
-// manifest re-expands to the identical spec list, journaled-complete runs
-// are store hits, and only work the queue does not already hold re-enters
-// it. It is the only resume protocol there is.
+// journal's manifest re-expands to the identical spec list, completed
+// runs are store hits, and only work the queue does not already hold
+// re-enters it. It is the only resume protocol there is.
 func (co *Coordinator) Resume(id string) error {
 	m, _, err := campaign.ReadJournal(co.store.JournalPath(id))
 	if err != nil {
@@ -304,7 +366,7 @@ func (co *Coordinator) submit(id string, m campaign.Manifest) error {
 	// Pass 1 — classify every distinct ref without touching the journal
 	// or the queue, so admission can reject the whole manifest before any
 	// durable side effect.
-	var cachedRuns []int             // run indices served from the store
+	var cachedRuns []int             // first run index of each ref served from the store
 	var retries []campaign.QueueItem // terminal in the queue but not servable
 	var fresh []campaign.QueueItem   // refs the queue has never seen
 	for i, spec := range specs {
@@ -351,61 +413,67 @@ func (co *Coordinator) submit(id string, m campaign.Manifest) error {
 		}
 	}
 
-	// Pass 2 — admitted: open the journal, record the cache hits, and fan
-	// the remainder into the queue under one batched append.
+	// Pass 2 — admitted: write the manifest record (the journal is
+	// closed again at once; nothing else is ever appended), mark the cache
+	// hits, and fan the remainder into the queue under one batched append.
+	// The journal lands before any queue record, so the journals on disk
+	// name every campaign ID the queue has seen.
 	j, err := co.store.OpenJournal(c)
 	if err != nil {
 		co.mu.Unlock()
 		return err
 	}
-	rc.journal = j
+	j.Close()
+	events := []Event{{Type: "submit", Campaign: id, Tick: co.now}}
 	for _, i := range cachedRuns {
 		res, _ := co.store.Get(keys[i])
 		if res == nil {
 			// The store entry vanished between passes; fail the submit
 			// rather than silently marking a run cached without a result.
 			co.mu.Unlock()
-			j.Close()
 			return fmt.Errorf("cluster: submit: result %s disappeared mid-admission", keys[i])
 		}
-		snap := c.Transition(i, campaign.RunCached, &campaign.RunUpdate{
+		events = append(events, co.transitionLocked(rc, id+"/"+keys[i], campaign.RunCached, &campaign.RunUpdate{
 			FinalAccuracy: res.FinalAccuracy,
 			EndS:          float64(res.End),
-		})
-		j.RecordRun(snap)
+		})...)
 	}
 	for _, item := range retries {
 		if err := co.queue.Retry(item.Ref, item.Key, item.Spec); err != nil {
 			co.mu.Unlock()
-			j.Close()
 			return err
 		}
 	}
 	if err := co.queue.EnqueueBatch(fresh); err != nil {
 		co.mu.Unlock()
-		j.Close()
 		return err
 	}
 	co.campaigns[id] = rc
 	co.order = append(co.order, id)
 	co.cached += uint64(len(cachedRuns))
-	events := []Event{{Type: "submit", Campaign: id, Tick: co.now}}
 	if rc.remaining == 0 {
-		events = append(events, co.finishLocked(id, rc)...)
+		events = append(events, co.finishLocked(rc))
 	}
-	co.mu.Unlock()
-	co.emit(events)
+	co.unlockEmit(events)
 	return nil
 }
 
-// finishLocked closes out a campaign whose last ref went terminal.
-func (co *Coordinator) finishLocked(id string, rc *runningCampaign) []Event {
+// finishLocked closes out a campaign whose last ref went terminal and
+// returns its terminal "campaign" event.
+func (co *Coordinator) finishLocked(rc *runningCampaign) Event {
 	rc.c.Finish()
-	if rc.journal != nil {
-		rc.journal.Close()
-		rc.journal = nil
+	return co.statusEventLocked(rc)
+}
+
+// transitionLocked applies a lifecycle change to every run index ref
+// resolves to and returns one "run" event per index.
+func (co *Coordinator) transitionLocked(rc *runningCampaign, ref string, state campaign.RunState, upd *campaign.RunUpdate) []Event {
+	var events []Event
+	for _, i := range rc.byRef[ref] {
+		run := rc.c.Transition(i, state, upd)
+		events = append(events, Event{Type: "run", Campaign: rc.c.ID(), Ref: ref, Key: run.Key, Tick: co.now, Run: &run})
 	}
-	return []Event{{Type: "campaign-done", Campaign: id, Tick: co.now}}
+	return events
 }
 
 // RegisterNode adds (or revives) a worker. Capacity is the most runs the
@@ -424,8 +492,7 @@ func (co *Coordinator) RegisterNode(name string, capacity int) {
 	n.lastSeen = co.now
 	n.alive = true
 	ev := Event{Type: "node-join", Node: name, Tick: co.now}
-	co.mu.Unlock()
-	co.emit([]Event{ev})
+	co.unlockEmit([]Event{ev})
 }
 
 // Heartbeat refreshes a node's liveness and extends its leases. A node
@@ -445,8 +512,7 @@ func (co *Coordinator) Heartbeat(name string) error {
 		events = append(events, Event{Type: "node-revived", Node: name, Tick: co.now})
 	}
 	co.queue.Extend(name, co.now, co.leaseTTL)
-	co.mu.Unlock()
-	co.emit(events)
+	co.unlockEmit(events)
 	return nil
 }
 
@@ -602,8 +668,7 @@ func (co *Coordinator) RequestWork(name string, max int) ([]Assignment, error) {
 		out = append(out, asg)
 		events = append(events, ev)
 	}
-	co.mu.Unlock()
-	co.emit(events)
+	co.unlockEmit(events)
 	return out, nil
 }
 
@@ -671,15 +736,12 @@ func (co *Coordinator) StartRuns(name string, ids []campaign.LeaseID) []error {
 				lease := r.Lease
 				events = append(events, Event{Type: "start", Node: name, Campaign: campaignOfRef(lease.Ref), Ref: lease.Ref, Key: lease.Key, Tick: co.now})
 				if rc, ok := co.campaigns[campaignOfRef(lease.Ref)]; ok {
-					for _, i := range rc.byRef[lease.Ref] {
-						rc.c.Transition(i, campaign.RunRunning, nil)
-					}
+					events = append(events, co.transitionLocked(rc, lease.Ref, campaign.RunRunning, nil)...)
 				}
 			}
 		}
 	}
-	co.mu.Unlock()
-	co.emit(events)
+	co.unlockEmit(events)
 	return errs
 }
 
@@ -748,8 +810,7 @@ func (co *Coordinator) CompleteRuns(name string, reports []CompletionReport) []e
 			}
 		}
 	}
-	co.mu.Unlock()
-	co.emit(events)
+	co.unlockEmit(events)
 	return errs
 }
 
@@ -786,12 +847,7 @@ func (co *Coordinator) completedLocked(name string, lease campaign.Lease, state 
 		if detail != "" {
 			upd.Error = detail
 		}
-		for _, i := range rc.byRef[lease.Ref] {
-			snap := rc.c.Transition(i, state, upd)
-			if rc.journal != nil {
-				rc.journal.RecordRun(snap)
-			}
-		}
+		events = append(events, co.transitionLocked(rc, lease.Ref, state, upd)...)
 		if n, ok := co.nodes[name]; ok {
 			if g, has := rc.groups[lease.Ref]; has && g != "" {
 				n.groups[g] = true
@@ -799,7 +855,7 @@ func (co *Coordinator) completedLocked(name string, lease campaign.Lease, state 
 		}
 		rc.remaining--
 		if rc.remaining == 0 {
-			events = append(events, co.finishLocked(campaignOfRef(lease.Ref), rc)...)
+			events = append(events, co.finishLocked(rc))
 		}
 	}
 	return events
@@ -819,9 +875,7 @@ func (co *Coordinator) Advance() {
 			n.inflight--
 		}
 		if rc, ok := co.campaigns[campaignOfRef(l.Ref)]; ok {
-			for _, i := range rc.byRef[l.Ref] {
-				rc.c.Transition(i, campaign.RunQueued, nil)
-			}
+			events = append(events, co.transitionLocked(rc, l.Ref, campaign.RunQueued, nil)...)
 		}
 	}
 	names := make([]string, 0, len(co.nodes))
@@ -836,8 +890,7 @@ func (co *Coordinator) Advance() {
 			events = append(events, Event{Type: "node-dead", Node: name, Tick: co.now})
 		}
 	}
-	co.mu.Unlock()
-	co.emit(events)
+	co.unlockEmit(events)
 }
 
 // Nodes returns the fleet's status, sorted by name.

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,14 +108,9 @@ func TestCoordinatorSingleWorkerLifecycle(t *testing.T) {
 	if !st.Done || st.Completed != 2 || st.Failed != 0 {
 		t.Fatalf("campaign status: %+v", st)
 	}
-	// The journal proves both runs complete.
-	_, runs, err := campaign.ReadJournal(co.Store().JournalPath(id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("journal replay found %d runs, want 2", len(runs))
-	}
+	// The journal is the manifest record alone: the runs' outcomes live
+	// in the store and the queue log.
+	assertJournalIsManifest(t, co, id)
 	nodes := co.Nodes()
 	if len(nodes) != 1 || nodes[0].Executed != 2 || nodes[0].Inflight != 0 {
 		t.Fatalf("node stats: %+v", nodes)
@@ -137,7 +134,11 @@ func TestCoordinatorCachedSubmitFinishesWithoutClaims(t *testing.T) {
 	}
 	drive(t, co, runner, "w1")
 
-	id2, err := co.Submit(tinyClusterManifest())
+	// A repeated seed expands to duplicate specs sharing one ref; every
+	// one of them is a cache hit.
+	warm := tinyClusterManifest()
+	warm.Seeds = []uint64{1, 1}
+	id2, err := co.Submit(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestCoordinatorCachedSubmitFinishesWithoutClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Status()
-	if !st.Done || st.Cached != 2 {
+	if !st.Done || st.Cached != 4 || st.Queued != 0 {
 		t.Fatalf("warm resubmission not a pure cache pass: %+v", st)
 	}
 	if asgs, _ := co.RequestWork("w1", 4); len(asgs) != 0 {
@@ -468,8 +469,8 @@ func TestCoordinatorRejectsUnknownNodes(t *testing.T) {
 func TestCoordinatorMarksSilentNodesDead(t *testing.T) {
 	co := newTestCoordinator(t, t.TempDir())
 	co.RegisterNode("w1", 1)
-	events, cancel := co.Subscribe()
-	defer cancel()
+	var types []string
+	co.Observe(func(ev Event) { types = append(types, ev.Type) })
 	for i := 0; i < 7; i++ {
 		co.Advance()
 	}
@@ -482,10 +483,6 @@ func TestCoordinatorMarksSilentNodesDead(t *testing.T) {
 	}
 	if nodes := co.Nodes(); !nodes[0].Alive {
 		t.Fatalf("heartbeat did not revive node: %+v", nodes)
-	}
-	var types []string
-	for len(events) > 0 {
-		types = append(types, (<-events).Type)
 	}
 	var sawDead, sawRevived bool
 	for _, ty := range types {
@@ -627,18 +624,64 @@ func TestResumeAlreadyCompleteCampaign(t *testing.T) {
 		t.Fatalf("resume of a complete campaign: %+v", st)
 	}
 
-	// The journal now holds duplicate terminal records per key (one per
-	// pass); a third replay still resolves to one state per key.
-	_, runs, err := campaign.ReadJournal(co2.Store().JournalPath(id))
+	// Resuming reopens the journal but appends nothing to it.
+	assertJournalIsManifest(t, co2, id)
+}
+
+// assertJournalIsManifest checks that campaign id's journal holds exactly
+// one record, the manifest.
+func assertJournalIsManifest(t *testing.T, co *Coordinator, id string) {
+	t.Helper()
+	path := co.Store().JournalPath(id)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 2 {
-		t.Fatalf("journal replay found %d keys, want 2", len(runs))
+	if n := bytes.Count(data, []byte("\n")); n != 1 || !bytes.Contains(data, []byte(`"type":"manifest"`)) {
+		t.Fatalf("journal holds %d record(s), want only the manifest:\n%s", n, data)
 	}
-	for key, run := range runs {
-		if run.State != campaign.RunCached && run.State != campaign.RunDone {
-			t.Fatalf("key %s replayed non-terminal state %q", key[:4], run.State)
-		}
+	m, runs, err := campaign.ReadJournal(path)
+	if err != nil || len(runs) != 0 {
+		t.Fatalf("journal replay: %d run record(s), err %v", len(runs), err)
 	}
+	c, err := co.Campaign(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, c.Manifest()) {
+		t.Fatalf("journaled manifest %+v, want %+v", m, c.Manifest())
+	}
+}
+
+// TestDrivenCampaignJournalHoldsOnlyManifest drives a campaign that has
+// both a cache hit (a run an earlier campaign stored) and a fresh run to
+// the end: its journal holds the manifest record and nothing else, so a
+// completion batch costs the queue's one fsync and no journal append.
+func TestDrivenCampaignJournalHoldsOnlyManifest(t *testing.T) {
+	dir := t.TempDir()
+	co := newTestCoordinator(t, dir)
+	co.RegisterNode("w1", 2)
+	runner := NewRunner(co.Store(), 1, 2, func(int) {})
+	warm := tinyClusterManifest()
+	warm.Strategies = warm.Strategies[:1]
+	if _, err := co.Submit(warm); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, co, runner, "w1")
+
+	id, err := co.Submit(tinyClusterManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran := drive(t, co, runner, "w1"); ran != 1 {
+		t.Fatalf("worker ran %d assignments, want 1 (the other run is a cache hit)", ran)
+	}
+	c, err := co.Campaign(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Status(); !st.Done || st.Cached != 1 || st.Completed != 1 {
+		t.Fatalf("campaign status: %+v", st)
+	}
+	assertJournalIsManifest(t, co, id)
 }

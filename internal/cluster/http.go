@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"roadrunner/internal/campaign"
 )
@@ -14,12 +15,20 @@ import (
 // maxBodyBytes bounds every decoded request body.
 const maxBodyBytes = 1 << 20
 
+// bodyReadTimeout bounds how long a POST request's body may take to
+// arrive, so a client that sends headers and then stalls (a slow-loris
+// body) is cut off instead of holding a handler forever. The deadline
+// stays set after decoding: the server discards an unread body remainder
+// after the handler returns, and that read must not wait forever either.
+// A variable only so tests can shorten it.
+var bodyReadTimeout = 10 * time.Second
+
 // Routes mounts the coordinator's HTTP API on mux:
 //
 //	POST /v1/cluster/campaigns               submit a manifest
 //	GET  /v1/cluster/campaigns               list campaign statuses
 //	GET  /v1/cluster/campaigns/{id}          one campaign's status
-//	GET  /v1/cluster/campaigns/{id}/events   merged SSE progress stream
+//	GET  /v1/cluster/campaigns/{id}/events   SSE progress stream
 //	GET  /v1/cluster/campaigns/{id}/result   merged canonical artifact (409 while running)
 //	GET  /v1/cluster/nodes                   fleet status
 //	POST /v1/cluster/register                worker join
@@ -49,6 +58,11 @@ func (co *Coordinator) Routes(mux *http.ServeMux) {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	rc := http.NewResponseController(w)
+	//roadlint:allow wallclock a read deadline at the service edge, not simulation time
+	if err := rc.SetReadDeadline(time.Now().Add(bodyReadTimeout)); err != nil {
+		return err
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
@@ -109,49 +123,35 @@ func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	clusterJSON(w, http.StatusOK, c.Status())
 }
 
-// handleEvents streams the campaign's run transitions merged with the
-// coordinator's cluster events (claims, steals, node deaths) as SSE. The
-// stream opens with a status snapshot and closes after the campaign's
-// terminal event.
+// handleEvents streams the campaign's events — protocol steps, run
+// transitions, node events — as SSE, in the order the coordinator
+// applied them. The stream opens with a status snapshot and closes after
+// the campaign's terminal event.
 func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	c, err := co.Campaign(r.PathValue("id"))
-	if err != nil {
-		clusterError(w, http.StatusNotFound, err)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		clusterError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
-	campaignEvents, cancelCampaign := c.Subscribe()
-	defer cancelCampaign()
-	clusterEvents, cancelCluster := co.Subscribe()
-	defer cancelCluster()
+	events, cancel, err := co.Subscribe(r.PathValue("id"))
+	if err != nil {
+		clusterError(w, http.StatusNotFound, err)
+		return
+	}
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	writeEventSSE(w, map[string]any{"type": "snapshot", "status": c.Status()})
-	fl.Flush()
-	id := c.ID()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, open := <-campaignEvents:
+		case ev, open := <-events:
 			if !open {
 				return // terminal campaign event delivered
 			}
 			writeEventSSE(w, ev)
 			fl.Flush()
-		case ev, open := <-clusterEvents:
-			if !open {
-				return
-			}
-			if ev.Campaign == "" || ev.Campaign == id {
-				writeEventSSE(w, ev)
-				fl.Flush()
-			}
 		}
 	}
 }

@@ -1,15 +1,20 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"roadrunner/internal/campaign"
+	"roadrunner/internal/campaign/campaigntest"
 )
 
 // newTestServer mounts the coordinator API on an httptest server.
@@ -393,6 +398,109 @@ func TestHTTPUnregisteredNodeCompletesNothing(t *testing.T) {
 	}
 }
 
+// TestHTTPSlowLorisBodyIsCutOff: a client that sends a complete's
+// headers and then stalls inside its body gets a 4xx or a closed
+// connection once the body read deadline passes, and the queue does not
+// change.
+func TestHTTPSlowLorisBodyIsCutOff(t *testing.T) {
+	// Restored after the server closes: cleanups run last-in, first-out.
+	restore := bodyReadTimeout
+	t.Cleanup(func() { bodyReadTimeout = restore })
+	bodyReadTimeout = 200 * time.Millisecond
+	dir := t.TempDir()
+	co := newTestCoordinator(t, dir)
+	ts := newTestServer(t, co)
+	lease, _, id := startedRun(t, co, dir)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	body := fmt.Sprintf(`{"node":"w1","completes":[{"lease":%d,`, lease)
+	req := "POST /v1/cluster/complete HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n" +
+		"Content-Length: 4096\r\n\r\n" + body
+	if _, err := conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	// The client stalls here for good; only the server can end the wait.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * bodyReadTimeout)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := bufio.NewReader(conn).ReadString('\n')
+	t.Logf("server answered %q (err %v)", reply, err)
+	var ne net.Error
+	switch {
+	case errors.As(err, &ne) && ne.Timeout():
+		t.Fatalf("no reply within %v of a stalled body", 10*bodyReadTimeout)
+	case err == nil && !strings.HasPrefix(reply, "HTTP/1.1 4"):
+		t.Fatalf("stalled body answered %q, want a 4xx", reply)
+	}
+	if held, ok := co.queue.LeaseByID(lease); !ok || !held.Started || completed(t, co, id) != 0 {
+		t.Fatalf("stalled complete changed the lease (%+v, %v) or completed a run", held, ok)
+	}
+}
+
+// TestHTTPReorderedCompletionBatches: one node claims and starts two
+// batches, then reports the second batch before the first. Every slot is
+// accepted once, the coordinator's tallies are exact, and the merged
+// bytes equal the library reference.
+func TestHTTPReorderedCompletionBatches(t *testing.T) {
+	dir := t.TempDir()
+	co := newTestCoordinator(t, dir)
+	ts := newTestServer(t, co)
+	client := NewClient(ts.URL, "w1")
+	if err := client.Register(4); err != nil {
+		t.Fatal(err)
+	}
+	m := tinyClusterManifest()
+	m.Seeds = []uint64{1, 2}
+	id, err := co.Submit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := NewRunner(co.Store(), 1, 2, func(int) {})
+
+	var batches [2][]CompletionReport
+	for b := range batches {
+		asgs, err := client.Claims(2)
+		if err != nil || len(asgs) != 2 {
+			t.Fatalf("batch %d claim: %v %v", b+1, asgs, err)
+		}
+		leases := []campaign.LeaseID{asgs[0].Lease, asgs[1].Lease}
+		errs, err := client.StartBatch(leases)
+		if err != nil || errs[0] != nil || errs[1] != nil {
+			t.Fatalf("batch %d start: %v %v", b+1, errs, err)
+		}
+		for _, asg := range asgs {
+			batches[b] = append(batches[b], CompletionReport{Lease: asg.Lease, Outcome: runner.Run(asg)})
+		}
+	}
+	for _, b := range []int{1, 0} {
+		errs, err := client.CompleteBatch(batches[b])
+		if err != nil || errs[0] != nil || errs[1] != nil {
+			t.Fatalf("batch %d complete: %v %v", b+1, errs, err)
+		}
+	}
+	// Reporting either batch again is stale in every slot.
+	for b := range batches {
+		errs, err := client.CompleteBatch(batches[b])
+		if err != nil || !errors.Is(errs[0], campaign.ErrStaleLease) || !errors.Is(errs[1], campaign.ErrStaleLease) {
+			t.Fatalf("batch %d completed twice: %v %v", b+1, errs, err)
+		}
+	}
+	if st := co.Stats(); st != (Stats{Executed: 4, Campaigns: 1}) {
+		t.Fatalf("stats after reordered batches: %+v", st)
+	}
+	if nodes := co.Nodes(); nodes[0].Executed != 4 || nodes[0].Inflight != 0 {
+		t.Fatalf("node after reordered batches: %+v", nodes[0])
+	}
+	got := getBytes(t, ts.URL+"/v1/cluster/campaigns/"+id+"/result")
+	if want := campaigntest.LibraryReference(t, m); !bytes.Equal(got, want) {
+		t.Fatal("merged bytes after reordered batches differ from the library reference")
+	}
+}
+
 // TestHTTPEventsStreamDeliversTerminal subscribes to the merged SSE
 // stream for a campaign that finishes warm from cache: the snapshot and
 // terminal campaign event must arrive and the stream must close.
@@ -436,6 +544,95 @@ func TestHTTPEventsStreamDeliversTerminal(t *testing.T) {
 	}
 	if !strings.Contains(body.String(), `"type":"snapshot"`) {
 		t.Fatalf("stream missing snapshot: %q", body.String())
+	}
+}
+
+// TestEventStreamOrderedAndComplete drives 20 campaigns while an SSE
+// client follows each one, and checks every stream whole: it opens with
+// the snapshot, ends with the terminal campaign event and nothing after
+// it, holds one complete per run, and orders each run's protocol steps
+// as the coordinator applied them — claim, start, run(running),
+// complete, run(terminal).
+func TestEventStreamOrderedAndComplete(t *testing.T) {
+	dir := t.TempDir()
+	co := newTestCoordinator(t, dir)
+	ts := newTestServer(t, co)
+	co.RegisterNode("w1", 2)
+	runner := NewRunner(co.Store(), 1, 2, func(int) {})
+	for round := 0; round < 20; round++ {
+		m := tinyClusterManifest()
+		m.Seeds = []uint64{uint64(100 + round)} // fresh runs: no cache hits
+		id, err := co.Submit(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/cluster/campaigns/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+		var evs []Event
+		next := func() bool {
+			for sc.Scan() {
+				if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+					var ev Event
+					if err := json.Unmarshal([]byte(data), &ev); err != nil {
+						t.Fatalf("bad SSE payload %q: %v", data, err)
+					}
+					evs = append(evs, ev)
+					return true
+				}
+			}
+			return false
+		}
+		// The snapshot arrives only once the subscription is live, so no
+		// run can move before the stream follows the campaign.
+		if !next() || evs[0].Type != "snapshot" || evs[0].Status == nil {
+			t.Fatalf("campaign %s: stream does not open with a snapshot: %+v", id, evs)
+		}
+		drive(t, co, runner, "w1")
+		for next() {
+		}
+		_ = resp.Body.Close()
+
+		last := evs[len(evs)-1]
+		if last.Type != "campaign" || last.Status == nil || !last.Status.Done {
+			t.Fatalf("campaign %s: stream ends with %+v, want the terminal campaign event\n%+v", id, last, evs)
+		}
+		pos := make(map[string]map[string]int) // key -> step -> index
+		for i, ev := range evs {
+			if ev.Type == "campaign" && i != len(evs)-1 {
+				t.Fatalf("campaign %s: campaign event at %d of %d", id, i, len(evs))
+			}
+			key, step := ev.Key, ev.Type
+			if ev.Run != nil {
+				step = "run(" + string(ev.Run.State) + ")"
+				if ev.Run.State.Terminal() {
+					step = "run(terminal)"
+				}
+			}
+			if key == "" {
+				continue
+			}
+			if pos[key] == nil {
+				pos[key] = make(map[string]int)
+			}
+			if _, dup := pos[key][step]; dup {
+				t.Fatalf("campaign %s: run %.8s has two %s events", id, key, step)
+			}
+			pos[key][step] = i
+		}
+		for _, run := range evs[0].Status.Runs {
+			prev := -1
+			for _, step := range []string{"claim", "start", "run(running)", "complete", "run(terminal)"} {
+				i, ok := pos[run.Key][step]
+				if !ok || i <= prev {
+					t.Fatalf("campaign %s: run %.8s: %s missing or out of order (%v)", id, run.Key, step, pos[run.Key])
+				}
+				prev = i
+			}
+		}
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 // everything under internal/ except the analyzer itself. These are the
 // packages whose floats end up in canonical result bytes, where a
 // reassociated sum is a determinism bug, not a rounding footnote.
-// Testdata fixtures and module-less scratch packages are always in scope,
-// mirroring inScope.
+// Testdata fixtures are always in scope, mirroring inScope.
 func floatOrderInScope(pkg *Package) bool {
-	if !pkg.InModule || strings.Contains(pkg.Rel, "testdata") {
+	if strings.Contains(pkg.Rel, "testdata") {
 		return true
 	}
 	if pkg.Rel == "internal/lint" || strings.HasPrefix(pkg.Rel, "internal/lint/") {

@@ -23,21 +23,18 @@ func TestFloatOrderGood(t *testing.T) {
 
 func TestFloatOrderScope(t *testing.T) {
 	cases := []struct {
-		rel      string
-		inModule bool
-		want     bool
+		rel  string
+		want bool
 	}{
-		{"internal/core", true, true},
-		{"internal/sim", true, true},
-		{"internal/lint", true, false},
-		{"internal/lint/testdata/floatorder/bad", true, true},
-		{"cmd/roadlint", true, false},
-		{"scratch", false, true},
+		{"internal/core", true},
+		{"internal/sim", true},
+		{"internal/lint", false},
+		{"internal/lint/testdata/floatorder/bad", true},
+		{"cmd/roadlint", false},
 	}
 	for _, c := range cases {
-		pkg := &Package{Rel: c.rel, InModule: c.inModule}
-		if got := floatOrderInScope(pkg); got != c.want {
-			t.Errorf("floatOrderInScope(%q, InModule=%v) = %v, want %v", c.rel, c.inModule, got, c.want)
+		if got := floatOrderInScope(&Package{Rel: c.rel}); got != c.want {
+			t.Errorf("floatOrderInScope(%q) = %v, want %v", c.rel, got, c.want)
 		}
 	}
 }

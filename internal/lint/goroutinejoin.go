@@ -61,11 +61,11 @@ func (GoroutineJoin) Check(f *File) []Diagnostic {
 }
 
 // inScope reports whether pkg falls under one of the policed prefixes.
-// Testdata fixtures and module-less (scratch) packages are always in
-// scope: they are only ever loaded by explicit request, and the scoping
-// exists to bound tree-wide runs, not to blind the rules.
+// Testdata fixtures are always in scope: they are only ever loaded by
+// explicit request, and the scoping exists to bound tree-wide runs, not
+// to blind the rules.
 func inScope(pkg *Package, prefixes []string) bool {
-	if !pkg.InModule || strings.Contains(pkg.Rel, "testdata") {
+	if strings.Contains(pkg.Rel, "testdata") {
 		return true
 	}
 	for _, p := range prefixes {

@@ -24,23 +24,20 @@ func TestGoroutineJoinGood(t *testing.T) {
 
 func TestGoroutineJoinScope(t *testing.T) {
 	cases := []struct {
-		rel      string
-		inModule bool
-		want     bool
+		rel  string
+		want bool
 	}{
-		{"internal/core", true, true},
-		{"internal/campaign/store", true, true},
-		{"internal/ml", true, true},
-		{"cmd/roadlint", true, true},
-		{"internal/trace", true, false},
-		{"internal/lint", true, false},
-		{"internal/lint/testdata/goroutinejoin/bad", true, true},
-		{"scratch", false, true},
+		{"internal/core", true},
+		{"internal/campaign/store", true},
+		{"internal/ml", true},
+		{"cmd/roadlint", true},
+		{"internal/trace", false},
+		{"internal/lint", false},
+		{"internal/lint/testdata/goroutinejoin/bad", true},
 	}
 	for _, c := range cases {
-		pkg := &Package{Rel: c.rel, InModule: c.inModule}
-		if got := inScope(pkg, goroutineJoinScope); got != c.want {
-			t.Errorf("inScope(%q, InModule=%v) = %v, want %v", c.rel, c.inModule, got, c.want)
+		if got := inScope(&Package{Rel: c.rel}, goroutineJoinScope); got != c.want {
+			t.Errorf("inScope(%q) = %v, want %v", c.rel, got, c.want)
 		}
 	}
 }

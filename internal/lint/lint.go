@@ -63,13 +63,8 @@ type Package struct {
 	// Rel is Dir relative to the enclosing module root (slash-separated,
 	// "." for the root package). Analyzers use it for path-scoped rules
 	// such as detrand's internal/sim exemption.
-	Rel string
-	// InModule records whether the package was loaded through a module
-	// graph. Path-scoped rules treat module-less packages (and testdata
-	// fixtures) as always in scope, so scratch fixtures exercise every
-	// rule family.
-	InModule bool
-	Files    []*File
+	Rel   string
+	Files []*File
 	// Info holds partial type information: identifiers and expressions
 	// whose types involve imported packages may be unresolved. Never nil.
 	Info *types.Info

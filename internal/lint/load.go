@@ -16,25 +16,23 @@ import (
 )
 
 // Load resolves package patterns into parsed, type-checked packages. A
-// pattern is either a directory, a single .go file, or a go-tool-style
-// recursive pattern ending in "/..." (the bare "./..." lints everything
-// under the current directory). Test files (_test.go) and the directories
-// the go tool ignores (testdata, vendor, and names starting with "." or
-// "_") are skipped: the determinism contract governs simulation code,
-// while tests are free to use stdlib rand for testing/quick interop and
-// wall-clock timing.
+// pattern is either a directory or a go-tool-style recursive pattern
+// ending in "/..." (the bare "./..." lints everything under the current
+// directory); a .go file or a directory outside any Go module is a load
+// error. Test files (_test.go) and the directories the go tool ignores
+// (testdata, vendor, and names starting with "." or "_") are skipped: the
+// determinism contract governs simulation code, while tests are free to
+// use stdlib rand for testing/quick interop and wall-clock timing.
 //
-// Packages inside a Go module are type-checked against the whole module
-// graph: every package of the module is parsed once and checked in import
-// dependency order, so cross-package types — *sim.RNG receivers,
-// sync.WaitGroup fields, map types declared two packages away — resolve
-// exactly. Imports outside the module (the standard library) come from
-// compiled export data via go/importer, with an empty stub as the last
-// resort, so analysis still never requires the lint target to build.
-// Directories outside any module fall back to the historical best-effort
-// per-package check with stub imports.
+// Packages are type-checked against the whole module graph: every
+// package of the module is parsed once and checked in import dependency
+// order, so cross-package types — *sim.RNG receivers, sync.WaitGroup
+// fields, map types declared two packages away — resolve exactly. Imports
+// outside the module (the standard library) come from compiled export
+// data via go/importer, with an empty stub as the last resort, so
+// analysis still never requires the lint target to build.
 func Load(patterns ...string) ([]*Package, error) {
-	dirs, singles, err := expand(patterns)
+	dirs, err := expand(patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -48,20 +46,11 @@ func Load(patterns ...string) ([]*Package, error) {
 			pkgs = append(pkgs, pkg)
 		}
 	}
-	for _, file := range singles {
-		pkg, err := loadSingleFile(file)
-		if err != nil {
-			return nil, err
-		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
-	}
 	return pkgs, nil
 }
 
-// expand splits patterns into package directories and single files.
-func expand(patterns []string) (dirs, singles []string, err error) {
+// expand resolves patterns into package directories.
+func expand(patterns []string) (dirs []string, err error) {
 	seen := make(map[string]bool)
 	addDir := func(d string) {
 		d = filepath.Clean(d)
@@ -94,22 +83,20 @@ func expand(patterns []string) (dirs, singles []string, err error) {
 				return nil
 			})
 			if walkErr != nil {
-				return nil, nil, fmt.Errorf("lint: walk %s: %w", pat, walkErr)
+				return nil, fmt.Errorf("lint: walk %s: %w", pat, walkErr)
 			}
-		case strings.HasSuffix(pat, ".go"):
-			singles = append(singles, pat)
 		default:
 			info, statErr := os.Stat(pat)
 			if statErr != nil {
-				return nil, nil, fmt.Errorf("lint: %w", statErr)
+				return nil, fmt.Errorf("lint: %w", statErr)
 			}
 			if !info.IsDir() {
-				return nil, nil, fmt.Errorf("lint: %s is neither a directory nor a .go file", pat)
+				return nil, fmt.Errorf("lint: %s is not a directory (patterns name packages, not files)", pat)
 			}
 			addDir(pat)
 		}
 	}
-	return dirs, singles, nil
+	return dirs, nil
 }
 
 // skipDirName reports whether a directory name is one the go tool ignores.
@@ -137,8 +124,8 @@ func lintable(e os.DirEntry) bool {
 		!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".")
 }
 
-// loadPackageDir loads one requested directory, through the module graph
-// when the directory sits inside a Go module.
+// loadPackageDir loads one requested directory through the graph of the
+// module it sits in.
 func loadPackageDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -146,36 +133,13 @@ func loadPackageDir(dir string) (*Package, error) {
 	}
 	root := findModuleRoot(abs)
 	if root == "" {
-		fset := token.NewFileSet()
-		return loadDirStub(fset, dir)
+		return nil, fmt.Errorf("lint: %s is outside any Go module", dir)
 	}
 	mod, err := getModule(root)
 	if err != nil {
 		return nil, err
 	}
 	return mod.packageFor(dir, abs)
-}
-
-// loadSingleFile loads one .go file as its own single-file package, with
-// module-graph imports when the file sits inside a module.
-func loadSingleFile(file string) (*Package, error) {
-	dir := filepath.Dir(file)
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	root := findModuleRoot(abs)
-	if root == "" {
-		fset := token.NewFileSet()
-		return loadFilesStub(fset, dir, []string{file})
-	}
-	mod, err := getModule(root)
-	if err != nil {
-		return nil, err
-	}
-	mod.mu.Lock()
-	defer mod.mu.Unlock()
-	return mod.checkFiles(dir, relOf(root, abs), []string{file})
 }
 
 // ---------------------------------------------------------------------------
@@ -196,8 +160,8 @@ type module struct {
 	fallback types.Importer            // export-data importer for non-module imports
 
 	// mu guards typed and extra for post-build on-demand loads (testdata
-	// fixtures, single files): the build itself runs single-threaded under
-	// the registry lock.
+	// fixtures): the build itself runs single-threaded under the registry
+	// lock.
 	mu    sync.Mutex
 	extra map[string]*Package // on-demand packages by absolute dir
 }
@@ -312,7 +276,6 @@ func (m *module) parseDir(dir, rel string) (*rawPkg, error) {
 		return nil, err
 	}
 	raw := &rawPkg{rel: rel, pkg: newPackage(dir, rel)}
-	raw.pkg.InModule = true
 	depSet := make(map[string]bool)
 	for _, p := range paths {
 		f, err := m.parseInto(raw.pkg, p)
@@ -394,7 +357,6 @@ func (m *module) checkFiles(dir, rel string, paths []string) (*Package, error) {
 		return nil, nil
 	}
 	pkg := newPackage(dir, rel)
-	pkg.InModule = true
 	var asts []*ast.File
 	for _, p := range paths {
 		f, err := m.parseInto(pkg, p)
@@ -524,60 +486,6 @@ func newPackage(dir, rel string) *Package {
 			Implicits:  make(map[ast.Node]types.Object),
 		},
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Module-less fallback (directories outside any go.mod)
-// ---------------------------------------------------------------------------
-
-func loadDirStub(fset *token.FileSet, dir string) (*Package, error) {
-	paths, err := lintablePaths(dir)
-	if err != nil {
-		return nil, err
-	}
-	return loadFilesStub(fset, dir, paths)
-}
-
-func loadFilesStub(fset *token.FileSet, dir string, paths []string) (*Package, error) {
-	if len(paths) == 0 {
-		return nil, nil
-	}
-	pkg := newPackage(dir, filepath.ToSlash(filepath.Clean(dir)))
-	var asts []*ast.File
-	for _, path := range paths {
-		parsed, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		f := &File{Path: path, Fset: fset, AST: parsed, Pkg: pkg}
-		f.buildAllowIndex()
-		pkg.Files = append(pkg.Files, f)
-		asts = append(asts, parsed)
-	}
-	conf := types.Config{
-		Error:       func(error) {},
-		Importer:    stubImporter{pkgs: make(map[string]*types.Package)},
-		FakeImportC: true,
-	}
-	_, _ = conf.Check(dir, fset, asts, pkg.Info)
-	return pkg, nil
-}
-
-// stubImporter satisfies go/types imports with empty placeholder packages
-// so module-less analysis never needs export data — the price is that
-// imported symbols stay unresolved, which analyzers must tolerate.
-type stubImporter struct {
-	pkgs map[string]*types.Package
-}
-
-func (s stubImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := s.pkgs[path]; ok {
-		return pkg, nil
-	}
-	pkg := types.NewPackage(path, pathBase(path))
-	pkg.MarkComplete()
-	s.pkgs[path] = pkg
-	return pkg, nil
 }
 
 func pathBase(path string) string {

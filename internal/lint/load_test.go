@@ -18,9 +18,6 @@ func TestLoadResolvesCrossPackageTypes(t *testing.T) {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
 	pkg := pkgs[0]
-	if !pkg.InModule {
-		t.Fatal("fixture under the module root should be marked InModule")
-	}
 	found := false
 	for _, obj := range pkg.Info.Defs {
 		if obj != nil && isRNGType(obj.Type()) {

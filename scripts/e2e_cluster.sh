@@ -5,7 +5,9 @@
 # mid-campaign, and asserts the cluster recovers — the campaign finishes
 # with zero failures, the dead node is reported dead, and the merged
 # canonical result is byte-identical to a reference run on a default-mode
-# daemon (the coordinator with only its in-process node).
+# daemon (the coordinator with only its in-process node). A `roadctl
+# watch` started right after the submission must end with the terminal
+# campaign event.
 #
 # The coordinator runs with an aggressive snapshot-compaction threshold
 # and an admission cap, so the scenario additionally asserts that
@@ -115,6 +117,11 @@ W2_PID="$(start_worker w2 4)"
 ID="$("$WORK/roadctl" -addr "$CO_BASE" submit -f <(printf '%s' "$MANIFEST") | extract_id)"
 [ -n "$ID" ] || fail "cluster submission returned no campaign id"
 
+# Follow the campaign's event stream from the start; it must end with the
+# terminal campaign event however the worker kill below reorders the work.
+"$WORK/roadctl" -addr "$CO_BASE" watch "$ID" >"$WORK/watch.out" 2>&1 &
+WATCH_PID=$!; PIDS+=("$WATCH_PID")
+
 for _ in $(seq 1 200); do
     grep -q "worker w2: done" "$WORK/w2.log" && break
     kill -0 "$W2_PID" 2>/dev/null || { cat "$WORK/w2.log" >&2; fail "worker w2 exited before completing a run"; }
@@ -155,6 +162,16 @@ SURVIVORS="$(grep -c '"alive": *true' "$WORK/nodes.json" || true)"
 "$WORK/roadctl" -addr "$CO_BASE" result -o "$WORK/cluster.bytes" "$ID"
 cmp -s "$WORK/reference.bytes" "$WORK/cluster.bytes" \
     || fail "cluster merged result differs from the reference ($(wc -c <"$WORK/reference.bytes") vs $(wc -c <"$WORK/cluster.bytes") bytes)"
+
+# The watch returned when the stream closed, and its last line is the
+# terminal campaign event.
+for _ in $(seq 1 50); do
+    kill -0 "$WATCH_PID" 2>/dev/null || break
+    sleep 0.1
+done
+kill -0 "$WATCH_PID" 2>/dev/null && { cat "$WORK/watch.out" >&2; fail "roadctl watch still running after the campaign finished"; }
+tail -1 "$WORK/watch.out" | grep '"type":"campaign"' | grep -q '"done":true' \
+    || { tail -3 "$WORK/watch.out" >&2; fail "event stream does not end with the terminal campaign event"; }
 
 # --- Snapshot compaction evidence. -----------------------------------------
 # The ~32-entry campaign crossed the 16-entry threshold at least once:
