@@ -1,7 +1,7 @@
 // Command roadctl is the operator CLI for any roadrunnerd that is not a
 // joined worker — with or without -cluster, every daemon is a coordinator
 // and serves the same API: submit campaign manifests, inspect campaign and
-// fleet status, follow the merged progress stream, and fetch merged
+// fleet status, follow the progress stream, and fetch merged
 // canonical results. It speaks the /v1/cluster/ prefix.
 //
 // Usage:
@@ -169,7 +169,7 @@ func (c *client) nodes() error {
 	return c.pipe(resp)
 }
 
-// watch follows the campaign's merged SSE stream, printing one event
+// watch follows the campaign's SSE stream, printing one event
 // per line until the stream closes (the campaign's terminal event).
 func (c *client) watch(args []string) error {
 	if len(args) < 1 {
