@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/channel/ -run '^$$' -fuzz '^FuzzParseChannelTrace$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint/ -run '^$$' -fuzz '^FuzzParseAllow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mobility/ -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzSkipNormFloat64$$' -fuzztime $(FUZZTIME)
 
 # determinism re-runs the reproducibility tests on their own, so a
 # regression fails CI under an unambiguous step name. The first line holds
@@ -76,7 +77,8 @@ fuzz-smoke:
 # sparse conv backward, the first layer's skipped input gradient and the
 # batched forward kernels to their oracles bit for bit. The world line holds
 # what a run reads of its world — traces cut at its horizon, each vehicle's
-# data drawn on first read — to the eagerly built world and its goldens.
+# data drawn on first read — to the eagerly built world and its goldens,
+# and sim.RNG's normal sampler to math/rand's on a twin stream.
 # The conformance line holds every strategy to same-seed byte identity and
 # the collector strategies (OPP, RSU-assisted) to their digest golden.
 determinism:

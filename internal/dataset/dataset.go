@@ -107,7 +107,11 @@ func (g *Generator) makePrototype(rng *sim.RNG) []float32 {
 			phase := rng.Range(0, 2*math.Pi)
 			for y := 0; y < cfg.H; y++ {
 				for x := 0; x < cfg.W; x++ {
-					v := amp * math.Sin(2*math.Pi*(fx*float64(x)+fy*float64(y))+phase)
+					// The explicit conversions here and at every
+					// float64(a*b) in this package round each product,
+					// so no GOARCH fuses it into a multiply-add and the
+					// bytes stay amd64's.
+					v := amp * math.Sin(float64(2*math.Pi*(float64(fx*float64(x))+float64(fy*float64(y))))+phase)
 					plane[y*cfg.W+x] += float32(v)
 				}
 			}
@@ -126,7 +130,7 @@ func normalize(plane []float32) {
 	var variance float64
 	for _, v := range plane {
 		d := float64(v) - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
 	variance /= float64(len(plane))
 	std := math.Sqrt(variance)
@@ -152,8 +156,10 @@ func (g *Generator) Sample(class int, rng *sim.RNG) (ml.Example, error) {
 	return ml.Example{X: x, Label: class}, nil
 }
 
-// Skip advances rng past one Sample of class: it makes exactly the draw
-// calls Sample makes and builds no image.
+// Skip advances rng past one Sample of class: it leaves rng exactly where
+// Sample leaves it and builds no image. The pixel noise is skipped with
+// sim.RNG.SkipNormFloat64, which runs the normal sampler's accept test on
+// the stream counter and computes no value.
 func (g *Generator) Skip(class int, rng *sim.RNG) error {
 	if err := g.check(class, rng); err != nil {
 		return err
@@ -185,9 +191,7 @@ func (g *Generator) draw(class int, rng *sim.RNG, x []float32) {
 	}
 	brightness := float32(rng.Range(0.8, 1.2))
 	if x == nil {
-		for i := cfg.Dim(); i > 0; i-- {
-			rng.NormFloat64()
-		}
+		rng.SkipNormFloat64(cfg.Dim())
 		return
 	}
 	proto := g.protos[class]
@@ -202,7 +206,7 @@ func (g *Generator) draw(class int, rng *sim.RNG, x []float32) {
 			dst := x[base+y*cfg.W:][:cfg.W]
 			sx := sx0
 			for xx := range dst {
-				dst[xx] = src[sx]*brightness + float32(rng.NormFloat64()*cfg.NoiseStd)
+				dst[xx] = float32(src[sx]*brightness) + float32(rng.NormFloat64()*cfg.NoiseStd)
 				if sx++; sx == cfg.W {
 					sx = 0
 				}
@@ -241,7 +245,8 @@ type Pool struct {
 // Walk advances rng exactly as Balanced(n, rng) does and returns the pool
 // that call would have drawn, undrawn. Walking is sequential: rejection
 // sampling in the noise and shift draws makes an example's length in the
-// stream known only once it has been walked.
+// stream known only once it has been walked. Its cost is one Skip per
+// example, almost all of it the skipped noise draws (BenchmarkPoolWalk).
 func (g *Generator) Walk(n int, rng *sim.RNG) (*Pool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dataset: non-positive sample count %d", n)

@@ -471,3 +471,23 @@ func BenchmarkSample(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPoolWalk walks a fleet-sim sized pool (DefaultConfig, 80 000
+// examples: 1 000 vehicles × 80) and reports the cost per normal draw the
+// walk skips, the walk's dominant work.
+func BenchmarkPoolWalk(b *testing.B) {
+	const n = 80_000
+	g, err := NewGenerator(DefaultConfig(), sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Walk(n, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	draws := float64(b.N) * n * float64(DefaultConfig().Dim())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/draws, "ns/draw")
+}

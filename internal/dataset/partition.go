@@ -214,7 +214,7 @@ func partitionDirichlet(labels []int, agents, perAgent int, alpha float64, rng *
 		// Draw target counts per class, then fill, falling back to any
 		// class with remaining samples when one runs dry.
 		for c, idx := range byClass {
-			want := int(props[c]*float64(perAgent) + 0.5)
+			want := int(float64(props[c]*float64(perAgent)) + 0.5)
 			for n := 0; n < want && len(subset) < perAgent && cursor[c] < len(idx); n++ {
 				subset = append(subset, idx[cursor[c]])
 				cursor[c]++
@@ -280,16 +280,16 @@ func gammaDraw(rng *sim.RNG, shape float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

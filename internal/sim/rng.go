@@ -14,7 +14,8 @@ import (
 // strategy change can be evaluated against an otherwise identical run.
 //
 // RNG embeds the stdlib rand.Rand over a SplitMix64 source, inheriting the
-// full convenience API (Float64, Intn, Perm, Shuffle, NormFloat64, ...).
+// full convenience API (Float64, Intn, Perm, Shuffle, ...). Its own
+// NormFloat64 (normal.go) returns exactly what rand.Rand's would, faster.
 // RNG is not safe for concurrent use; fork per goroutine instead.
 type RNG struct {
 	*rand.Rand
@@ -57,7 +58,7 @@ func (r *RNG) Bool(p float64) bool {
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64()) // rounded: no fused multiply-add
 }
 
 // splitMix64 is the SplitMix64 generator (Steele, Lea & Flood 2014): tiny
@@ -68,9 +69,17 @@ type splitMix64 struct {
 
 var _ rand.Source64 = (*splitMix64)(nil)
 
+// gamma is SplitMix64's increment: a draw advances the state by gamma and
+// returns mix of the new state, so a stream position is a counter.
+const gamma = 0x9e3779b97f4a7c15
+
 func (s *splitMix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
+	s.state += gamma
+	return mix(s.state)
+}
+
+// mix is SplitMix64's output function.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
