@@ -685,3 +685,102 @@ func TestDrivenCampaignJournalHoldsOnlyManifest(t *testing.T) {
 	}
 	assertJournalIsManifest(t, co, id)
 }
+
+// TestRequestWorkLevelsGrants pins the grant rule: a request takes runs
+// from the queue head, in queue order, and a node may run at most one
+// lifetime grant ahead of every other alive peer with a free slot. Dead
+// and saturated peers hold nothing back; with no such peer a request
+// takes up to max and the node's free capacity.
+func TestRequestWorkLevelsGrants(t *testing.T) {
+	m := tinyClusterManifest()
+	m.Seeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8} // 16 runs
+	setup := func(t *testing.T) *Coordinator {
+		t.Helper()
+		co := newTestCoordinator(t, t.TempDir())
+		if _, err := co.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+		return co
+	}
+	// request asks for max runs and checks that exactly want of them came
+	// back, taken in order from the head of the queue.
+	request := func(t *testing.T, co *Coordinator, name string, max, want int) {
+		t.Helper()
+		head := co.queue.PendingFront(-1)
+		asgs, err := co.RequestWork(name, max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(asgs) != want {
+			t.Fatalf("%s asked for %d: granted %d, want %d", name, max, len(asgs), want)
+		}
+		for i, asg := range asgs {
+			if asg.Ref != head[i].Ref {
+				t.Fatalf("%s grant %d is %s, want the queue's #%d %s", name, i, asg.Ref, i, head[i].Ref)
+			}
+		}
+	}
+
+	t.Run("one-ahead-of-an-idle-peer-waits", func(t *testing.T) {
+		co := setup(t)
+		co.RegisterNode("w1", 2)
+		co.RegisterNode("w2", 2)
+		request(t, co, "w1", 2, 1)
+		request(t, co, "w1", 2, 0)
+		request(t, co, "w2", 2, 2)
+		request(t, co, "w1", 2, 1)
+	})
+
+	t.Run("several-ahead-gets-nothing-and-drains-nothing", func(t *testing.T) {
+		co := setup(t)
+		co.RegisterNode("w1", 8)
+		request(t, co, "w1", 3, 3)
+		co.RegisterNode("w2", 8)
+		before := co.Stats().Pending
+		request(t, co, "w1", 8, 0)
+		if after := co.Stats().Pending; after != before {
+			t.Fatalf("a deferred request moved the queue: %d pending before, %d after", before, after)
+		}
+	})
+
+	t.Run("saturated-peer-holds-nothing-back", func(t *testing.T) {
+		co := setup(t)
+		co.RegisterNode("w1", 4)
+		co.RegisterNode("w2", 1)
+		request(t, co, "w1", 1, 1)
+		request(t, co, "w2", 1, 1) // w2 is now full
+		request(t, co, "w1", 4, 3)
+	})
+
+	t.Run("dead-peer-holds-nothing-back", func(t *testing.T) {
+		co := setup(t)
+		co.RegisterNode("w1", 3)
+		co.RegisterNode("w2", 3)
+		for i := 0; i < 6; i++ {
+			co.Advance()
+			if err := co.Heartbeat("w1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range co.Nodes() {
+			if n.Name == "w2" && n.Alive {
+				t.Fatal("w2 still alive after a lease TTL of silence")
+			}
+		}
+		request(t, co, "w1", 8, 3) // no qualifying peer: up to capacity
+	})
+
+	t.Run("one-request-takes-the-gap-or-capacity", func(t *testing.T) {
+		co := setup(t)
+		co.RegisterNode("w1", 4)
+		request(t, co, "w1", 3, 3) // no peer: up to max
+		co.RegisterNode("w2", 8)
+		request(t, co, "w2", 8, 4) // w1 has 3 grants: w2 may reach 4
+		request(t, co, "w2", 8, 0)
+		for _, n := range co.Nodes() {
+			if want := map[string]int{"w1": 3, "w2": 4}[n.Name]; n.Granted != want {
+				t.Fatalf("%s granted %d, want %d", n.Name, n.Granted, want)
+			}
+		}
+	})
+}
