@@ -82,7 +82,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	resume := fs.Bool("resume", false, "resume journaled campaigns at startup")
 	pprofEnabled := fs.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	clusterMode := fs.Bool("cluster", false, "run no in-process node: the coordinator alone, workers join")
-	policyName := fs.String("policy", "round-robin", "routing policy: round-robin, least-loaded, config-affinity")
 	leaseTTL := fs.Int("lease-ttl", 6, "lease TTL in logical ticks")
 	stealAfter := fs.Int("steal-after", 3, "ticks an unstarted claim may idle before it is stealable")
 	maxOutstanding := fs.Int("max-outstanding", 0, "admission cap on unfinished runs; submits past it get 429 (0 = uncapped)")
@@ -117,13 +116,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 
-	policy, err := cluster.PolicyByName(*policyName)
-	if err != nil {
-		return err
-	}
 	co, err := cluster.NewCoordinator(cluster.Options{
 		Store:          store,
-		Policy:         policy,
 		LeaseTTL:       campaign.Tick(*leaseTTL),
 		StealAfter:     campaign.Tick(*stealAfter),
 		MaxOutstanding: *maxOutstanding,
@@ -133,7 +127,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	defer co.Close()
-	fmt.Fprintf(out, "roadrunnerd: coordinator up (policy %s, lease TTL %d ticks)\n", policy.Name(), *leaseTTL)
+	fmt.Fprintf(out, "roadrunnerd: coordinator up (lease TTL %d ticks)\n", *leaseTTL)
 	if *resume {
 		n, err := resumeJournaled(co, out)
 		if err != nil {

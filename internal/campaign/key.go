@@ -66,23 +66,6 @@ func (r RunSpec) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// GroupKey returns the run's world group: the hash of the configuration
-// fields that determine its world (core.WorldKeyJSON — road network, fleet,
-// data and the seed; not the strategy, the fault plan or the channels).
-// The runs of a group are the strategy × scenario cells of one
-// (environment, seed), and a process that executes them back to back
-// builds their world once, which is the locality the cluster's
-// config-affinity routing policy keys on. Group membership never affects
-// result bytes; it is purely a placement hint.
-func (r RunSpec) GroupKey() (string, error) {
-	b, err := core.WorldKeyJSON(r.Config)
-	if err != nil {
-		return "", fmt.Errorf("campaign: group key: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8]), nil
-}
-
 // Execute validates the spec, builds a fresh strategy instance, and runs
 // the experiment to completion.
 func (r RunSpec) Execute() (*core.Result, error) {

@@ -121,58 +121,3 @@ func TestCanonicalBytesVersioned(t *testing.T) {
 		t.Fatalf("canonical spec bytes lack the format version prefix:\n%s", b[:80])
 	}
 }
-
-// TestGroupKeyFollowsTheWorld: a group is the set of runs that share a
-// world — same environment and seed, any strategy or fault plan.
-func TestGroupKeyFollowsTheWorld(t *testing.T) {
-	group := func(s RunSpec) string {
-		t.Helper()
-		g, err := s.GroupKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	base := group(tinySpec(1))
-	if len(base) != 16 {
-		t.Fatalf("group key %q is not 8 hex-encoded bytes", base)
-	}
-
-	otherStrat := tinySpec(1)
-	otherStrat.Strategy = StrategySpec{Kind: "opp", Rounds: 2}
-	faulted := tinySpec(1)
-	plan, err := faults.ScenarioPlan(faults.ScenarioBlackout, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulted.Config.Faults = &plan
-	lossy := tinySpec(1)
-	lossy.Config.Comm.V2C.DropProb = 0.25
-	// A horizon that does not end the run before the traces leaves the
-	// world as it is.
-	atFleet := tinySpec(1)
-	atFleet.Config.Horizon = atFleet.Config.Fleet.Horizon
-	pastFleet := tinySpec(1)
-	pastFleet.Config.Horizon = 2 * pastFleet.Config.Fleet.Horizon
-	for name, s := range map[string]RunSpec{
-		"strategy": otherStrat, "fault plan": faulted, "comm": lossy,
-		"horizon to the fleet's": atFleet, "horizon past the fleet's": pastFleet,
-	} {
-		if group(s) != base {
-			t.Errorf("changing only the %s left the world group", name)
-		}
-	}
-
-	fleet := tinySpec(1)
-	fleet.Config.Fleet.Vehicles++
-	data := tinySpec(1)
-	data.Config.Partition.PerAgent *= 2
-	// A horizon below the fleet's cuts the traces there.
-	short := tinySpec(1)
-	short.Config.Horizon = short.Config.Fleet.Horizon - 1
-	for name, s := range map[string]RunSpec{"seed": tinySpec(2), "fleet": fleet, "partition": data, "horizon below the fleet's": short} {
-		if group(s) == base {
-			t.Errorf("changing the %s kept the world group", name)
-		}
-	}
-}

@@ -139,13 +139,14 @@ func TestClusterMidRunCrashRecovers(t *testing.T) {
 
 // TestClusterStealFromStalledNode stalls a node sitting on an unstarted
 // backlog claim; an idle survivor must steal it instead of waiting for
-// lease expiry. ConfigAffinity grants up to capacity per round, which is
-// what builds the stealable backlog.
+// lease expiry. The backlog comes from the topology: w2 has four slots
+// while its peers have one each, so once w1 and w3 are full w2 claims
+// past them.
 func TestClusterStealFromStalledNode(t *testing.T) {
 	m := chaosManifest(1, 2, 3)
 	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
-		Policy: cluster.ConfigAffinity{},
+		Nodes: []NodeConfig{{Name: "w1", Capacity: 1}, {Name: "w3", Capacity: 1}, {Name: "w2", Capacity: 4}},
 		Script: Script{
 			{On: Trigger{Event: "claim", N: 1, Node: "w2"}, Do: Stall{Node: "w2", Rounds: 8}},
 		},
@@ -224,20 +225,6 @@ func TestClusterChaosScriptReproducible(t *testing.T) {
 		if logs[0][i] != logs[1][i] {
 			t.Fatalf("assertion path diverged at line %d: %q vs %q", i, logs[0][i], logs[1][i])
 		}
-	}
-}
-
-// TestClusterPolicySweep runs the same fault-free campaign under every
-// routing policy: routing changes who executes what, never the merged
-// bytes.
-func TestClusterPolicySweep(t *testing.T) {
-	m := chaosManifest(1, 2)
-	want := campaigntest.LibraryReference(t, m)
-	for _, pol := range []cluster.Policy{cluster.RoundRobin{}, cluster.LeastLoaded{}, cluster.ConfigAffinity{}} {
-		t.Run(pol.Name(), func(t *testing.T) {
-			h, id := runCluster(t, m, Config{Policy: pol})
-			assertHealthyFinish(t, h, id, want)
-		})
 	}
 }
 

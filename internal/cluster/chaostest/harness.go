@@ -133,8 +133,6 @@ type Config struct {
 	// Dir is the shared store directory (the cluster's durable tier).
 	Dir   string
 	Nodes []NodeConfig
-	// Policy routes claims; nil selects round-robin.
-	Policy cluster.Policy
 	// LeaseTTL and StealAfter follow cluster.Options; <= 0 selects the
 	// harness defaults 4 and 2.
 	LeaseTTL   campaign.Tick
@@ -223,7 +221,7 @@ func New(cfg Config) (*Harness, error) {
 		steal = 2
 	}
 	opts := cluster.Options{
-		Store: store, Policy: cfg.Policy, LeaseTTL: ttl, StealAfter: steal,
+		Store: store, LeaseTTL: ttl, StealAfter: steal,
 		CompactEvery: cfg.CompactEvery, MaxOutstanding: cfg.MaxOutstanding,
 	}
 	co, err := cluster.NewCoordinator(opts)

@@ -2,8 +2,8 @@
 // durable work queue (campaign.Queue), the campaign journals, and the
 // shared result store; nodes — a daemon's in-process node, joined
 // roadrunnerd worker processes, or both — register, heartbeat, claim runs
-// through a pluggable routing policy, execute them against the shared
-// store, and report outcomes, all through the same Worker loop.
+// from the head of the queue, execute them against the shared store, and
+// report outcomes, all through the same Worker loop.
 //
 // The design leans on two existing invariants instead of inventing new
 // distributed-consensus machinery:

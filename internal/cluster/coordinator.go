@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,9 +19,6 @@ type Options struct {
 	// Store is the shared result tier. Required: the queue log and
 	// campaign journals live inside it.
 	Store *campaign.Store
-	// Policy routes pending runs to requesting nodes; nil selects
-	// RoundRobin.
-	Policy Policy
 	// LeaseTTL is how many ticks a claim stays live without a heartbeat;
 	// <= 0 selects 5. A node that misses LeaseTTL ticks of heartbeats is
 	// also marked dead.
@@ -65,7 +61,6 @@ type node struct {
 	granted  int
 	executed int
 	cached   int
-	groups   map[string]bool
 }
 
 // runningCampaign binds a submitted campaign to its outstanding work.
@@ -74,14 +69,12 @@ type runningCampaign struct {
 	// byRef maps each queue ref to the campaign run indices it resolves
 	// (duplicate specs inside one manifest share a ref).
 	byRef map[string][]int
-	// groups caches each ref's world-group fingerprint for routing.
-	groups map[string]string
 	// remaining counts refs not yet terminal; 0 means the campaign is done.
 	remaining int
 }
 
 // Coordinator owns the cluster's control plane: the durable queue,
-// campaign journals, node liveness, routing, and the event stream. All
+// campaign journals, node liveness, grants, and the event stream. All
 // methods are safe for concurrent use. Mutations collect events under the
 // lock and hand them to subscribers before releasing it, so every
 // subscription sees them in lock order; observers run after the lock is
@@ -90,7 +83,6 @@ type runningCampaign struct {
 type Coordinator struct {
 	store          *campaign.Store
 	queue          *campaign.Queue
-	policy         Policy
 	leaseTTL       campaign.Tick
 	stealAfter     campaign.Tick
 	maxOutstanding int
@@ -136,10 +128,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol := opts.Policy
-	if pol == nil {
-		pol = RoundRobin{}
-	}
 	ttl := opts.LeaseTTL
 	if ttl <= 0 {
 		ttl = 5
@@ -165,7 +153,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	return &Coordinator{
 		store:          opts.Store,
 		queue:          q,
-		policy:         pol,
 		leaseTTL:       ttl,
 		stealAfter:     steal,
 		maxOutstanding: opts.MaxOutstanding,
@@ -189,9 +176,6 @@ func (co *Coordinator) Store() *campaign.Store { return co.store }
 // open: whether a snapshot seeded the replay and how much log tail was
 // replayed on top of it.
 func (co *Coordinator) QueueReplayStats() campaign.ReplayStats { return co.queue.ReplayStats() }
-
-// Policy returns the active routing policy's name.
-func (co *Coordinator) Policy() string { return co.policy.Name() }
 
 // Now returns the current logical tick.
 func (co *Coordinator) Now() campaign.Tick {
@@ -355,11 +339,7 @@ func (co *Coordinator) submit(id string, m campaign.Manifest) error {
 		co.mu.Unlock()
 		return fmt.Errorf("cluster: campaign %s already registered", id)
 	}
-	rc := &runningCampaign{
-		c:      c,
-		byRef:  make(map[string][]int),
-		groups: make(map[string]string),
-	}
+	rc := &runningCampaign{c: c, byRef: make(map[string][]int)}
 	specs := c.Specs()
 	keys := c.Keys()
 
@@ -376,12 +356,6 @@ func (co *Coordinator) submit(id string, m campaign.Manifest) error {
 		if !first {
 			continue
 		}
-		group, err := spec.GroupKey()
-		if err != nil {
-			co.mu.Unlock()
-			return err
-		}
-		rc.groups[ref] = group
 		if res, _ := co.store.Get(keys[i]); res != nil {
 			cachedRuns = append(cachedRuns, i)
 			continue
@@ -485,7 +459,7 @@ func (co *Coordinator) RegisterNode(name string, capacity int) {
 	co.mu.Lock()
 	n, ok := co.nodes[name]
 	if !ok {
-		n = &node{name: name, groups: make(map[string]bool)}
+		n = &node{name: name}
 		co.nodes[name] = n
 	}
 	n.capacity = capacity
@@ -516,54 +490,15 @@ func (co *Coordinator) Heartbeat(name string) error {
 	return nil
 }
 
-// nodeStatsLocked projects the fleet for the routing policy, sorted by
-// name so policies see a deterministic view.
-func (co *Coordinator) nodeStatsLocked() []NodeStats {
-	names := make([]string, 0, len(co.nodes))
-	for name := range co.nodes {
-		names = append(names, name)
+// sortedNodesLocked lists the registered nodes sorted by name, so every
+// walk over the fleet sees the same order.
+func (co *Coordinator) sortedNodesLocked() []*node {
+	out := make([]*node, 0, len(co.nodes))
+	for _, n := range co.nodes {
+		out = append(out, n)
 	}
-	sort.Strings(names)
-	stats := make([]NodeStats, len(names))
-	for i, name := range names {
-		n := co.nodes[name]
-		groups := make([]string, 0, len(n.groups))
-		for g := range n.groups {
-			groups = append(groups, g)
-		}
-		sort.Strings(groups)
-		stats[i] = NodeStats{
-			Name: n.name, Alive: n.alive,
-			Inflight: n.inflight, Capacity: n.capacity,
-			Granted: n.granted, Executed: n.executed, Cached: n.cached,
-			Groups: groups,
-		}
-	}
-	return stats
-}
-
-// pendingWindow bounds the queue projection handed to routing policies:
-// policies rank claimable work from the front of the queue, and at
-// 10^5-deep backlogs a full O(n) snapshot per work request would swamp
-// the control plane for no routing benefit.
-const pendingWindow = 1024
-
-// pendingRunsLocked projects up to pendingWindow queued runs for the
-// routing policy.
-func (co *Coordinator) pendingRunsLocked() []PendingRun {
-	items := co.queue.PendingFront(pendingWindow)
-	out := make([]PendingRun, len(items))
-	for i, it := range items {
-		out[i] = PendingRun{Ref: it.Ref, Key: it.Key, Group: co.groupOfLocked(it.Ref)}
-	}
+	slices.SortFunc(out, func(a, b *node) int { return strings.Compare(a.name, b.name) })
 	return out
-}
-
-func (co *Coordinator) groupOfLocked(ref string) string {
-	if rc, ok := co.campaigns[campaignOfRef(ref)]; ok {
-		return rc.groups[ref]
-	}
-	return ""
 }
 
 func campaignOfRef(ref string) string {
@@ -590,9 +525,19 @@ func campaignSeq(id string) (int, bool) {
 	return n, true
 }
 
-// RequestWork grants up to max assignments to node, routing through the
-// policy and falling back to work-stealing when the queue is empty but
-// another node sits on stale unstarted claims.
+// maxGrant bounds the runs one work request can claim. A node registers
+// its own capacity, so without this bound a hostile capacity could claim
+// a 10^5-deep queue in a single response.
+const maxGrant = 1024
+
+// RequestWork grants node up to max runs from the head of the queue,
+// falling back to work-stealing when the queue is empty but another node
+// sits on stale unstarted claims. Grants level out across the fleet: a
+// node may hold at most one lifetime grant more than any other alive node
+// with a free slot, so one request takes
+// min(max, free slots, that gap, maxGrant) runs under one batched claim —
+// one journal append and one fsync whether that is one run or five
+// hundred.
 func (co *Coordinator) RequestWork(name string, max int) ([]Assignment, error) {
 	if max <= 0 {
 		max = 1
@@ -612,44 +557,30 @@ func (co *Coordinator) RequestWork(name string, max int) ([]Assignment, error) {
 		n.alive = true
 		events = append(events, Event{Type: "node-revived", Node: name, Tick: co.now})
 	}
-	// Pick phase: the policy ranks a bounded projection of the queue;
-	// node stats are updated provisionally between picks so each pick
-	// sees the fleet as if the previous grants already landed. All picks
-	// then share one batched claim — one journal append and one fsync
-	// whether the node asked for one run or five hundred.
-	pending := co.pendingRunsLocked()
-	var picks []PendingRun
-	for len(picks) < max && n.inflight < n.capacity && len(pending) > 0 {
-		idx := co.policy.Pick(pending, co.nodeStatsLocked(), name)
-		if idx < 0 {
-			break
+	k := min(max, n.capacity-n.inflight, maxGrant)
+	for _, o := range co.sortedNodesLocked() {
+		if o != n && o.alive && o.inflight < o.capacity {
+			k = min(k, o.granted-n.granted+1)
 		}
-		if idx >= len(pending) {
-			idx = len(pending) - 1
-		}
-		picks = append(picks, pending[idx])
-		pending = append(pending[:idx], pending[idx+1:]...)
-		n.inflight++
-		n.granted++
 	}
-	if len(picks) > 0 {
-		refs := make([]string, len(picks))
-		for i, p := range picks {
-			refs[i] = p.Ref
+	// k is negative when the node is several grants ahead of a peer, and
+	// PendingFront reads a negative k as "the whole queue".
+	if k > 0 {
+		items := co.queue.PendingFront(k)
+		refs := make([]string, len(items))
+		for i, it := range items {
+			refs[i] = it.Ref
 		}
+		// A failed journal append claims nothing; the node gets only what
+		// stealing finds below.
 		grants, err := co.queue.ClaimBatch(refs, name, co.now, co.leaseTTL)
-		if err != nil {
-			// Journal append failed: nothing was claimed, roll back the
-			// provisional stats.
-			n.inflight -= len(picks)
-			n.granted -= len(picks)
-		} else {
+		if err == nil {
 			for _, g := range grants {
 				if g.Err != nil {
-					n.inflight--
-					n.granted--
 					continue
 				}
+				n.inflight++
+				n.granted++
 				out = append(out, Assignment{
 					Campaign: campaignOfRef(g.Lease.Ref), Ref: g.Lease.Ref, Key: g.Lease.Key,
 					Lease: g.Lease.ID, Spec: g.Spec,
@@ -658,8 +589,8 @@ func (co *Coordinator) RequestWork(name string, max int) ([]Assignment, error) {
 			}
 		}
 	}
-	// Queue drained (or the policy deferred): steal the oldest unstarted
-	// claims other nodes have been sitting on.
+	// Queue drained (or the node is ahead of its peers): steal the oldest
+	// unstarted claims other nodes have been sitting on.
 	for len(out) < max && n.inflight < n.capacity {
 		asg, ev, stole := co.stealLocked(n)
 		if !stole {
@@ -848,11 +779,6 @@ func (co *Coordinator) completedLocked(name string, lease campaign.Lease, state 
 			upd.Error = detail
 		}
 		events = append(events, co.transitionLocked(rc, lease.Ref, state, upd)...)
-		if n, ok := co.nodes[name]; ok {
-			if g, has := rc.groups[lease.Ref]; has && g != "" {
-				n.groups[g] = true
-			}
-		}
 		rc.remaining--
 		if rc.remaining == 0 {
 			events = append(events, co.finishLocked(rc))
@@ -878,16 +804,10 @@ func (co *Coordinator) Advance() {
 			events = append(events, co.transitionLocked(rc, l.Ref, campaign.RunQueued, nil)...)
 		}
 	}
-	names := make([]string, 0, len(co.nodes))
-	for name := range co.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		n := co.nodes[name]
+	for _, n := range co.sortedNodesLocked() {
 		if n.alive && n.lastSeen+co.leaseTTL < co.now {
 			n.alive = false
-			events = append(events, Event{Type: "node-dead", Node: name, Tick: co.now})
+			events = append(events, Event{Type: "node-dead", Node: n.name, Tick: co.now})
 		}
 	}
 	co.unlockEmit(events)
@@ -897,14 +817,9 @@ func (co *Coordinator) Advance() {
 func (co *Coordinator) Nodes() []NodeStatus {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	names := make([]string, 0, len(co.nodes))
-	for name := range co.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]NodeStatus, len(names))
-	for i, name := range names {
-		n := co.nodes[name]
+	nodes := co.sortedNodesLocked()
+	out := make([]NodeStatus, len(nodes))
+	for i, n := range nodes {
 		out[i] = NodeStatus{
 			Name: n.name, Alive: n.alive, Capacity: n.capacity,
 			Inflight: n.inflight, Granted: n.granted,

@@ -111,7 +111,7 @@ func (co *Coordinator) handleList(w http.ResponseWriter, _ *http.Request) {
 	for i := range statuses {
 		statuses[i].Runs = nil // listings stay small; detail is one GET away
 	}
-	clusterJSON(w, http.StatusOK, map[string]any{"campaigns": statuses, "policy": co.Policy()})
+	clusterJSON(w, http.StatusOK, map[string]any{"campaigns": statuses})
 }
 
 func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -137,10 +137,9 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 	// Listing includes the campaign without per-run detail.
 	var listing struct {
 		Campaigns []campaign.Status `json:"campaigns"`
-		Policy    string            `json:"policy"`
 	}
 	getJSON(t, ts.URL+"/v1/cluster/campaigns", &listing)
-	if len(listing.Campaigns) != 1 || listing.Campaigns[0].Runs != nil || listing.Policy == "" {
+	if len(listing.Campaigns) != 1 || listing.Campaigns[0].Runs != nil {
 		t.Fatalf("listing over HTTP: %+v", listing)
 	}
 }

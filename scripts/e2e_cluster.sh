@@ -95,7 +95,7 @@ kill "$REF_PID"; wait "$REF_PID" 2>/dev/null || true
 # -compact-every 16 forces at least one snapshot compaction inside the
 # ~32-entry campaign; -max-outstanding 8 admits the 8-run manifest
 # exactly and rejects anything larger.
-"$WORK/roadrunnerd" -addr "$CO_ADDR" -cluster -policy config-affinity \
+"$WORK/roadrunnerd" -addr "$CO_ADDR" -cluster \
     -tick 100ms -lease-ttl 10 -steal-after 2 \
     -compact-every 16 -max-outstanding 8 \
     -store "$WORK/store" >"$WORK/coordinator.log" 2>&1 &
@@ -109,9 +109,9 @@ start_worker() { # start_worker NAME CAPACITY -> pid
     echo "$!"
 }
 
-# Only w2 is up at submission time, so it claims a backlog (capacity 4
-# under config-affinity) and is guaranteed to hold live claims when we
-# kill it after its first completion.
+# Only w2 is up at submission time: with no peer to level grants against
+# it claims up to its capacity of 4, so it is guaranteed to hold live
+# claims when we kill it after its first completion.
 W2_PID="$(start_worker w2 4)"
 
 ID="$("$WORK/roadctl" -addr "$CO_BASE" submit -f <(printf '%s' "$MANIFEST") | extract_id)"
@@ -214,7 +214,7 @@ grep -q '"failed": *0' "$WORK/small.json" || { cat "$WORK/small.json" >&2; fail 
 REC_LOG="$WORK/recstore/cluster/queue.jsonl"
 start_recovery_coordinator() { # start_recovery_coordinator LOGFILE [extra flags] -> sets REC_PID
     local log="$1"; shift
-    "$WORK/roadrunnerd" -addr "$REC_ADDR" -cluster -policy config-affinity \
+    "$WORK/roadrunnerd" -addr "$REC_ADDR" -cluster \
         -tick 100ms -lease-ttl 10 -steal-after 2 "$@" \
         -store "$WORK/recstore" >"$log" 2>&1 &
     REC_PID=$!; PIDS+=("$REC_PID")
