@@ -262,6 +262,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"roadrunner_world_cache_misses_total", "counter", "Runs in this process that generated their world.", world.Misses},
 		{"roadrunner_world_cache_skipped_oversize_total", "counter", "Generated worlds too large to retain.", world.SkippedOversize},
 		{"roadrunner_world_cache_retained_bytes", "gauge", "Estimated size of the world currently retained.", world.RetainedBytes},
+		{"roadrunner_world_memo_train_hits_total", "counter", "Training tasks taken from a world's memo instead of computed.", world.TrainMemoHits},
+		{"roadrunner_world_memo_train_misses_total", "counter", "Training tasks looked up in a world's memo and computed.", world.TrainMemoMisses},
+		{"roadrunner_world_memo_eval_hits_total", "counter", "Test evaluations taken from a world's memo instead of computed.", world.EvalMemoHits},
+		{"roadrunner_world_memo_eval_misses_total", "counter", "Test evaluations looked up in a world's memo and computed.", world.EvalMemoMisses},
 	}
 	for _, m := range metrics {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", m.name, m.help, m.name, m.kind, m.name, m.value)

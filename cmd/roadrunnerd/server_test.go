@@ -168,6 +168,10 @@ func TestServerMetricsExposition(t *testing.T) {
 		"# TYPE roadrunner_world_cache_misses_total counter",
 		"# TYPE roadrunner_world_cache_skipped_oversize_total counter",
 		"# TYPE roadrunner_world_cache_retained_bytes gauge",
+		"# TYPE roadrunner_world_memo_train_hits_total counter",
+		"# TYPE roadrunner_world_memo_train_misses_total counter",
+		"# TYPE roadrunner_world_memo_eval_hits_total counter",
+		"# TYPE roadrunner_world_memo_eval_misses_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

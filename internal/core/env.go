@@ -113,7 +113,9 @@ func (e *Experiment) Train(id sim.AgentID, m *ml.Snapshot) error {
 // TrainOnData implements strategy.Env: it occupies the agent's hardware
 // unit for the modelled duration and performs the actual SGD at completion
 // time, so aborted tasks (agent shut off) cost no host compute and leak no
-// state.
+// state. A task that a run on the same world has already computed is taken
+// from the world's memo (trainTask); its span, counters and hardware
+// accounting are those of a computed task.
 func (e *Experiment) TrainOnData(id sim.AgentID, m *ml.Snapshot, examples []ml.Example) error {
 	if m == nil {
 		return fmt.Errorf("core: train on %v: nil model", id)
@@ -145,19 +147,14 @@ func (e *Experiment) TrainOnData(id sim.AgentID, m *ml.Snapshot, examples []ml.E
 		}
 	}
 	taskRNG := e.trainRNG.Fork("task")
+	part := e.partOf(id, examples)
 	span := e.tracer.Begin(trace.KindTrain, "train")
 	e.tracer.AttrUint(span, "agent", uint64(id))
 	e.tracer.AttrInt(span, "examples", int64(len(examples)))
 	var ev sim.Event
 	ev, err = e.engine.After(dur, func() {
 		e.removePending(id, ev)
-		net, err := e.loadModel(m)
-		if err != nil {
-			e.Logf("core: train on %v: load snapshot: %v", id, err)
-			e.tracer.EndWith(span, "status", "error")
-			return
-		}
-		loss, err := net.Train(examples, e.cfg.Train, taskRNG)
+		model, loss, err := e.trainTask(m, part, examples, taskRNG)
 		if err != nil {
 			e.Logf("core: train on %v: %v", id, err)
 			e.tracer.EndWith(span, "status", "error")
@@ -167,7 +164,7 @@ func (e *Experiment) TrainOnData(id sim.AgentID, m *ml.Snapshot, examples []ml.E
 		e.recorder.Add(metrics.CounterTrainTasks, 1)
 		e.tracer.AttrFloat(span, "loss", loss)
 		e.tracer.End(span)
-		e.strat.OnTrainDone(e, id, net.Snapshot(), loss)
+		e.strat.OnTrainDone(e, id, model, loss)
 	})
 	if err != nil {
 		e.registry.Release(id)
@@ -221,7 +218,9 @@ func (e *Experiment) Aggregate(models []*ml.Snapshot, weights []float64) (*ml.Sn
 
 // TestAccuracy implements strategy.Env. Results are memoized per snapshot
 // (snapshots are immutable by convention), since strategies often evaluate
-// the same global model more than once.
+// the same global model more than once. That per-run memo decides when an
+// eval span is emitted; below it, evaluate may answer from the world's memo
+// of weights that another run evaluated, and the span is the same.
 func (e *Experiment) TestAccuracy(m *ml.Snapshot) (float64, error) {
 	if m == nil {
 		return 0, fmt.Errorf("core: test accuracy of nil model")
@@ -236,12 +235,7 @@ func (e *Experiment) TestAccuracy(m *ml.Snapshot) (float64, error) {
 	// so the span is an instant.
 	span := e.tracer.Begin(trace.KindEval, "eval")
 	e.tracer.AttrInt(span, "samples", int64(len(e.testSet)))
-	net, err := e.loadModel(m)
-	if err != nil {
-		e.tracer.EndWith(span, "status", "error")
-		return 0, err
-	}
-	acc, _, err := net.Evaluate(e.testSet)
+	acc, err := e.evaluate(m)
 	if err != nil {
 		e.tracer.EndWith(span, "status", "error")
 		return 0, err

@@ -80,6 +80,8 @@ type Experiment struct {
 	// net is the network every train task and serial evaluation loads its
 	// snapshot into (loadModel), nil until the first.
 	net *ml.Network
+	// digestBuf is the scratch the world memo's keys are hashed from.
+	digestBuf []byte
 }
 
 // pendingTrain is one outstanding training occupation: the completion

@@ -25,8 +25,16 @@ import (
 // A world holds only what a run can read. Traces end at the run's horizon
 // (mobility.GenConfig.Through), and the vehicles' data is a walked pool:
 // vehicle i's examples are drawn from their recorded stream positions the
-// first time a run reads them (part). That memo is the only write after
-// buildWorld, and it stores a pure function of the key.
+// first time a run reads them (part).
+//
+// A world the slot retains also carries a memo of the training tasks and
+// test evaluations its runs computed (worldMemo): the Figure-4 runs of one
+// seed repeat many of each other's tasks bit for bit — a blackout run
+// repeats its fault-free twin until the blackout starts — and the memo
+// lets the later run take them instead of training again. Worlds no other
+// run can attach to (oversize, trace-file) get none. The drawn parts and
+// the memo are the only writes after buildWorld, and both store pure
+// functions of the key.
 type world struct {
 	graph    *roadnet.Graph // nil for trace-file worlds
 	replayer *mobility.Replayer
@@ -34,7 +42,8 @@ type world struct {
 	assign   [][]int    // assign[i]: the pool indices of the vehicle replaying trace i
 	parts    []lazyPart // parts[i]: that vehicle's examples, once drawn
 	testSet  []ml.Example
-	bytes    int64 // estimated heap footprint, see sizeOf
+	bytes    int64      // estimated heap footprint, see sizeOf
+	memo     *worldMemo // nil unless the slot retained the world
 }
 
 type lazyPart struct {
@@ -109,7 +118,10 @@ var worldSlot struct {
 	w   *world
 }
 
-var worldCounters struct{ hits, misses, oversize atomic.Uint64 }
+var worldCounters struct {
+	hits, misses, oversize                       atomic.Uint64
+	trainHits, trainMisses, evalHits, evalMisses atomic.Uint64
+}
 
 // WorldCacheStat is a snapshot of the world slot's counters.
 type WorldCacheStat struct {
@@ -121,15 +133,29 @@ type WorldCacheStat struct {
 	SkippedOversize uint64 `json:"skipped_oversize"`
 	// RetainedBytes is the estimated size of the world held right now.
 	RetainedBytes int64 `json:"retained_bytes"`
+	// TrainMemoHits counts training tasks taken from a world's memo,
+	// TrainMemoMisses those looked up and computed; EvalMemoHits and
+	// EvalMemoMisses do the same for test evaluations. Tasks on worlds
+	// without a memo, and tasks on data that is not a vehicle's own, are
+	// not looked up and count in neither.
+	TrainMemoHits   uint64 `json:"train_memo_hits"`
+	TrainMemoMisses uint64 `json:"train_memo_misses"`
+	EvalMemoHits    uint64 `json:"eval_memo_hits"`
+	EvalMemoMisses  uint64 `json:"eval_memo_misses"`
 }
 
-// WorldCacheStats reports how often core.New reused a world. It is host
+// WorldCacheStats reports how often core.New reused a world and how often
+// runs reused a world's training tasks and evaluations. It is host
 // telemetry: it never enters canonical bytes or run metadata.
 func WorldCacheStats() WorldCacheStat {
 	st := WorldCacheStat{
 		Hits:            worldCounters.hits.Load(),
 		Misses:          worldCounters.misses.Load(),
 		SkippedOversize: worldCounters.oversize.Load(),
+		TrainMemoHits:   worldCounters.trainHits.Load(),
+		TrainMemoMisses: worldCounters.trainMisses.Load(),
+		EvalMemoHits:    worldCounters.evalHits.Load(),
+		EvalMemoMisses:  worldCounters.evalMisses.Load(),
 	}
 	worldSlot.mu.Lock()
 	if worldSlot.w != nil {
@@ -144,6 +170,7 @@ func WorldCacheStats() WorldCacheStat {
 // miss starts generating, so the cache never keeps two worlds reachable,
 // and the lock is not held while generating, so concurrent misses build in
 // parallel as they did before the slot existed (the last to finish stays).
+// A world is given its memo just before it enters the slot.
 func worldFor(cfg Config, ws worldStreams) (*world, error) {
 	if cfg.TraceFile != "" {
 		// A path does not pin the file's contents.
@@ -169,6 +196,7 @@ func worldFor(cfg Config, ws worldStreams) (*world, error) {
 		worldCounters.oversize.Add(1)
 		return w, nil
 	}
+	w.memo = newWorldMemo()
 	worldSlot.mu.Lock()
 	worldSlot.key, worldSlot.w = key, w
 	worldSlot.mu.Unlock()
