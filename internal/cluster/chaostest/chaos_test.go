@@ -300,9 +300,11 @@ func TestClusterBatchedVerbsMatchSingleNode(t *testing.T) {
 // TestClusterKillMidBatchRecovers kills a node right after it gates a
 // whole batch of claims through StartRuns — every started lease in the
 // batch is orphaned at once. Lease expiry must re-queue them all, the
-// survivors absorb the work, and no run key executes twice.
+// survivors absorb the work, and no run key executes twice. Three nodes of
+// two slots claim six runs in the first round, so the manifest has ten:
+// w2's second batch is the one it dies in.
 func TestClusterKillMidBatchRecovers(t *testing.T) {
-	m := chaosManifest(1, 2, 3)
+	m := chaosManifest(1, 2, 3, 4, 5)
 	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		GateBacklog: true,
@@ -363,9 +365,10 @@ func TestClusterCompactionAndRestartMidCampaign(t *testing.T) {
 // inside compaction — snapshot published, log rotation lost — and
 // restarts the coordinator into it. Recovery must detect the snapshot
 // generation ahead of the log, finish the rotation itself, and the
-// campaign must complete byte-identical regardless.
+// campaign must complete byte-identical regardless. The first round runs
+// six of the ten runs, so the restart lands mid-campaign.
 func TestClusterCrashDuringCompactionRecovers(t *testing.T) {
-	m := chaosManifest(1, 2, 3)
+	m := chaosManifest(1, 2, 3, 4, 5)
 	want := campaigntest.LibraryReference(t, m)
 	h, id := runCluster(t, m, Config{
 		GateBacklog:  true,

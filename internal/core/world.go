@@ -110,8 +110,9 @@ const worldRetainBytes = 64 << 20
 
 // worldSlot is the process-wide cache: the most recently built world, and
 // nothing else. One entry is all the reuse pattern needs — a campaign
-// expands strategies × fault scenarios per seed, so the runs that share a
-// world arrive back to back — and all that the memory bound allows.
+// expands strategy-major, but the cluster coordinator queues a manifest's
+// runs grouped by seed, so the runs that share a world arrive back to
+// back — and all that the memory bound allows.
 var worldSlot struct {
 	mu  sync.Mutex
 	key worldKey

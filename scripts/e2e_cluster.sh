@@ -109,9 +109,9 @@ start_worker() { # start_worker NAME CAPACITY -> pid
     echo "$!"
 }
 
-# Only w2 is up at submission time: with no peer to level grants against
-# it claims up to its capacity of 4, so it is guaranteed to hold live
-# claims when we kill it after its first completion.
+# Only w2 is up at submission time: it pulls four of the eight runs, its
+# capacity, then four more after its first batch, so it is guaranteed to
+# hold live claims when we kill it after its first completion.
 W2_PID="$(start_worker w2 4)"
 
 ID="$("$WORK/roadctl" -addr "$CO_BASE" submit -f <(printf '%s' "$MANIFEST") | extract_id)"
