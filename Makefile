@@ -99,9 +99,11 @@ race-cluster:
 lint:
 	$(GO) run ./cmd/roadlint ./...
 
-# golden checks the published CSV layouts (Figure 4, ablations G and H)
-# and what every figure computes (Figure 4 and ablations A–H at 2 rounds,
-# seed 1) against their golden files; -update must have been committed.
+# golden checks the CSV layouts of Figure 4 and ablations G and H (fixed
+# inputs through the one CSV writer) and the whole of `figures -fig all
+# -rounds 2 -seed 1`: its terminal output, the ten figure CSVs and trace
+# T's two span CSVs, against testdata/r2s1/; -update must have been
+# committed.
 golden:
 	$(GO) test ./cmd/figures/ -run 'Golden' -count=1
 

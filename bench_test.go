@@ -123,8 +123,8 @@ func BenchmarkAblationSkew(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(points[0].BaseAcc, "base-accuracy")
-				b.ReportMetric(points[0].OppAcc, "opp-accuracy")
+				b.ReportMetric(points[0].FinalAcc, "base-accuracy")
+				b.ReportMetric(points[1].FinalAcc, "opp-accuracy")
 			}
 		})
 	}

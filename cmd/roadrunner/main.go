@@ -186,11 +186,16 @@ func printSummary(w io.Writer, name string, res *core.Result) {
 	}
 }
 
+// writeTo creates path and fills it through write, returning the first
+// error of the write or of closing the file.
 func writeTo(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", path, err)
 	}
-	defer func() { _ = f.Close() }()
-	return write(f)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"time"
 
 	"roadrunner/internal/campaign"
@@ -164,9 +165,11 @@ func maxOf(values []float64) float64 {
 	return out
 }
 
+// effectiveWorkers is the pool size campaign.Scheduler runs jobs on: the
+// requested count, or GOMAXPROCS when none is requested, capped at jobs.
 func effectiveWorkers(requested, jobs int) int {
 	if requested <= 0 {
-		requested = jobs
+		requested = runtime.GOMAXPROCS(0)
 	}
 	if requested > jobs {
 		requested = jobs

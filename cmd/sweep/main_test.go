@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -30,8 +31,14 @@ func TestMinMaxOf(t *testing.T) {
 }
 
 func TestEffectiveWorkers(t *testing.T) {
-	if got := effectiveWorkers(0, 5); got != 5 {
-		t.Fatalf("effectiveWorkers(0,5) = %d", got)
+	// With no -workers the scheduler runs GOMAXPROCS workers, never more
+	// than there are jobs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if got := effectiveWorkers(0, 5); got != 2 {
+		t.Fatalf("effectiveWorkers(0,5) at GOMAXPROCS 2 = %d", got)
+	}
+	if got := effectiveWorkers(0, 1); got != 1 {
+		t.Fatalf("effectiveWorkers(0,1) = %d", got)
 	}
 	if got := effectiveWorkers(8, 3); got != 3 {
 		t.Fatalf("effectiveWorkers(8,3) = %d", got)

@@ -9,19 +9,6 @@ import (
 	"roadrunner/internal/core"
 )
 
-// ChannelPoint is one (strategy, channel-model) cell of ablation H.
-type ChannelPoint struct {
-	Model    string  `json:"model"`
-	Strategy string  `json:"strategy"`
-	FinalAcc float64 `json:"final_acc"`
-	SimEnd   float64 `json:"sim_end_s"`
-	V2CMB    float64 `json:"v2c_mb"`
-	V2XMB    float64 `json:"v2x_mb"`
-	// FailedMsgs counts failed transfers over the two radio kinds — the
-	// visible cost of outage, fading, and fitted loss fractions.
-	FailedMsgs float64 `json:"failed_msgs"`
-}
-
 // DefaultChannelSweep names ablation H's model axis in run order.
 func DefaultChannelSweep() []string {
 	return []string{channel.ModelAnalytic, channel.ModelRadio, channel.ModelRadioQueued, channel.ModelOracle}
@@ -34,8 +21,9 @@ func DefaultChannelSweep() []string {
 // the canonical chantrace CSV, the fitter bins them into an indicator
 // table, the table round-trips through the chantable CSV, and the oracle
 // runs replay it. Everything derives from (rounds, seed), so the whole
-// sweep is deterministic.
-func AblationChannels(rounds int, seed uint64) ([]ChannelPoint, error) {
+// sweep is deterministic. It returns BASE then OPP, each under every model
+// of DefaultChannelSweep in order.
+func AblationChannels(rounds int, seed uint64) ([]Summary, error) {
 	strategies := baseAndOpp(rounds)
 	models := DefaultChannelSweep()
 	onModel := func(ch *channel.Config, record bool) func(*core.Config) {
@@ -91,20 +79,11 @@ func AblationChannels(rounds int, seed uint64) ([]ChannelPoint, error) {
 		return nil, fmt.Errorf("ablation H: %w", err)
 	}
 
-	var points []ChannelPoint
+	var points []Summary
 	for i, st := range strategies {
 		perModel := []*core.Result{syntheticRes[3*i], syntheticRes[3*i+1], syntheticRes[3*i+2], oracleRes[i]}
 		for j, res := range perModel {
-			points = append(points, ChannelPoint{
-				Model:    models[j],
-				Strategy: st.name,
-				FinalAcc: LateAccuracy(res, 3),
-				SimEnd:   float64(res.End),
-				V2CMB:    float64(res.Comm["v2c"].BytesDelivered) / 1e6,
-				V2XMB:    float64(res.Comm["v2x"].BytesDelivered) / 1e6,
-				FailedMsgs: float64(res.Comm["v2c"].MessagesFailed) +
-					float64(res.Comm["v2x"].MessagesFailed),
-			})
+			points = append(points, summarize(models[j], st.name, res))
 		}
 	}
 	return points, nil

@@ -31,17 +31,17 @@ func TestAblationChannelsShape(t *testing.T) {
 		if i >= len(sweep) {
 			wantStrat = "OPP"
 		}
-		if p.Model != wantModel || p.Strategy != wantStrat {
-			t.Errorf("point %d is %s/%s, want %s/%s", i, p.Strategy, p.Model, wantStrat, wantModel)
+		if p.Param != wantModel || p.Strategy != wantStrat {
+			t.Errorf("point %d is %s/%s, want %s/%s", i, p.Strategy, p.Param, wantStrat, wantModel)
 		}
 		if p.FinalAcc < 0 || p.FinalAcc > 1 {
-			t.Errorf("%s/%s: accuracy %v out of range", p.Strategy, p.Model, p.FinalAcc)
+			t.Errorf("%s/%s: accuracy %v out of range", p.Strategy, p.Param, p.FinalAcc)
 		}
 		if p.SimEnd <= 0 {
-			t.Errorf("%s/%s: non-positive sim end %v", p.Strategy, p.Model, p.SimEnd)
+			t.Errorf("%s/%s: non-positive sim end %v", p.Strategy, p.Param, p.SimEnd)
 		}
 		if p.V2CMB < 0 || p.V2XMB < 0 || p.FailedMsgs < 0 {
-			t.Errorf("%s/%s: negative traffic stats %+v", p.Strategy, p.Model, p)
+			t.Errorf("%s/%s: negative traffic stats %+v", p.Strategy, p.Param, p)
 		}
 	}
 

@@ -162,46 +162,66 @@ func LateAccuracy(res *core.Result, k int) float64 {
 	return sum / float64(k)
 }
 
-// Row is one parameter point of an ablation sweep.
-type Row struct {
-	Param        string  `json:"param"`
-	FinalAcc     float64 `json:"final_acc"`
-	AvgExchanges float64 `json:"avg_exchanges"`
-	AvgContribs  float64 `json:"avg_contribs"`
-	SimEnd       float64 `json:"sim_end_s"`
-	V2CMB        float64 `json:"v2c_mb"`
-	V2XMB        float64 `json:"v2x_mb"`
-	Discarded    float64 `json:"discarded_models"`
+// Summary is one run of a figure cell as the figures report it: the cell's
+// labels and the run's headline numbers. Every ablation returns one per
+// run.
+type Summary struct {
+	// Param is the swept value ("200s", "shards=2", "blackout", "radio").
+	Param string
+	// Strategy is the strategy's figure label ("BASE", "OPP") in an
+	// ablation that runs more than one, and empty in a one-strategy sweep.
+	Strategy string
+	// FinalAcc is the late accuracy (LateAccuracy over the last 3 points).
+	FinalAcc     float64
+	AvgExchanges float64 // V2X exchanges per round
+	AvgContribs  float64 // contributions per round
+	SimEnd       float64 // simulated seconds at the run's end
+	V2CMB        float64 // V2C megabytes delivered
+	V2XMB        float64 // V2X megabytes delivered
+	Discarded    float64 // models discarded by reporters that shut off
+	// Faults counts fault-attributed events (blackout failures, burst
+	// drops, link kills, forced power-offs) recorded during the run.
+	Faults float64
+	// FailedMsgs counts failed transfers over the two radio kinds — the
+	// visible cost of outage, fading, and fitted loss fractions.
+	FailedMsgs float64
 }
 
-func rowFrom(param string, res *core.Result) Row {
-	r := Row{
+func summarize(param, strategy string, res *core.Result) Summary {
+	s := Summary{
 		Param:     param,
+		Strategy:  strategy,
 		FinalAcc:  LateAccuracy(res, 3),
 		SimEnd:    float64(res.End),
 		V2CMB:     float64(res.Comm["v2c"].BytesDelivered) / 1e6,
 		V2XMB:     float64(res.Comm["v2x"].BytesDelivered) / 1e6,
 		Discarded: res.Metrics.Counter(metrics.CounterDiscardedModels),
+		Faults: res.Metrics.Counter(metrics.CounterFaultBlackoutFails) +
+			res.Metrics.Counter(metrics.CounterFaultBurstDrops) +
+			res.Metrics.Counter(metrics.CounterFaultLinkKills) +
+			res.Metrics.Counter(metrics.CounterFaultForcedOff),
+		FailedMsgs: float64(res.Comm["v2c"].MessagesFailed) +
+			float64(res.Comm["v2x"].MessagesFailed),
 	}
 	if ex := res.Metrics.Series(metrics.SeriesRoundExchanges); ex != nil {
-		r.AvgExchanges = ex.Mean()
+		s.AvgExchanges = ex.Mean()
 	}
 	if c := res.Metrics.Series(metrics.SeriesRoundContributions); c != nil {
-		r.AvgContribs = c.Mean()
+		s.AvgContribs = c.Mean()
 	}
-	return r
+	return s
 }
 
-// rows executes a one-strategy sweep whose spec names are the parameter
-// labels, and summarizes each run as a Row.
-func rows(ablation string, specs []campaign.RunSpec) ([]Row, error) {
+// sweep executes a one-strategy sweep whose spec names are the parameter
+// labels, and summarizes each run.
+func sweep(ablation string, specs []campaign.RunSpec) ([]Summary, error) {
 	results, err := Execute(specs...)
 	if err != nil {
 		return nil, fmt.Errorf("ablation %s: %w", ablation, err)
 	}
-	out := make([]Row, len(specs))
+	out := make([]Summary, len(specs))
 	for i, res := range results {
-		out[i] = rowFrom(specs[i].Name, res)
+		out[i] = summarize(specs[i].Name, "", res)
 	}
 	return out, nil
 }
@@ -210,52 +230,47 @@ func rows(ablation string, specs []campaign.RunSpec) ([]Row, error) {
 // round duration will give more opportunities for local aggregation of
 // weights ... [but] increase the duration of the whole learning process,
 // and increase the probability that a reporter vehicle is turned off").
-func AblationRoundDuration(rounds int, seed uint64, durations []sim.Duration) ([]Row, error) {
+func AblationRoundDuration(rounds int, seed uint64, durations []sim.Duration) ([]Summary, error) {
 	specs := make([]campaign.RunSpec, len(durations))
 	for i, d := range durations {
 		s := opp(rounds)
 		s.RoundDurationS = float64(d)
 		specs[i] = Spec(fmt.Sprintf("%.0fs", float64(d)), seed, s, nil)
 	}
-	return rows("A", specs)
+	return sweep("A", specs)
 }
 
 // AblationReporters sweeps the per-round reporter count (the V2C budget
 // knob; the paper cites McMahan et al.: more participants per round can
 // raise accuracy, at proportional cellular cost).
-func AblationReporters(rounds int, seed uint64, counts []int) ([]Row, error) {
+func AblationReporters(rounds int, seed uint64, counts []int) ([]Summary, error) {
 	specs := make([]campaign.RunSpec, len(counts))
 	for i, r := range counts {
 		s := opp(rounds)
 		s.Reporters = r
 		specs[i] = Spec(fmt.Sprintf("R=%d", r), seed, s, nil)
 	}
-	return rows("B", specs)
+	return sweep("B", specs)
 }
 
 // AblationV2XRange sweeps the V2X radio range (the vehicle-density proxy;
 // paper §5.2: OPP is "highly dependent on the density of vehicles").
-func AblationV2XRange(rounds int, seed uint64, ranges []float64) ([]Row, error) {
+func AblationV2XRange(rounds int, seed uint64, ranges []float64) ([]Summary, error) {
 	specs := make([]campaign.RunSpec, len(ranges))
 	for i, rangeM := range ranges {
 		specs[i] = Spec(fmt.Sprintf("%.0fm", rangeM), seed, opp(rounds),
 			func(c *core.Config) { c.Comm.V2X.RangeM = rangeM })
 	}
-	return rows("C", specs)
-}
-
-// SkewPoint pairs BASE and OPP results under one data distribution.
-type SkewPoint struct {
-	Param   string  `json:"param"`
-	BaseAcc float64 `json:"base_acc"`
-	OppAcc  float64 `json:"opp_acc"`
+	return sweep("C", specs)
 }
 
 // AblationSkew sweeps the per-vehicle class skew for both strategies
 // (the paper chooses "a highly skewed distribution ... to emulate the
 // real-world scenario of highly personalized data"; this sweep shows what
-// that choice costs FL and how extra contributions mitigate it).
-func AblationSkew(rounds int, seed uint64, parts []dataset.PartitionConfig) ([]SkewPoint, error) {
+// that choice costs FL and how extra contributions mitigate it). It
+// returns BASE then OPP for each distribution.
+func AblationSkew(rounds int, seed uint64, parts []dataset.PartitionConfig) ([]Summary, error) {
+	strategies := baseAndOpp(rounds)
 	labels := make([]string, len(parts))
 	var specs []campaign.RunSpec
 	for i, pc := range parts {
@@ -264,21 +279,17 @@ func AblationSkew(rounds int, seed uint64, parts []dataset.PartitionConfig) ([]S
 			labels[i] = fmt.Sprintf("shards=%d", pc.ShardsPerAgent)
 		}
 		edit := func(c *core.Config) { c.Partition = pc }
-		specs = append(specs,
-			Spec(labels[i]+"/BASE", seed, base(rounds), edit),
-			Spec(labels[i]+"/OPP", seed, opp(rounds), edit))
+		for _, st := range strategies {
+			specs = append(specs, Spec(labels[i]+"/"+st.name, seed, st.spec, edit))
+		}
 	}
 	results, err := Execute(specs...)
 	if err != nil {
 		return nil, fmt.Errorf("ablation D: %w", err)
 	}
-	points := make([]SkewPoint, len(parts))
-	for i, label := range labels {
-		points[i] = SkewPoint{
-			Param:   label,
-			BaseAcc: LateAccuracy(results[2*i], 3),
-			OppAcc:  LateAccuracy(results[2*i+1], 3),
-		}
+	points := make([]Summary, len(results))
+	for i, res := range results {
+		points[i] = summarize(labels[i/len(strategies)], strategies[i%len(strategies)].name, res)
 	}
 	return points, nil
 }
@@ -287,13 +298,13 @@ func AblationSkew(rounds int, seed uint64, parts []dataset.PartitionConfig) ([]S
 // increases "the probability that a reporter vehicle is turned off by the
 // driver before a round ends, effectively discarding the models collected
 // by this reporter").
-func AblationChurn(rounds int, seed uint64, offProbs []float64) ([]Row, error) {
+func AblationChurn(rounds int, seed uint64, offProbs []float64) ([]Summary, error) {
 	specs := make([]campaign.RunSpec, len(offProbs))
 	for i, p := range offProbs {
 		specs[i] = Spec(fmt.Sprintf("p_off=%.1f", p), seed, opp(rounds),
 			func(c *core.Config) { c.Fleet.OffWhenParkedProb = p })
 	}
-	return rows("E", specs)
+	return sweep("E", specs)
 }
 
 // DefaultSkewSweep is the ablation-D parameter set: pathological 1-shard
@@ -317,26 +328,14 @@ func DefaultFaultSweep() []string {
 	}
 }
 
-// FaultPoint is one (strategy, scenario) cell of the fault ablation.
-type FaultPoint struct {
-	Scenario string  `json:"scenario"`
-	Strategy string  `json:"strategy"`
-	FinalAcc float64 `json:"final_acc"`
-	// Faults counts fault-attributed events (blackout failures, burst
-	// drops, link kills, forced power-offs) recorded during the run.
-	Faults float64 `json:"faults"`
-	SimEnd float64 `json:"sim_end_s"`
-	V2CMB  float64 `json:"v2c_mb"`
-	V2XMB  float64 `json:"v2x_mb"`
-}
-
 // AblationFaults runs BASE and OPP fault-free and under every named fault
 // scenario of internal/faults (the degradation axis the paper's framework
 // motivates but its prototype never exercises: "communication may fail at
 // any time", §3). Scenario windows are scaled to each strategy's own
 // fault-free span, so the faults land inside the learning process for both
-// the short BASE runs and the ~4.5x longer OPP runs.
-func AblationFaults(rounds int, seed uint64, scenarios []string) ([]FaultPoint, error) {
+// the short BASE runs and the ~4.5x longer OPP runs. It returns BASE then
+// OPP, each fault-free and then under each scenario.
+func AblationFaults(rounds int, seed uint64, scenarios []string) ([]Summary, error) {
 	strategies := baseAndOpp(rounds)
 	clean := make([]campaign.RunSpec, len(strategies))
 	for i, st := range strategies {
@@ -362,30 +361,14 @@ func AblationFaults(rounds int, seed uint64, scenarios []string) ([]FaultPoint, 
 	if err != nil {
 		return nil, fmt.Errorf("ablation G: %w", err)
 	}
-	var points []FaultPoint
+	var points []Summary
 	for i, st := range strategies {
-		points = append(points, faultPoint("fault-free", st.name, cleanRes[i]))
+		points = append(points, summarize("fault-free", st.name, cleanRes[i]))
 		for j, sc := range scenarios {
-			points = append(points, faultPoint(sc, st.name, faultedRes[i*len(scenarios)+j]))
+			points = append(points, summarize(sc, st.name, faultedRes[i*len(scenarios)+j]))
 		}
 	}
 	return points, nil
-}
-
-func faultPoint(scenario, strategyName string, res *core.Result) FaultPoint {
-	faultCount := res.Metrics.Counter(metrics.CounterFaultBlackoutFails) +
-		res.Metrics.Counter(metrics.CounterFaultBurstDrops) +
-		res.Metrics.Counter(metrics.CounterFaultLinkKills) +
-		res.Metrics.Counter(metrics.CounterFaultForcedOff)
-	return FaultPoint{
-		Scenario: scenario,
-		Strategy: strategyName,
-		FinalAcc: LateAccuracy(res, 3),
-		Faults:   faultCount,
-		SimEnd:   float64(res.End),
-		V2CMB:    float64(res.Comm["v2c"].BytesDelivered) / 1e6,
-		V2XMB:    float64(res.Comm["v2x"].BytesDelivered) / 1e6,
-	}
 }
 
 // AblationRSUCount sweeps the road-side-unit deployment density for the
@@ -393,11 +376,11 @@ func faultPoint(scenario, strategyName string, res *core.Result) FaultPoint {
 // Figure 1 includes RSUs but the evaluation never exercises them). More
 // RSUs mean more collection points — accuracy rises with deployment cost,
 // while the metered V2C channel stays at zero.
-func AblationRSUCount(rounds int, seed uint64, counts []int) ([]Row, error) {
+func AblationRSUCount(rounds int, seed uint64, counts []int) ([]Summary, error) {
 	specs := make([]campaign.RunSpec, len(counts))
 	for i, n := range counts {
 		specs[i] = Spec(fmt.Sprintf("RSUs=%d", n), seed, campaign.StrategySpec{Kind: "rsu", Rounds: rounds},
 			func(c *core.Config) { c.RSUCount = n })
 	}
-	return rows("F", specs)
+	return sweep("F", specs)
 }
